@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import InternalNumericalError, UnphysicalStateError
 from .linalg import psd_sqrt, von_neumann_entropy
-from .states import BellCoefficients, is_physical, validate_density_matrix
+from .states import BellCoefficients, is_physical, parities, validate_density_matrix
 
 NEGATIVE_CLAMP = 1e-12
 XLNX_FLOOR = 1e-15
@@ -44,18 +44,18 @@ def _clamped(value: float) -> float:
     return max(value, 0.0)
 
 
+def clamped_array(values: np.ndarray) -> np.ndarray:
+    """``_clamped`` elementwise, bit for bit: -0.0 and NaN pass through unchanged."""
+    low = values < -NEGATIVE_CLAMP
+    if np.any(low):
+        _clamped(float(values[low][0]))  # raises with the scalar message
+    return np.where(values < 0.0, 0.0, values)
+
+
 def _xlnx(x):
     """x ln x extended by continuity with 0 at x <= XLNX_FLOOR."""
     safe = np.maximum(x, XLNX_FLOOR)
     return np.where(x > XLNX_FLOOR, safe * np.log(safe), 0.0)
-
-
-def _parities(c1, c2, c3):
-    q1 = 1.0 - c1 - c2 - c3
-    q2 = 1.0 + c1 + c2 - c3
-    q3 = 1.0 + c1 - c2 + c3
-    q4 = 1.0 - c1 + c2 + c3
-    return q1, q2, q3, q4
 
 
 def l1_kernel(c1, c2, c3):
@@ -65,7 +65,7 @@ def l1_kernel(c1, c2, c3):
 
 def rel_entropy_kernel(c1, c2, c3):
     """Closed-form relative entropy of coherence; physical inputs assumed."""
-    q1, q2, q3, q4 = (np.clip(q, 0.0, None) for q in _parities(c1, c2, c3))
+    q1, q2, q3, q4 = (np.clip(q, 0.0, None) for q in parities(c1, c2, c3))
     spectral = _xlnx(q1) + _xlnx(q2) + _xlnx(q3) + _xlnx(q4)
     diagonal = _xlnx(np.clip(1.0 + c3, 0.0, None)) + _xlnx(np.clip(1.0 - c3, 0.0, None))
     return spectral / 4.0 - diagonal / 2.0

@@ -1,48 +1,42 @@
 """Decay-rate curves over p and frozen-coherence point clouds over state space.
 
-Both scans are deterministic: work is partitioned by fixed lattice planes
-(or grid indices), never by worker count, and every lattice point emitted by
-the vectorized pass is re-confirmed through the exact scalar decay-rate path
-before it is kept. COHERENCE_LAB_THREADS caps the thread pool.
+Each scan is one exact array evaluation, run serially. It performs the
+scalar path's operations in the scalar path's order: ``closed_measure`` of
+the state, the per-iteration factor products of ``coefficient_map`` (never
+a power), ``closed_measure`` of the evolved state, and one division. Every
+curve cell and every lattice point's rate is therefore bit for bit the
+``decay_rate`` of that state, and the output is deterministic by
+construction.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from .channels import ChannelKind, CoefficientMapMode, per_iteration_factors
-from .coherence import Measure, closed_measure, _KERNELS
-from .decay import COHERENCE_FLOOR, DecayQuery, Engine, decay_rate
-from .errors import IncoherentStateError, ParameterRangeError
-from .states import BellCoefficients
+from .channels import (
+    ChannelKind,
+    CoefficientMapMode,
+    _require_iterations,
+    per_iteration_factors,
+)
+from .coherence import Measure, clamped_array, closed_measure, _KERNELS
+from .decay import COHERENCE_FLOOR
+from .errors import IncoherentStateError, ParameterRangeError, UnphysicalStateError
+from .states import BellCoefficients, physical_mask
 
-# slack added to the vectorized prefilter so that no point the scalar pass
-# would accept is pruned by array/scalar rounding differences
-_RATE_SLACK = 1e-9
-_COHERENCE_SLACK = 1e-9
 
-
-def worker_count() -> int:
-    """Thread count: COHERENCE_LAB_THREADS when set, else the CPU count."""
-    raw = os.environ.get("COHERENCE_LAB_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ParameterRangeError(
-            f"COHERENCE_LAB_THREADS must be a positive integer, got {raw!r}"
-        ) from exc
-    if value < 1:
-        raise ParameterRangeError(
-            f"COHERENCE_LAB_THREADS must be a positive integer, got {raw!r}"
+def _closed_measures(measure: Measure, c1, c2, c3) -> np.ndarray:
+    """``closed_measure`` over broadcastable coefficient arrays, with its checks."""
+    outside = ~physical_mask(c1, c2, c3)
+    if np.any(outside):
+        first = tuple(float(np.broadcast_to(c, outside.shape)[outside][0]) for c in (c1, c2, c3))
+        raise UnphysicalStateError(
+            f"coefficients {first} lie outside the physical tetrahedron"
         )
-    return value
+    return clamped_array(_KERNELS[measure](c1, c2, c3))
 
 
 @dataclass(frozen=True)
@@ -64,29 +58,34 @@ def decay_curve(
     p_count: int = 99,
     mode: CoefficientMapMode = CoefficientMapMode.DERIVED,
 ) -> DecayCurve:
-    """Decay rates on the interior grid p_k = k / (p_count + 1), k = 1..p_count."""
+    """Decay rates on the interior grid p_k = k / (p_count + 1), k = 1..p_count.
+
+    The factors of every p are stacked and multiplied in once per iteration
+    up to max(n_list); each requested n takes its column when reached.
+    """
     kind = ChannelKind(kind)
     measure = Measure(measure)
     mode = CoefficientMapMode(mode)
-    if not isinstance(p_count, (int, np.integer)) or p_count < 1:
+    if not isinstance(p_count, (int, np.integer)) or isinstance(p_count, bool) or p_count < 1:
         raise ParameterRangeError(f"p_count must be a positive integer, got {p_count!r}")
-    n_tuple = tuple(int(n) for n in n_list)
-    if not n_tuple or any(n < 1 for n in n_tuple):
-        raise ParameterRangeError(f"n_list must be nonempty positive integers, got {n_list!r}")
-    if closed_measure(measure, state) <= COHERENCE_FLOOR:
+    n_tuple = tuple(_require_iterations(n) for n in n_list)
+    if not n_tuple:
+        raise ParameterRangeError(f"n_list must be nonempty, got {n_list!r}")
+    before = closed_measure(measure, state)
+    if before <= COHERENCE_FLOOR:
         raise IncoherentStateError(
             f"state {tuple(state)} has no {measure.value} coherence to decay"
         )
     p_values = np.array([k / (p_count + 1) for k in range(1, p_count + 1)])
-
-    def row(p: float) -> list[float]:
-        return [
-            decay_rate(DecayQuery(state, measure, kind, float(p), n, mode))
-            for n in n_tuple
-        ]
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        rates = np.array(list(pool.map(row, p_values)))
+    factors = np.array([per_iteration_factors(kind, float(p), mode) for p in p_values])
+    current = np.tile(np.array(state, dtype=np.float64), (len(p_values), 1))
+    evolved = np.empty((3, len(p_values), len(n_tuple)))
+    for step in range(1, max(n_tuple) + 1):
+        current *= factors
+        for col, n in enumerate(n_tuple):
+            if n == step:
+                evolved[:, :, col] = current.T
+    rates = _closed_measures(measure, *evolved) / before
     return DecayCurve(kind, measure, state, mode, n_tuple, p_values, rates)
 
 
@@ -135,6 +134,8 @@ def frozen_surface(
     is at least min_coherence (and above the incoherence floor), and its
     decay rate satisfies |R_n - 1| <= tol. The component count in the
     metadata joins lattice points that differ by one step along one axis.
+    The lattice is evaluated one c1 plane at a time, so the floating-point
+    work arrays stay plane-sized at any grid.
 
     Parameters
     ----------
@@ -158,70 +159,45 @@ def frozen_surface(
         raise ParameterRangeError(f"tol must be positive, got {tol!r}")
     if not np.isfinite(min_coherence) or min_coherence < 0.0:
         raise ParameterRangeError(f"min_coherence must be >= 0, got {min_coherence!r}")
-    if not isinstance(n, (int, np.integer)) or n < 1:
-        raise ParameterRangeError(f"n must be a positive integer, got {n!r}")
-    f1, f2, f3 = per_iteration_factors(kind, p, mode)
+    n = _require_iterations(n)
+    factors = per_iteration_factors(kind, p, mode)
 
-    axis = np.linspace(-1.0, 1.0, int(grid_res))
-    kernel = _KERNELS[measure]
-    c2_grid, c3_grid = np.meshgrid(axis, axis, indexing="ij")
-    rate_cut = tol + _RATE_SLACK
-    coh_cut = min_coherence * (1.0 - _COHERENCE_SLACK) - 1e-15
-    floor_cut = COHERENCE_FLOOR * 0.5
+    grid_res = int(grid_res)
+    axis = np.linspace(-1.0, 1.0, grid_res)
+    # a coefficient's evolution does not depend on the other two, so evolving
+    # the axis once per factor gives every lattice point's evolved coefficients
+    evolved_axes = []
+    for factor in factors:
+        values = axis.copy()
+        for _ in range(n):
+            values *= factor
+        evolved_axes.append(values)
+    e1, e2, e3 = evolved_axes
+    # (c2, c3) and their evolved values at flat plane index j * grid_res + k
+    plane_c2, plane_c3 = np.repeat(axis, grid_res), np.tile(axis, grid_res)
+    plane_e2, plane_e3 = np.repeat(e2, grid_res), np.tile(e3, grid_res)
 
-    def plane_candidates(i: int) -> np.ndarray:
-        c1 = float(axis[i])
-        q_min = np.minimum(
-            np.minimum(1.0 - c1 - c2_grid - c3_grid, 1.0 + c1 + c2_grid - c3_grid),
-            np.minimum(1.0 + c1 - c2_grid + c3_grid, 1.0 - c1 + c2_grid + c3_grid),
-        )
-        physical = q_min / 4.0 >= -1e-12
-        before = kernel(c1, c2_grid, c3_grid)
-        e1 = c1
-        e2 = c2_grid.copy()
-        e3 = c3_grid.copy()
-        for _ in range(int(n)):
-            e1 *= f1
-            e2 *= f2
-            e3 *= f3
-        after = kernel(e1, e2, e3)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rate = np.where(before > 0.0, after / np.maximum(before, 1e-300), 0.0)
-        mask = (
-            physical
-            & (before >= max(coh_cut, floor_cut))
-            & (np.abs(rate - 1.0) <= rate_cut)
-        )
-        return np.argwhere(mask)
-
-    with ThreadPoolExecutor(max_workers=worker_count()) as pool:
-        per_plane = list(pool.map(plane_candidates, range(int(grid_res))))
-
-    kept_mask = np.zeros((grid_res, grid_res, grid_res), dtype=bool)
-    points: list[tuple[float, float, float]] = []
-    for i, jk in enumerate(per_plane):
-        for j, k in jk:
-            c = BellCoefficients(float(axis[i]), float(axis[j]), float(axis[k]))
-            before = closed_measure(measure, c)
-            if before <= COHERENCE_FLOOR or before < min_coherence:
-                continue
-            rate = decay_rate(
-                DecayQuery(c, measure, kind, float(p), int(n), mode, Engine.CLOSED_FORM)
-            )
-            if abs(rate - 1.0) <= tol:
-                kept_mask[i, j, k] = True
-                points.append(c)
-    _, components = ndimage.label(kept_mask)
-    cloud = np.array(points, dtype=np.float64).reshape(len(points), 3)
+    kept = np.zeros((grid_res, grid_res * grid_res), dtype=bool)
+    for i, c1 in enumerate(axis):
+        index = np.flatnonzero(physical_mask(c1, plane_c2, plane_c3))
+        # physical by selection, so only the clamp of closed_measure applies
+        before = clamped_array(_KERNELS[measure](c1, plane_c2[index], plane_c3[index]))
+        coherent = (before > COHERENCE_FLOOR) & (before >= min_coherence)
+        index, before = index[coherent], before[coherent]
+        after = _closed_measures(measure, e1[i], plane_e2[index], plane_e3[index])
+        kept[i, index[np.abs(after / before - 1.0) <= tol]] = True
+    kept = kept.reshape(grid_res, grid_res, grid_res)
+    _, components = ndimage.label(kept)
+    points = np.column_stack([axis[index] for index in np.nonzero(kept)])
     return SurfacePointCloud(
         kind=kind,
         measure=measure,
         p=float(p),
-        n=int(n),
+        n=n,
         mode=mode,
-        grid_res=int(grid_res),
+        grid_res=grid_res,
         tol=float(tol),
         min_coherence=float(min_coherence),
-        points=cloud,
+        points=points,
         components=int(components),
     )

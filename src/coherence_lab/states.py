@@ -63,23 +63,39 @@ class BellCoefficients(NamedTuple):
         return f"{self.c1!r},{self.c2!r},{self.c3!r}"
 
 
+def parities(c1, c2, c3):
+    """The parity combinations (q1, q2, q3, q4); scalars or broadcastable arrays.
+
+    The density-matrix eigenvalues are q_i / 4. Every caller that needs the
+    q_i goes through here, so they are rounded the same way everywhere.
+    """
+    return (
+        1.0 - c1 - c2 - c3,
+        1.0 + c1 + c2 - c3,
+        1.0 + c1 - c2 + c3,
+        1.0 - c1 + c2 + c3,
+    )
+
+
+def physical_mask(c1, c2, c3, tol: float = PHYSICAL_TOL):
+    """Elementwise: every eigenvalue q_i / 4 is >= -tol (NaN counts as unphysical).
+
+    Four comparisons rather than min(q_i) / 4 >= -tol: rounded division by 4
+    is monotone, so the two tests agree on every input, and this one is
+    cheaper on arrays and stays in plain floats for a scalar state.
+    """
+    q1, q2, q3, q4 = parities(c1, c2, c3)
+    return (q1 / 4.0 >= -tol) & (q2 / 4.0 >= -tol) & (q3 / 4.0 >= -tol) & (q4 / 4.0 >= -tol)
+
+
 def bell_eigenvalues(c: BellCoefficients) -> np.ndarray:
     """The four eigenvalues q_i/4, sorted ascending."""
-    c1, c2, c3 = c
-    q = np.array(
-        [
-            1.0 - c1 - c2 - c3,
-            1.0 + c1 + c2 - c3,
-            1.0 + c1 - c2 + c3,
-            1.0 - c1 + c2 + c3,
-        ]
-    )
-    return np.sort(q) / 4.0
+    return np.sort(np.array(parities(*c))) / 4.0
 
 
 def is_physical(c: BellCoefficients, tol: float = PHYSICAL_TOL) -> bool:
     """True when every eigenvalue is >= -tol (state inside the tetrahedron)."""
-    return bool(bell_eigenvalues(c)[0] >= -tol)
+    return bool(physical_mask(*c, tol))
 
 
 def to_density_matrix(c: BellCoefficients) -> np.ndarray:
