@@ -14,7 +14,7 @@ cross-check it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -25,7 +25,7 @@ from .errors import (
     ParameterRangeError,
     UnphysicalStateError,
 )
-from .linalg import HERMITIAN_TOL, PSD_TOL
+from .linalg import HERMITIAN_TOL, PSD_TOL, TRACE_TOL
 from .states import (
     BellCoefficients,
     IDENTITY_2,
@@ -62,12 +62,18 @@ class CoefficientMapMode(str, Enum):
 
 @dataclass(frozen=True)
 class KrausSet:
-    """Single-qubit Kraus operators plus the parameters that produced them."""
+    """Single-qubit Kraus operators plus the parameters that produced them.
+
+    ``products`` stacks the K^2 two-qubit operators E_i (x) E_j, i-major, and
+    ``adjoints`` their conjugate transposes; ``kraus_set`` builds both once.
+    """
 
     kind: ChannelKind
     p: float
     gamma: float | None
     operators: tuple[np.ndarray, ...]
+    products: np.ndarray = field(repr=False)
+    adjoints: np.ndarray = field(repr=False)
 
 
 def _require_open_unit(name: str, value: float) -> float:
@@ -133,7 +139,28 @@ def kraus_set(kind: ChannelKind, p: float, gamma: float | None = None) -> KrausS
         raise InternalNumericalError(
             f"Kraus completeness defect {defect:.3e} exceeds {COMPLETENESS_TOL:.1e}"
         )
-    return KrausSet(kind=kind, p=p, gamma=gamma, operators=operators)
+    products, adjoints = _two_qubit_products(operators)
+    return KrausSet(
+        kind=kind, p=p, gamma=gamma, operators=operators, products=products, adjoints=adjoints
+    )
+
+
+def _two_qubit_products(operators: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The stacked E_i (x) E_j in np.kron's order, and their conjugate transposes.
+
+    One broadcast multiply forms every entry E_i[r, c] * E_j[s, t], the same
+    single product np.kron computes, so the stack equals the kron products
+    bit for bit.
+    """
+    ops = np.stack(operators)
+    count = len(operators)
+    products = (ops[:, None, :, None, :, None] * ops[None, :, None, :, None, :]).reshape(
+        count * count, 4, 4
+    )
+    adjoints = products.conj().transpose(0, 2, 1)
+    products.setflags(write=False)
+    adjoints.setflags(write=False)
+    return products, adjoints
 
 
 def single_parameter_kraus_set(kind: ChannelKind, p: float) -> KrausSet:
@@ -148,15 +175,23 @@ def single_parameter_kraus_set(kind: ChannelKind, p: float) -> KrausSet:
     return kraus_set(kind, p)
 
 
-def apply_product_channel(rho: np.ndarray, kset: KrausSet) -> np.ndarray:
-    """One application of E (x) E to a two-qubit density matrix."""
-    a = validate_density_matrix(rho)
-    out = np.zeros_like(a)
-    for left in kset.operators:
-        for right in kset.operators:
-            op = np.kron(left, right)
-            out += op @ a @ op.conj().T
-    trace_drift = abs(float(np.trace(out).real) - float(np.trace(a).real))
+def _step(a: np.ndarray, kset: KrausSet) -> np.ndarray:
+    """One application of E (x) E to a checked density matrix; checks its output.
+
+    The terms P_k a P_k^dag are summed from zero in the order of
+    ``kset.products``. The output is checked once, for everything
+    ``validate_density_matrix`` would test when it becomes the next input:
+    finite entries, unit trace, trace drift, Hermiticity and positivity.
+    """
+    out = np.add.reduce(kset.products @ a @ kset.adjoints, axis=0, initial=0.0)
+    if not np.all(np.isfinite(out)):
+        raise InternalNumericalError("channel output contains non-finite entries")
+    trace = float(np.trace(out).real)
+    if abs(trace - 1.0) > TRACE_TOL:
+        raise InternalNumericalError(
+            f"channel output trace {trace!r} deviates from 1 by more than {TRACE_TOL:.1e}"
+        )
+    trace_drift = abs(trace - float(np.trace(a).real))
     if trace_drift > 1e-12:
         raise InternalNumericalError(f"channel application drifted trace by {trace_drift:.3e}")
     defect = float(np.max(np.abs(out - out.conj().T)))
@@ -168,12 +203,20 @@ def apply_product_channel(rho: np.ndarray, kset: KrausSet) -> np.ndarray:
     return out
 
 
+def apply_product_channel(rho: np.ndarray, kset: KrausSet) -> np.ndarray:
+    """One application of E (x) E to a two-qubit density matrix."""
+    return _step(validate_density_matrix(rho), kset)
+
+
 def apply_n(rho: np.ndarray, kset: KrausSet, n: int) -> np.ndarray:
-    """n successive applications of the product channel."""
+    """n successive applications of the product channel.
+
+    ``rho`` is validated once; every later input is a step's checked output.
+    """
     n = _require_iterations(n)
-    out = np.asarray(rho, dtype=np.complex128)
+    out = validate_density_matrix(rho)
     for _ in range(n):
-        out = apply_product_channel(out, kset)
+        out = _step(out, kset)
     return out
 
 

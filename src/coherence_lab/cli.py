@@ -249,11 +249,11 @@ def _verify_coefficient_maps(seed: int) -> tuple[bool, list[str]]:
     worst_paper_gap = 0.0
     for kind in ChannelKind:
         for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+            kset = single_parameter_kraus_set(kind, p)
             for n in (1, 2, 5, 9):
                 for _ in range(3):
                     state = random_physical_state(rng)
                     mapped = coefficient_map(kind, p, n, state)
-                    kset = single_parameter_kraus_set(kind, p)
                     extracted, residual = from_density_matrix(
                         apply_n(to_density_matrix(state), kset, n)
                     )

@@ -39,12 +39,6 @@ def _as_square_complex(m: np.ndarray) -> np.ndarray:
     return a
 
 
-def hermiticity_defect(m: np.ndarray) -> float:
-    """Largest entrywise deviation |M - M^dag|."""
-    a = _as_square_complex(m)
-    return float(np.max(np.abs(a - a.conj().T)))
-
-
 def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     a = _as_square_complex(m)
     defect = float(np.max(np.abs(a - a.conj().T)))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,8 +9,12 @@ from coherence_lab import (
     BellCoefficients,
     ChannelKind,
     CoefficientMapMode,
+    InternalNumericalError,
     MissingGammaError,
+    NotHermitianError,
+    NotPSDError,
     ParameterRangeError,
+    TraceNotOneError,
     UnphysicalStateError,
     apply_n,
     apply_product_channel,
@@ -170,3 +176,100 @@ def test_family_preservation_to_n_50():
             rho = apply_product_channel(rho, kset)
             _, residual = from_density_matrix(rho)
             assert residual <= 1e-10
+
+
+def _kron_loop_apply_n(rho, kset, n):
+    """The oracle's own oracle: every E_i (x) E_j rebuilt with np.kron on every iteration."""
+    out = np.asarray(rho, dtype=np.complex128)
+    for _ in range(n):
+        step = np.zeros_like(out)
+        for left in kset.operators:
+            for right in kset.operators:
+                op = np.kron(left, right)
+                step += op @ out @ op.conj().T
+        out = step
+    return out
+
+
+EDGE_P = (1e-12, 1.0 - 1e-12)
+ORACLE_CASES = (
+    [(kind, p, None) for kind in ALL_KINDS for p in EDGE_P + (0.37,)]
+    + [(ChannelKind.DEPOLARIZING, 0.75, None)]
+    + [(ChannelKind.AMPLITUDE_DAMPING, w, g) for w, g in ((0.3, 0.6), (0.8, 0.05))]
+    + [(ChannelKind.AMPLITUDE_DAMPING, w, g) for w in EDGE_P for g in EDGE_P]
+)
+
+
+def _case_kraus_set(kind, p, gamma):
+    if gamma is None:
+        return single_parameter_kraus_set(kind, p)
+    return kraus_set(kind, p, gamma=gamma)
+
+
+@pytest.mark.parametrize("kind, p, gamma", ORACLE_CASES)
+def test_apply_n_matches_kron_loop_bitwise(kind, p, gamma):
+    kset = _case_kraus_set(kind, p, gamma)
+    for state in (REFERENCE, BellCoefficients(-0.5, 0.25, 0.25), BellCoefficients(1.0, -1.0, 1.0)):
+        rho = to_density_matrix(state)
+        for n in (1, 2, 7, 20):
+            # tobytes: equal bits, the signs of zeros included
+            assert apply_n(rho, kset, n).tobytes() == _kron_loop_apply_n(rho, kset, n).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    physical_coefficients(on_boundary=True) | physical_coefficients(),
+    st.sampled_from(ORACLE_CASES),
+    st.integers(1, 20),
+)
+def test_apply_n_matches_kron_loop_bitwise_property(c, case, n):
+    kset = _case_kraus_set(*case)
+    rho = to_density_matrix(c)
+    assert apply_n(rho, kset, n).tobytes() == _kron_loop_apply_n(rho, kset, n).tobytes()
+
+
+def test_products_are_the_kron_products():
+    for kind, p, gamma in ORACLE_CASES:
+        kset = _case_kraus_set(kind, p, gamma)
+        krons = [np.kron(left, right) for left in kset.operators for right in kset.operators]
+        assert kset.products.tobytes() == np.stack(krons).tobytes()
+        assert kset.adjoints.tobytes() == np.stack([op.conj().T for op in krons]).tobytes()
+
+
+def test_non_trace_preserving_products_fail_on_first_step():
+    good = kraus_set(ChannelKind.BIT_FLIP, 0.3)
+    leaky = dataclasses.replace(good, products=good.products * 1.01, adjoints=good.adjoints * 1.01)
+    rho = to_density_matrix(REFERENCE)
+    with pytest.raises(InternalNumericalError, match="trace"):
+        apply_n(rho, leaky, 1)
+    with pytest.raises(InternalNumericalError, match="trace"):
+        apply_product_channel(rho, leaky)
+
+
+def test_bad_inputs_are_rejected_by_both_entry_points():
+    kset = kraus_set(ChannelKind.DEPOLARIZING, 0.2)
+    good = to_density_matrix(REFERENCE)
+    not_hermitian = good.copy()
+    not_hermitian[0, 1] += 1e-6
+    bad_inputs = (
+        (not_hermitian, NotHermitianError),
+        (good * 1.5, TraceNotOneError),
+        (np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex), NotPSDError),
+    )
+    for rho, error in bad_inputs:
+        with pytest.raises(error):
+            apply_product_channel(rho, kset)
+        with pytest.raises(error):
+            apply_n(rho, kset, 3)
+
+
+class _Untouchable:
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("rho was read before n was checked")
+
+
+def test_apply_n_rejects_bad_counts_before_reading_rho():
+    kset = kraus_set(ChannelKind.PHASE_FLIP, 0.4)
+    for bad_n in (True, 2.7, 0):
+        with pytest.raises(ParameterRangeError):
+            apply_n(_Untouchable(), kset, bad_n)
