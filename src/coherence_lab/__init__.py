@@ -34,6 +34,7 @@ from .decay import (
     Engine,
     complete_incoherence_p,
     decay_rate,
+    decay_rates,
     is_frozen,
 )
 from .errors import (
@@ -98,6 +99,7 @@ __all__ = [
     "complete_incoherence_p",
     "decay_curve",
     "decay_rate",
+    "decay_rates",
     "from_density_matrix",
     "frozen_surface",
     "hermitian_eigensystem",

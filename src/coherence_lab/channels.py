@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -24,8 +25,9 @@ from .errors import (
     MissingGammaError,
     ParameterRangeError,
     UnphysicalStateError,
+    ValidationError,
 )
-from .linalg import HERMITIAN_TOL, PSD_TOL, TRACE_TOL
+from .linalg import HERMITIAN_TOL, PSD_TOL, TRACE_TOL, raise_for_first, row_value
 from .states import (
     BellCoefficients,
     IDENTITY_2,
@@ -175,48 +177,99 @@ def single_parameter_kraus_set(kind: ChannelKind, p: float) -> KrausSet:
     return kraus_set(kind, p)
 
 
-def _step(a: np.ndarray, kset: KrausSet) -> np.ndarray:
-    """One application of E (x) E to a checked density matrix; checks its output.
+def _step(a: np.ndarray, products: np.ndarray, adjoints: np.ndarray) -> np.ndarray:
+    """One application of E (x) E to checked density matrices; checks its output.
 
-    The terms P_k a P_k^dag are summed from zero in the order of
-    ``kset.products``. The output is checked once, for everything
-    ``validate_density_matrix`` would test when it becomes the next input:
-    finite entries, unit trace, trace drift, Hermiticity and positivity.
+    ``a`` is one matrix or an (N, 4, 4) stack, and ``products``/``adjoints``
+    are shared (K^2, 4, 4) stacks or per-row (N, K^2, 4, 4) ones. The terms
+    P_k a P_k^dag are summed from zero in the order of the products. Each
+    output is checked once, for everything ``validate_density_matrix`` would
+    test when it becomes the next input: finite entries, unit trace, trace
+    drift, Hermiticity and positivity.
     """
-    out = np.add.reduce(kset.products @ a @ kset.adjoints, axis=0, initial=0.0)
+    terms = products @ a[..., None, :, :] @ adjoints
+    out = np.add.reduce(terms, axis=-3, initial=0.0)
     if not np.all(np.isfinite(out)):
         raise InternalNumericalError("channel output contains non-finite entries")
-    trace = float(np.trace(out).real)
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise InternalNumericalError(
-            f"channel output trace {trace!r} deviates from 1 by more than {TRACE_TOL:.1e}"
-        )
-    trace_drift = abs(trace - float(np.trace(a).real))
-    if trace_drift > 1e-12:
-        raise InternalNumericalError(f"channel application drifted trace by {trace_drift:.3e}")
-    defect = float(np.max(np.abs(out - out.conj().T)))
-    if defect > HERMITIAN_TOL:
-        raise InternalNumericalError(f"channel output hermiticity defect {defect:.3e}")
-    smallest = float(np.linalg.eigvalsh(out)[0])
-    if smallest < -PSD_TOL:
-        raise InternalNumericalError(f"channel output eigenvalue {smallest:.3e} below -1e-12")
+    trace = out.trace(axis1=-2, axis2=-1).real
+    raise_for_first(np.abs(trace - 1.0) > TRACE_TOL, lambda row: InternalNumericalError(
+        f"channel output trace {row_value(trace, row)!r} deviates from 1 "
+        f"by more than {TRACE_TOL:.1e}"
+    ))
+    drift = np.abs(trace - a.trace(axis1=-2, axis2=-1).real)
+    raise_for_first(drift > 1e-12, lambda row: InternalNumericalError(
+        f"channel application drifted trace by {row_value(drift, row):.3e}"
+    ))
+    defects = np.abs(out - np.swapaxes(out, -1, -2).conj()).max(axis=(-2, -1))
+    raise_for_first(defects > HERMITIAN_TOL, lambda row: InternalNumericalError(
+        f"channel output hermiticity defect {row_value(defects, row):.3e}"
+    ))
+    smallest = np.linalg.eigvalsh(out)[..., 0]
+    raise_for_first(smallest < -PSD_TOL, lambda row: InternalNumericalError(
+        f"channel output eigenvalue {row_value(smallest, row):.3e} below -1e-12"
+    ))
     return out
 
 
 def apply_product_channel(rho: np.ndarray, kset: KrausSet) -> np.ndarray:
-    """One application of E (x) E to a two-qubit density matrix."""
-    return _step(validate_density_matrix(rho), kset)
+    """One application of E (x) E to a two-qubit density matrix (or a stack)."""
+    return apply_n(rho, kset, 1)
 
 
-def apply_n(rho: np.ndarray, kset: KrausSet, n: int) -> np.ndarray:
+def apply_n(
+    rho: np.ndarray, kset: KrausSet | Sequence[KrausSet], n: int | Sequence[int]
+) -> np.ndarray:
     """n successive applications of the product channel.
 
-    ``rho`` is validated once; every later input is a step's checked output.
+    ``rho`` is one density matrix or an (N, 4, 4) stack; one matrix runs as
+    a stack of one. For a stack, ``kset`` may be one Kraus set or N of them
+    (one per row, all with the same number of operators), and ``n`` one
+    count or N of them; a row stops once it has had its own n steps. ``rho``
+    is validated once; every later input is a step's checked output.
     """
-    n = _require_iterations(n)
-    out = validate_density_matrix(rho)
-    for _ in range(n):
-        out = _step(out, kset)
+    counts = np.array([_require_iterations(k) for k in np.ravel(np.array(n, dtype=object))])
+    a = validate_density_matrix(rho)
+    stack = a.reshape(-1, 4, 4)
+    if np.ndim(n) == 0:
+        counts = np.full(len(stack), counts[0])
+    elif counts.size != len(stack):
+        raise ValidationError(f"{counts.size} iteration counts for a stack of shape {a.shape}")
+    if isinstance(kset, KrausSet):
+        out = _per_row_steps(stack, counts, lambda rows: _step(rows, kset.products, kset.adjoints))
+    else:
+        if len(kset) != len(stack):
+            raise ValidationError(f"{len(kset)} Kraus sets for a stack of shape {a.shape}")
+        if len({k.products.shape for k in kset}) > 1:
+            raise ValidationError("the Kraus sets of one stack must have equal operator counts")
+        out = _per_row_steps(stack, counts, _step, lambda order: (
+            np.stack([kset[k].products for k in order]),
+            np.stack([kset[k].adjoints for k in order]),
+        ))
+    return out.reshape(a.shape)
+
+
+def _per_row_steps(out: np.ndarray, counts: np.ndarray, step, per_row=lambda order: ()):
+    """``out`` with row k replaced by ``counts[k]`` applications of ``step``.
+
+    ``step(rows, *args)`` maps a stack of rows to the next one, with
+    ``args`` the per-row arrays that ``per_row(order)`` builds in the row
+    order ``order``, cut to the same rows. Rows run longest first, in phases
+    between distinct counts: the rows still going in a phase are a leading
+    slice of the sorted stack, so no phase copies them, and a row stops once
+    it has had its own count of steps.
+    """
+    order = np.argsort(-counts, kind="stable")
+    stack, counts, args = out[order], counts[order], per_row(order)
+    done = 0
+    for count in np.unique(counts):
+        going = int(np.count_nonzero(counts >= count))
+        head, cut = stack[:going], tuple(arg[:going] for arg in args)
+        for _ in range(int(count) - done):
+            head = step(head, *cut)
+        stack[:going] = head
+        done = int(count)
+    out = np.empty_like(stack)
+    out[order] = stack
     return out
 
 
@@ -262,10 +315,19 @@ def coefficient_map(
         raise UnphysicalStateError(
             f"coefficients {tuple(c)} lie outside the physical tetrahedron"
         )
-    f1, f2, f3 = per_iteration_factors(kind, p, mode)
-    c1, c2, c3 = float(c[0]), float(c[1]), float(c[2])
-    for _ in range(n):
-        c1 *= f1
-        c2 *= f2
-        c3 *= f3
-    return BellCoefficients(c1, c2, c3)
+    factors = per_iteration_factors(kind, p, mode)
+    evolved = evolve_rows(np.array([c], dtype=np.float64), np.array([factors]), np.array([n]))
+    return BellCoefficients(*(float(x) for x in evolved[0]))
+
+
+def evolve_rows(coefficients: np.ndarray, factors: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """(N, 3) coefficients after each row's own count of per-iteration multiplications.
+
+    Row k is multiplied by its factors ``counts[k]`` times (never a power)
+    and then left alone, the same per-row stop ``apply_n`` uses.
+    """
+    factors = np.asarray(factors, dtype=np.float64)
+    return _per_row_steps(
+        np.asarray(coefficients, dtype=np.float64), np.asarray(counts), np.multiply,
+        lambda order: (factors[order],),
+    )

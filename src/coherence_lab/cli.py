@@ -14,12 +14,16 @@ Exit codes: 0 success, 1 invalid input or usage, 2 internal numerical error.
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import sys
 import tempfile
+import time
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy
 
 from .channels import (
     ChannelKind,
@@ -29,8 +33,9 @@ from .channels import (
     kraus_set,
     single_parameter_kraus_set,
 )
-from .coherence import Measure, closed_measure, matrix_measure
-from .decay import DecayQuery, Engine, decay_rate
+from . import __version__
+from .coherence import Measure, closed_measure, closed_measures, matrix_measure
+from .decay import DecayQuery, Engine, decay_rates
 from .errors import (
     CoherenceLabError,
     ParameterRangeError,
@@ -46,6 +51,10 @@ VERIFY_MEASURE_TOL = 1e-9
 VERIFY_MAP_TOL = 1e-9
 VERIFY_RESIDUAL_TOL = 1e-10
 VERIFY_ENGINE_TOL = 1e-8
+
+# verify's decay-engine stacks: one channel kind each, and at most this many
+# rows, which keeps its per-row Kraus products and their adjoints under 1 MB
+_ROWS_PER_STACK = 100
 
 
 class _UsageError(Exception):
@@ -226,78 +235,140 @@ def _cmd_frozen_surface(args: argparse.Namespace) -> int:
     return 0
 
 
-def _verify_measures(seed: int, trials: int) -> tuple[bool, list[str]]:
-    worst = {measure: 0.0 for measure in Measure}
-    for state in sample_states(seed, trials):
-        rho = to_density_matrix(state)
-        for measure in Measure:
-            dev = abs(closed_measure(measure, state) - matrix_measure(measure, rho))
-            worst[measure] = max(worst[measure], dev)
-    ok = all(dev <= VERIFY_MEASURE_TOL for dev in worst.values())
-    lines = [
-        f"  closed vs matrix [{measure.value}]: max dev {worst[measure]:.3e} "
-        f"(tol {VERIFY_MEASURE_TOL:.0e})"
+@dataclass(frozen=True)
+class _Deviation:
+    """The worst deviation of one verify check and the row that produced it."""
+
+    check: str
+    worst: float
+    tol: float | None  # None: reported, not scored
+    witness: dict
+    samples: int
+
+    @property
+    def ok(self) -> bool:
+        return self.tol is None or self.worst <= self.tol
+
+
+def _worst(check: str, deviations: np.ndarray, tol: float | None, witness) -> _Deviation:
+    """The largest of per-row ``deviations``; ``witness(row)`` describes its first row."""
+    row = int(np.argmax(deviations))
+    return _Deviation(check, float(deviations[row]), tol, witness(row), len(deviations))
+
+
+def _witness(state, channel=None, p=None, n=None, measure=None) -> dict:
+    return {
+        "state": [float(c) for c in state],
+        "channel": None if channel is None else ChannelKind(channel).value,
+        "p": None if p is None else float(p),
+        "n": None if n is None else int(n),
+        "measure": None if measure is None else Measure(measure).value,
+    }
+
+
+def _verify_measures(seed: int, trials: int) -> tuple[list[_Deviation], list[str]]:
+    """Closed forms against the matrix measures, on one (trials, 4, 4) stack."""
+    states = np.array(sample_states(seed, trials))
+    rho = to_density_matrix(BellCoefficients(*states.T))
+    worst = [
+        _worst(
+            f"closed vs matrix [{measure.value}]",
+            np.abs(closed_measures(measure, *states.T) - matrix_measure(measure, rho)),
+            VERIFY_MEASURE_TOL,
+            lambda row: _witness(states[row], measure=measure),
+        )
         for measure in Measure
     ]
-    return ok, lines
+    lines = [
+        f"  {dev.check}: max dev {dev.worst:.3e} (tol {VERIFY_MEASURE_TOL:.0e})" for dev in worst
+    ]
+    return worst, lines
 
 
-def _verify_coefficient_maps(seed: int) -> tuple[bool, list[str]]:
+def _verify_coefficient_maps(seed: int) -> tuple[list[_Deviation], list[str]]:
+    """The coefficient map against the Kraus route, one stack per channel kind."""
     rng = Lcg(seed + 1)
-    worst_map = 0.0
-    worst_residual = 0.0
-    worst_paper_gap = 0.0
+    rows = []  # (state, kind, p, n), drawn kind by kind in the order listed
+    map_dev, residual = [], []
     for kind in ChannelKind:
+        block, ksets = [], []
         for p in (0.1, 0.3, 0.5, 0.7, 0.9):
             kset = single_parameter_kraus_set(kind, p)
             for n in (1, 2, 5, 9):
                 for _ in range(3):
-                    state = random_physical_state(rng)
-                    mapped = coefficient_map(kind, p, n, state)
-                    extracted, residual = from_density_matrix(
-                        apply_n(to_density_matrix(state), kset, n)
-                    )
-                    dev = max(abs(a - b) for a, b in zip(mapped, extracted))
-                    worst_map = max(worst_map, dev)
-                    worst_residual = max(worst_residual, residual)
-                    if kind is ChannelKind.DEPOLARIZING:
-                        paper = coefficient_map(kind, p, n, state, CoefficientMapMode.PAPER)
-                        gap = max(abs(a - b) for a, b in zip(paper, extracted))
-                        worst_paper_gap = max(worst_paper_gap, gap)
-    ok = worst_map <= VERIFY_MAP_TOL and worst_residual <= VERIFY_RESIDUAL_TOL
+                    block.append((random_physical_state(rng), kind, p, n))
+                    ksets.append(kset)
+        states = np.array([state for state, *_ in block])
+        evolved = apply_n(
+            to_density_matrix(BellCoefficients(*states.T)), ksets, [n for *_, n in block]
+        )
+        coefficients, block_residual = from_density_matrix(evolved)
+        extracted = np.column_stack(coefficients)
+        mapped = np.array([coefficient_map(k, p, n, state) for state, k, p, n in block])
+        map_dev.append(np.max(np.abs(mapped - extracted), axis=1))
+        residual.append(block_residual)
+        if kind is ChannelKind.DEPOLARIZING:
+            dep_rows = block
+            paper = np.array([
+                coefficient_map(k, p, n, state, CoefficientMapMode.PAPER)
+                for state, k, p, n in block
+            ])
+            paper_gap = np.max(np.abs(paper - extracted), axis=1)
+        rows += block
+    worst = [
+        _worst("coefficient map vs Kraus route", np.concatenate(map_dev), VERIFY_MAP_TOL,
+               lambda row: _witness(*rows[row])),
+        _worst("Bell-diagonal extraction residual", np.concatenate(residual),
+               VERIFY_RESIDUAL_TOL, lambda row: _witness(*rows[row])),
+        _worst("dep paper-mode gap vs Kraus route", paper_gap, None,
+               lambda row: _witness(*dep_rows[row])),
+    ]
     lines = [
-        f"  coefficient map vs Kraus route: max dev {worst_map:.3e} (tol {VERIFY_MAP_TOL:.0e})",
-        f"  Bell-diagonal extraction residual: max {worst_residual:.3e} "
+        f"  coefficient map vs Kraus route: max dev {worst[0].worst:.3e} "
+        f"(tol {VERIFY_MAP_TOL:.0e})",
+        f"  Bell-diagonal extraction residual: max {worst[1].worst:.3e} "
         f"(tol {VERIFY_RESIDUAL_TOL:.0e})",
-        f"  info: dep paper-mode gap vs Kraus route: {worst_paper_gap:.3e} "
+        f"  info: dep paper-mode gap vs Kraus route: {worst[2].worst:.3e} "
         "(single- vs squared-contraction; not scored)",
     ]
-    return ok, lines
+    return worst, lines
 
 
-def _verify_engines(seed: int, trials: int) -> tuple[bool, list[str]]:
+def _verify_engines(seed: int, trials: int) -> tuple[list[_Deviation], list[str]]:
+    """Both decay engines on the same queries, in stacks of one channel kind."""
     rng = Lcg(seed + 2)
     kinds = list(ChannelKind)
     measures = list(Measure)
-    worst = 0.0
+    queries = []
     for index in range(trials):
         # l1 floor keeps the ratio denominator well conditioned
         state = random_physical_state(rng, min_l1=1e-2)
-        kind = kinds[index % len(kinds)]
-        measure = measures[index % len(measures)]
         p = rng.next_in(0.05, 0.95)
-        n = 1 + (index % 12)
-        closed = decay_rate(DecayQuery(state, measure, kind, p, n))
-        oracle = decay_rate(
-            DecayQuery(state, measure, kind, p, n, engine=Engine.MATRIX_ORACLE)
-        )
-        worst = max(worst, abs(closed - oracle))
-    ok = worst <= VERIFY_ENGINE_TOL
+        queries.append(DecayQuery(
+            state, measures[index % len(measures)], kinds[index % len(kinds)], p,
+            1 + (index % 12),
+        ))
+    deviations = np.empty(trials)
+    for first in range(len(kinds)):
+        same_kind = np.arange(first, trials, len(kinds))
+        for start in range(0, len(same_kind), _ROWS_PER_STACK):
+            rows = same_kind[start:start + _ROWS_PER_STACK]
+            stack = [queries[row] for row in rows]
+            closed = decay_rates(stack)
+            oracle = decay_rates([replace(q, engine=Engine.MATRIX_ORACLE) for q in stack])
+            deviations[rows] = np.abs(closed - oracle)
+
+    def witness(row):
+        q = queries[row]
+        return _witness(q.state, q.kind, q.p, q.n, q.measure)
+
+    worst = [_worst("closed-form vs matrix-oracle decay rate", deviations, VERIFY_ENGINE_TOL,
+                    witness)]
     lines = [
-        f"  closed-form vs matrix-oracle decay rate: max dev {worst:.3e} "
+        f"  closed-form vs matrix-oracle decay rate: max dev {worst[0].worst:.3e} "
         f"(tol {VERIFY_ENGINE_TOL:.0e}, states drawn with l1 >= 1e-2)"
     ]
-    return ok, lines
+    return worst, lines
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -308,15 +379,35 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ("coefficient maps", lambda: _verify_coefficient_maps(args.seed)),
         ("decay engines", lambda: _verify_engines(args.seed, args.trials)),
     )
+    report = {
+        "seed": args.seed,
+        "trials": args.trials,
+        "version": __version__,
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "suites": [],
+    }
     all_ok = True
     print(f"verify: seed={args.seed} trials={args.trials}")
     for name, run in suites:
-        ok, lines = run()
+        start = time.perf_counter()
+        worst, lines = run()
+        wall_s = time.perf_counter() - start
+        ok = all(dev.ok for dev in worst)
         all_ok = all_ok and ok
         print(f"suite {name}: {'PASS' if ok else 'FAIL'}")
         for line in lines:
             print(line)
+        report["suites"].append({
+            "suite": name,
+            "passed": ok,
+            "wall_s": wall_s,
+            "checks": [asdict(dev) for dev in worst],
+        })
     print(f"verify: {'PASS' if all_ok else 'FAIL'}")
+    report["passed"] = all_ok
+    if args.json is not None:
+        _atomic_write(args.json, json.dumps(report, indent=2) + "\n")
     return 0 if all_ok else 1
 
 
@@ -377,6 +468,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="deterministic dual-route self-check")
     p_ver.add_argument("--seed", type=int, default=42)
     p_ver.add_argument("--trials", type=int, default=1000)
+    p_ver.add_argument("--json", default=None,
+                       help="also write worst deviations, witnesses and timings as JSON")
     p_ver.set_defaults(func=_cmd_verify)
 
     return parser

@@ -13,7 +13,10 @@ Matrix forms evaluate the defining expressions on the density matrix itself
 (off-diagonal l1 norm, entropy difference against the dephased state, and
 1 - sum_k <k|sqrt(rho)|k>^2 for the summed skew information over the
 computational basis). The two routes agree to ~1e-12 and are checked against
-each other by the test suite and the `verify` command.
+each other by the test suite and the `verify` command. Both routes take
+arrays: ``closed_measures`` broadcasts over coefficient arrays and the
+matrix forms take (..., 4, 4) stacks; the single-state functions are their
+one-row cases.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ import numpy as np
 
 from .errors import InternalNumericalError, UnphysicalStateError
 from .linalg import psd_sqrt, von_neumann_entropy
-from .states import BellCoefficients, is_physical, parities, validate_density_matrix
+from .states import BellCoefficients, first_unphysical, parities, validate_density_matrix
 
 NEGATIVE_CLAMP = 1e-12
 XLNX_FLOOR = 1e-15
@@ -46,6 +49,7 @@ def _clamped(value: float) -> float:
 
 def clamped_array(values: np.ndarray) -> np.ndarray:
     """``_clamped`` elementwise, bit for bit: -0.0 and NaN pass through unchanged."""
+    values = np.asarray(values)
     low = values < -NEGATIVE_CLAMP
     if np.any(low):
         _clamped(float(values[low][0]))  # raises with the scalar message
@@ -92,45 +96,59 @@ _KERNELS = {
 }
 
 
-def _closed(measure: Measure, c: BellCoefficients) -> float:
-    if not is_physical(c):
+def closed_measures(measure: Measure, c1, c2, c3) -> np.ndarray:
+    """Closed-form values of ``measure`` over broadcastable coefficient arrays.
+
+    The one closed-measure path: it rejects the first unphysical state, then
+    evaluates the kernel and clamps round-off negatives.
+    """
+    first = first_unphysical(c1, c2, c3)
+    if first is not None:
         raise UnphysicalStateError(
-            f"coefficients {tuple(c)} lie outside the physical tetrahedron"
+            f"coefficients {first} lie outside the physical tetrahedron"
         )
-    return _clamped(float(_KERNELS[measure](*c)))
+    return clamped_array(_KERNELS[Measure(measure)](c1, c2, c3))
 
 
 def l1_closed(c: BellCoefficients) -> float:
-    return _closed(Measure.L1, c)
+    return closed_measure(Measure.L1, c)
 
 
 def rel_entropy_closed(c: BellCoefficients) -> float:
-    return _closed(Measure.REL_ENT, c)
+    return closed_measure(Measure.REL_ENT, c)
 
 
 def skew_closed(c: BellCoefficients) -> float:
-    return _closed(Measure.SKEW, c)
+    return closed_measure(Measure.SKEW, c)
 
 
-def l1_matrix(rho: np.ndarray) -> float:
+def _per_matrix(values: np.ndarray, a: np.ndarray) -> float | np.ndarray:
+    """Clamped values, one per matrix of ``a``: a float for a single matrix."""
+    values = clamped_array(values)
+    return float(values) if a.ndim == 2 else values
+
+
+def l1_matrix(rho: np.ndarray) -> float | np.ndarray:
     """Sum of absolute off-diagonal entries in the computational basis."""
     a = validate_density_matrix(rho)
     mags = np.abs(a)
-    return _clamped(float(mags.sum() - np.trace(mags)))
+    return _per_matrix(mags.sum(axis=(-2, -1)) - mags.trace(axis1=-2, axis2=-1), a)
 
 
-def rel_entropy_matrix(rho: np.ndarray) -> float:
+def rel_entropy_matrix(rho: np.ndarray) -> float | np.ndarray:
     """S(rho_diag) - S(rho) with rho_diag the dephased (diagonal) state."""
     a = validate_density_matrix(rho)
-    dephased = np.diag(np.diag(a))
-    return _clamped(von_neumann_entropy(dephased) - von_neumann_entropy(a))
+    dephased = np.zeros_like(a)
+    diagonal = np.arange(a.shape[-1])
+    dephased[..., diagonal, diagonal] = a[..., diagonal, diagonal]
+    return _per_matrix(von_neumann_entropy(dephased) - von_neumann_entropy(a), a)
 
 
-def skew_matrix(rho: np.ndarray) -> float:
+def skew_matrix(rho: np.ndarray) -> float | np.ndarray:
     """1 - sum_k <k|sqrt(rho)|k>^2 over the computational basis."""
     a = validate_density_matrix(rho)
-    root_diag = np.diag(psd_sqrt(a)).real
-    return _clamped(float(1.0 - np.sum(root_diag**2)))
+    root_diag = np.diagonal(psd_sqrt(a), axis1=-2, axis2=-1).real
+    return _per_matrix(1.0 - np.sum(root_diag**2, axis=-1), a)
 
 
 _MATRIX = {
@@ -141,10 +159,10 @@ _MATRIX = {
 
 
 def closed_measure(measure: Measure, c: BellCoefficients) -> float:
-    """Closed-form value of ``measure`` at coefficients ``c``."""
-    return _closed(Measure(measure), c)
+    """Closed-form value of ``measure`` at coefficients ``c``; one row of ``closed_measures``."""
+    return float(closed_measures(measure, *c))
 
 
-def matrix_measure(measure: Measure, rho: np.ndarray) -> float:
-    """Definition-level value of ``measure`` on the density matrix ``rho``."""
+def matrix_measure(measure: Measure, rho: np.ndarray) -> float | np.ndarray:
+    """Definition-level value of ``measure`` on ``rho``, or per matrix of a stack."""
     return _MATRIX[Measure(measure)](rho)

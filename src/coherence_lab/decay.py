@@ -4,16 +4,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Sequence
+
+import numpy as np
 
 from .channels import (
     ChannelKind,
     CoefficientMapMode,
+    _require_iterations,
     apply_n,
-    coefficient_map,
+    evolve_rows,
+    per_iteration_factors,
     single_parameter_kraus_set,
 )
-from .coherence import Measure, closed_measure, matrix_measure
-from .errors import IncoherentStateError
+from .coherence import Measure, closed_measures, matrix_measure
+from .errors import IncoherentStateError, ValidationError
+from .linalg import raise_for_first, row_value
 from .states import BellCoefficients, to_density_matrix
 
 COHERENCE_FLOOR = 1e-12
@@ -41,29 +47,64 @@ class DecayQuery:
 def decay_rate(query: DecayQuery) -> float:
     """Coherence after n channel iterations divided by initial coherence.
 
-    The closed-form engine runs the coefficient map and closed measures; the
-    matrix-oracle engine evolves the literal density matrix through the Kraus
-    operators and evaluates the definition-level measures. For gad both
-    engines use the one-parameter convention (mixing 1/2, damping p).
+    The one-row case of ``decay_rates``. The closed-form engine runs the
+    coefficient map and closed measures; the matrix-oracle engine evolves the
+    literal density matrix through the Kraus operators and evaluates the
+    definition-level measures. For gad both engines use the one-parameter
+    convention (mixing 1/2, damping p).
     """
-    engine = Engine(query.engine)
-    measure = Measure(query.measure)
+    return float(decay_rates([query])[0])
+
+
+def decay_rates(queries: Sequence[DecayQuery]) -> np.ndarray:
+    """``decay_rate`` of many queries of one channel kind and one engine, as stacks.
+
+    Rows may differ in state, measure, p, n and mode. Each step runs once
+    over all rows (measures once per measure present), and every row gets
+    the bits ``decay_rate`` gives it alone; a check that fails raises for
+    the first row that fails it.
+    """
+    kinds = {ChannelKind(q.kind) for q in queries}
+    engines = {Engine(q.engine) for q in queries}
+    if len(kinds) != 1 or len(engines) != 1:
+        raise ValidationError("a stack of decay queries needs exactly one channel kind and engine")
+    (kind,), (engine,) = kinds, engines
+    measures = [Measure(q.measure) for q in queries]
+    states = np.array([tuple(q.state) for q in queries], dtype=np.float64)
     if engine is Engine.CLOSED_FORM:
-        before = closed_measure(measure, query.state)
-        if before <= COHERENCE_FLOOR:
-            raise IncoherentStateError(
-                f"initial coherence {before!r} is at or below {COHERENCE_FLOOR:.1e}"
-            )
-        evolved = coefficient_map(query.kind, query.p, query.n, query.state, query.mode)
-        return closed_measure(measure, evolved) / before
-    rho = to_density_matrix(query.state)
-    before = matrix_measure(measure, rho)
-    if before <= COHERENCE_FLOOR:
-        raise IncoherentStateError(
-            f"initial coherence {before!r} is at or below {COHERENCE_FLOOR:.1e}"
-        )
-    kset = single_parameter_kraus_set(ChannelKind(query.kind), query.p)
-    return matrix_measure(measure, apply_n(rho, kset, query.n)) / before
+        def measure_rows(measure, coefficients):
+            return closed_measures(measure, *coefficients.T)
+
+        before = _by_measure(measures, states, measure_rows)
+        _require_coherent(before)
+        counts = np.array([_require_iterations(q.n) for q in queries])
+        factors = np.array([per_iteration_factors(kind, q.p, q.mode) for q in queries])
+        after = _by_measure(measures, evolve_rows(states, factors, counts), measure_rows)
+        return after / before
+    rho = to_density_matrix(BellCoefficients(*states.T))
+    before = _by_measure(measures, rho, matrix_measure)
+    _require_coherent(before)
+    ksets = [single_parameter_kraus_set(kind, q.p) for q in queries]
+    evolved = apply_n(rho, ksets, [q.n for q in queries])
+    return _by_measure(measures, evolved, matrix_measure) / before
+
+
+def _by_measure(measures: list[Measure], rows: np.ndarray, evaluate) -> np.ndarray:
+    """``evaluate(measure, rows[mask])`` for each measure present, scattered back by row."""
+    present = dict.fromkeys(measures)
+    if len(present) == 1:
+        return evaluate(measures[0], rows)
+    values = np.empty(len(measures))
+    for measure in present:
+        mask = np.array([m is measure for m in measures])
+        values[mask] = evaluate(measure, rows[mask])
+    return values
+
+
+def _require_coherent(before: np.ndarray) -> None:
+    raise_for_first(before <= COHERENCE_FLOOR, lambda row: IncoherentStateError(
+        f"initial coherence {row_value(before, row)!r} is at or below {COHERENCE_FLOOR:.1e}"
+    ))
 
 
 def is_frozen(query: DecayQuery, tol: float = FROZEN_TOL) -> bool:

@@ -22,21 +22,10 @@ from .channels import (
     _require_iterations,
     per_iteration_factors,
 )
-from .coherence import Measure, clamped_array, closed_measure, _KERNELS
+from .coherence import Measure, clamped_array, closed_measure, closed_measures, _KERNELS
 from .decay import COHERENCE_FLOOR
-from .errors import IncoherentStateError, ParameterRangeError, UnphysicalStateError
+from .errors import IncoherentStateError, ParameterRangeError
 from .states import BellCoefficients, physical_mask
-
-
-def _closed_measures(measure: Measure, c1, c2, c3) -> np.ndarray:
-    """``closed_measure`` over broadcastable coefficient arrays, with its checks."""
-    outside = ~physical_mask(c1, c2, c3)
-    if np.any(outside):
-        first = tuple(float(np.broadcast_to(c, outside.shape)[outside][0]) for c in (c1, c2, c3))
-        raise UnphysicalStateError(
-            f"coefficients {first} lie outside the physical tetrahedron"
-        )
-    return clamped_array(_KERNELS[measure](c1, c2, c3))
 
 
 @dataclass(frozen=True)
@@ -85,7 +74,7 @@ def decay_curve(
         for col, n in enumerate(n_tuple):
             if n == step:
                 evolved[:, :, col] = current.T
-    rates = _closed_measures(measure, *evolved) / before
+    rates = closed_measures(measure, *evolved) / before
     return DecayCurve(kind, measure, state, mode, n_tuple, p_values, rates)
 
 
@@ -184,11 +173,14 @@ def frozen_surface(
         before = clamped_array(_KERNELS[measure](c1, plane_c2[index], plane_c3[index]))
         coherent = (before > COHERENCE_FLOOR) & (before >= min_coherence)
         index, before = index[coherent], before[coherent]
-        after = _closed_measures(measure, e1[i], plane_e2[index], plane_e3[index])
+        after = closed_measures(measure, e1[i], plane_e2[index], plane_e3[index])
         kept[i, index[np.abs(after / before - 1.0) <= tol]] = True
     kept = kept.reshape(grid_res, grid_res, grid_res)
-    _, components = ndimage.label(kept)
-    points = np.column_stack([axis[index] for index in np.nonzero(kept)])
+    if kept.any():
+        _, components = ndimage.label(kept)
+        points = np.column_stack([axis[index] for index in np.nonzero(kept)])
+    else:  # an empty cloud has nothing to label or gather
+        components, points = 0, np.empty((0, 3))
     return SurfacePointCloud(
         kind=kind,
         measure=measure,

@@ -16,13 +16,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (
-    NotBellDiagonalError,
-    NotPSDError,
-    UnphysicalStateError,
-    ValidationError,
+from .errors import NotBellDiagonalError, UnphysicalStateError, ValidationError
+from .linalg import (
+    raise_for_first,
+    require_hermitian,
+    require_psd,
+    require_unit_trace,
+    row_value,
 )
-from .linalg import PSD_TOL, TRACE_TOL, require_hermitian, TraceNotOneError
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -98,38 +99,49 @@ def is_physical(c: BellCoefficients, tol: float = PHYSICAL_TOL) -> bool:
     return bool(physical_mask(*c, tol))
 
 
+def first_unphysical(c1, c2, c3) -> tuple[float, float, float] | None:
+    """The first (row-major) state of broadcastable coefficients outside the tetrahedron."""
+    outside = np.logical_not(physical_mask(c1, c2, c3))
+    if not np.any(outside):
+        return None
+    return tuple(float(np.broadcast_to(c, outside.shape)[outside][0]) for c in (c1, c2, c3))
+
+
 def to_density_matrix(c: BellCoefficients) -> np.ndarray:
-    """The explicit 4x4 density matrix in the computational basis."""
-    if not is_physical(c):
+    """The explicit 4x4 density matrix in the computational basis.
+
+    Coefficient arrays give the (..., 4, 4) stack of their states.
+    """
+    first = first_unphysical(*c)
+    if first is not None:
         raise UnphysicalStateError(
-            f"coefficients {tuple(c)} lie outside the physical tetrahedron "
+            f"coefficients {first} lie outside the physical tetrahedron "
             "with vertices (1,-1,1), (-1,1,1), (1,1,-1), (-1,-1,-1)"
         )
     return _build_matrix(*c)
 
 
-def _build_matrix(c1: float, c2: float, c3: float) -> np.ndarray:
-    rho = np.zeros((4, 4), dtype=np.complex128)
-    rho[0, 0] = rho[3, 3] = (1.0 + c3) / 4.0
-    rho[1, 1] = rho[2, 2] = (1.0 - c3) / 4.0
-    rho[0, 3] = rho[3, 0] = (c1 - c2) / 4.0
-    rho[1, 2] = rho[2, 1] = (c1 + c2) / 4.0
+def _build_matrix(c1, c2, c3) -> np.ndarray:
+    """The (..., 4, 4) matrices of broadcastable coefficient arrays (or scalars)."""
+    c1, c2, c3 = np.broadcast_arrays(*(np.asarray(c, dtype=np.float64) for c in (c1, c2, c3)))
+    rho = np.zeros(c1.shape + (4, 4), dtype=np.complex128)
+    rho[..., 0, 0] = rho[..., 3, 3] = (1.0 + c3) / 4.0
+    rho[..., 1, 1] = rho[..., 2, 2] = (1.0 - c3) / 4.0
+    rho[..., 0, 3] = rho[..., 3, 0] = (c1 - c2) / 4.0
+    rho[..., 1, 2] = rho[..., 2, 1] = (c1 + c2) / 4.0
     return rho
 
 
 def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
-    """Check 4x4 shape, hermiticity, unit trace, and positivity; return complex128."""
+    """Check 4x4 shape, hermiticity, unit trace, and positivity; return complex128.
+
+    A (..., 4, 4) stack is checked matrix by matrix in one pass.
+    """
     a = require_hermitian(rho)
-    if a.shape != (4, 4):
+    if a.shape[-2:] != (4, 4):
         raise ValidationError(f"expected a 4x4 density matrix, got shape {a.shape}")
-    trace = float(np.trace(a).real)
-    if abs(trace - 1.0) > TRACE_TOL:
-        raise TraceNotOneError(f"trace {trace!r} deviates from 1 by more than {TRACE_TOL:.1e}")
-    smallest = float(np.linalg.eigvalsh(a)[0])
-    if smallest < -PSD_TOL:
-        raise NotPSDError(
-            f"matrix is not PSD: smallest eigenvalue {smallest:.3e} < -{PSD_TOL:.1e}"
-        )
+    require_unit_trace(a.trace(axis1=-2, axis2=-1).real)
+    require_psd(np.linalg.eigvalsh(a)[..., 0])
     return a
 
 
@@ -141,14 +153,17 @@ def from_density_matrix(
     Returns the coefficients together with the reconstruction residual
     max |rho - rho(c)|. The residual is 0 (up to round-off) exactly when rho
     is Bell diagonal; when ``max_residual`` is given, a larger residual
-    raises NotBellDiagonalError instead of being returned.
+    raises NotBellDiagonalError instead of being returned. A (..., 4, 4)
+    stack gives coefficient and residual arrays, one entry per matrix.
     """
     a = validate_density_matrix(rho)
-    c = BellCoefficients(*(float(np.trace(a @ m).real) for m in _CORRELATORS))
-    residual = float(np.max(np.abs(a - _build_matrix(*c))))
-    if max_residual is not None and residual > max_residual:
-        raise NotBellDiagonalError(
-            f"reconstruction residual {residual:.3e} exceeds {max_residual:.1e}; "
-            "the matrix is not Bell diagonal"
-        )
-    return c, residual
+    c = [np.trace(a @ m, axis1=-2, axis2=-1).real for m in _CORRELATORS]
+    residual = np.max(np.abs(a - _build_matrix(*c)), axis=(-2, -1))
+    if max_residual is not None:
+        raise_for_first(residual > max_residual, lambda row: NotBellDiagonalError(
+            f"reconstruction residual {row_value(residual, row):.3e} exceeds "
+            f"{max_residual:.1e}; the matrix is not Bell diagonal"
+        ))
+    if a.ndim == 2:
+        return BellCoefficients(*(float(x) for x in c)), float(residual)
+    return BellCoefficients(*c), residual

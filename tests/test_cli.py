@@ -1,5 +1,28 @@
-import numpy as np
+import json
 
+import numpy as np
+import pytest
+
+import coherence_lab
+from coherence_lab import (
+    BellCoefficients,
+    ChannelKind,
+    CoefficientMapMode,
+    DecayQuery,
+    Engine,
+    Lcg,
+    Measure,
+    apply_n,
+    closed_measure,
+    coefficient_map,
+    decay_rate,
+    from_density_matrix,
+    matrix_measure,
+    random_physical_state,
+    sample_states,
+    single_parameter_kraus_set,
+    to_density_matrix,
+)
 from coherence_lab.cli import main
 
 
@@ -193,6 +216,106 @@ def test_verify_small_run_passes(capsys):
     assert "dep paper-mode gap" in out
     code2, out2, _ = run(capsys, "verify", "--seed", "42", "--trials", "40")
     assert code2 == 0 and out2 == out
+
+
+def _reference_verify(seed, trials):
+    """verify's three suites as per-state loops: every worst deviation, in report order."""
+    worst_measure = {measure: 0.0 for measure in Measure}
+    for state in sample_states(seed, trials):
+        rho = to_density_matrix(state)
+        for measure in Measure:
+            dev = abs(closed_measure(measure, state) - matrix_measure(measure, rho))
+            worst_measure[measure] = max(worst_measure[measure], dev)
+    rng = Lcg(seed + 1)
+    worst_map = worst_residual = worst_paper_gap = 0.0
+    for kind in ChannelKind:
+        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
+            kset = single_parameter_kraus_set(kind, p)
+            for n in (1, 2, 5, 9):
+                for _ in range(3):
+                    state = random_physical_state(rng)
+                    mapped = coefficient_map(kind, p, n, state)
+                    extracted, residual = from_density_matrix(
+                        apply_n(to_density_matrix(state), kset, n)
+                    )
+                    worst_map = max(worst_map, max(abs(a - b) for a, b in zip(mapped, extracted)))
+                    worst_residual = max(worst_residual, residual)
+                    if kind is ChannelKind.DEPOLARIZING:
+                        paper = coefficient_map(kind, p, n, state, CoefficientMapMode.PAPER)
+                        gap = max(abs(a - b) for a, b in zip(paper, extracted))
+                        worst_paper_gap = max(worst_paper_gap, gap)
+    rng = Lcg(seed + 2)
+    kinds, measures = list(ChannelKind), list(Measure)
+    worst_engine = 0.0
+    for index in range(trials):
+        state = random_physical_state(rng, min_l1=1e-2)
+        kind, measure = kinds[index % len(kinds)], measures[index % len(measures)]
+        p = rng.next_in(0.05, 0.95)
+        n = 1 + (index % 12)
+        closed = decay_rate(DecayQuery(state, measure, kind, p, n))
+        oracle = decay_rate(DecayQuery(state, measure, kind, p, n, engine=Engine.MATRIX_ORACLE))
+        worst_engine = max(worst_engine, abs(closed - oracle))
+    return [*worst_measure.values(), worst_map, worst_residual, worst_paper_gap, worst_engine]
+
+
+def _verify_report(capsys, tmp_path, *argv):
+    path = tmp_path / "verify.json"
+    code, out, _ = run(capsys, "verify", *argv, "--json", str(path))
+    return code, out, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("seed", [42, 2718])
+def test_stacked_verify_equals_per_state_loops_bitwise(capsys, tmp_path, seed):
+    code, _, report = _verify_report(capsys, tmp_path, "--seed", str(seed), "--trials", "200")
+    assert code == 0
+    stacked = [check["worst"] for suite in report["suites"] for check in suite["checks"]]
+    assert [x.hex() for x in stacked] == [x.hex() for x in _reference_verify(seed, 200)]
+
+
+def test_verify_json_report(capsys, tmp_path):
+    argv = ("--seed", "7", "--trials", "30")
+    code, plain, _ = run(capsys, "verify", *argv)
+    code_json, out, report = _verify_report(capsys, tmp_path, *argv)
+    assert code == code_json == 0
+    assert out == plain  # the report never changes stdout
+    assert report["seed"] == 7 and report["trials"] == 30 and report["passed"] is True
+    assert report["version"] == coherence_lab.__version__
+    assert report["numpy"] == np.__version__ and isinstance(report["scipy"], str)
+    assert [s["suite"] for s in report["suites"]] == [
+        "coherence measures", "coefficient maps", "decay engines"
+    ]
+    samples = [[30, 30, 30], [300, 300, 60], [30]]
+    for suite, counts in zip(report["suites"], samples):
+        assert set(suite) == {"suite", "passed", "wall_s", "checks"}
+        assert suite["passed"] is True and suite["wall_s"] >= 0.0
+        assert [check["samples"] for check in suite["checks"]] == counts
+        for check in suite["checks"]:
+            assert set(check) == {"check", "worst", "tol", "witness", "samples"}
+            assert set(check["witness"]) == {"state", "channel", "p", "n", "measure"}
+            assert len(check["witness"]["state"]) == 3
+            assert check["tol"] is None or check["worst"] <= check["tol"]
+    # each witness reproduces its worst deviation
+    for check in report["suites"][0]["checks"]:
+        state = BellCoefficients(*check["witness"]["state"])
+        measure = Measure(check["witness"]["measure"])
+        rho = to_density_matrix(state)
+        assert abs(closed_measure(measure, state) - matrix_measure(measure, rho)) == check["worst"]
+    (check,) = report["suites"][2]["checks"]
+    w = check["witness"]
+    query = DecayQuery(BellCoefficients(*w["state"]), Measure(w["measure"]),
+                       ChannelKind(w["channel"]), w["p"], w["n"])
+    oracle = DecayQuery(query.state, query.measure, query.kind, query.p, query.n,
+                        engine=Engine.MATRIX_ORACLE)
+    assert abs(decay_rate(query) - decay_rate(oracle)) == check["worst"]
+    map_check = report["suites"][1]["checks"][0]
+    w = map_check["witness"]
+    assert w["measure"] is None and w["n"] in (1, 2, 5, 9)
+    state = BellCoefficients(*w["state"])
+    extracted, _ = from_density_matrix(apply_n(
+        to_density_matrix(state), single_parameter_kraus_set(w["channel"], w["p"]), w["n"]
+    ))
+    mapped = coefficient_map(w["channel"], w["p"], w["n"], state)
+    assert max(abs(a - b) for a, b in zip(mapped, extracted)) == map_check["worst"]
 
 
 def test_verify_rejects_zero_trials(capsys):

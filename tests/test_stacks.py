@@ -1,0 +1,161 @@
+"""The stack-native oracle: a stacked call equals per-matrix calls bit for bit.
+
+Every matrix routine takes one (4, 4) matrix or an (N, 4, 4) stack and runs
+the same code for both. These properties hold the stacked results to the
+per-matrix ones with ``tobytes`` (signs of zeros included), on face, edge
+and vertex states, where zero eigenvalues reach the ENTROPY_FLOOR and
+PSD_TOL snaps, and on non-Bell-diagonal states from the two-parameter gad
+channel. A bad matrix anywhere in a stack raises the error, and the
+message, that it raises on its own.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from coherence_lab import (
+    BellCoefficients,
+    ChannelKind,
+    DecayQuery,
+    Engine,
+    InternalNumericalError,
+    Measure,
+    NotHermitianError,
+    NotPSDError,
+    TraceNotOneError,
+    apply_n,
+    apply_product_channel,
+    decay_rate,
+    decay_rates,
+    from_density_matrix,
+    kraus_set,
+    matrix_measure,
+    psd_sqrt,
+    single_parameter_kraus_set,
+    to_density_matrix,
+    von_neumann_entropy,
+)
+from coherence_lab.states import validate_density_matrix
+from conftest import REFERENCE, physical_coefficients
+
+STATES = st.lists(
+    physical_coefficients(on_boundary=True) | physical_coefficients(), min_size=1, max_size=10
+)
+# one step of two-parameter gad takes a Bell-diagonal state out of the family
+LEAVE_FAMILY = kraus_set(ChannelKind.AMPLITUDE_DAMPING, 0.3, gamma=0.6)
+P_VALUES = st.floats(1e-12, 1.0 - 1e-12)
+
+
+def _stack(states, leave_family):
+    rho = np.stack([to_density_matrix(c) for c in states])
+    if leave_family:
+        rho = np.concatenate([rho, apply_product_channel(rho, LEAVE_FAMILY)])
+    return rho
+
+
+def _same_bits(stacked, singles):
+    assert np.asarray(stacked).tobytes() == np.stack([np.asarray(x) for x in singles]).tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(STATES, st.booleans())
+def test_matrix_routines_stack_bitwise(states, leave_family):
+    rho = _stack(states, leave_family)
+    for routine in (validate_density_matrix, psd_sqrt, von_neumann_entropy):
+        _same_bits(routine(rho), [routine(m) for m in rho])
+    for measure in Measure:
+        _same_bits(matrix_measure(measure, rho), [matrix_measure(measure, m) for m in rho])
+    coefficients, residual = from_density_matrix(rho)
+    singles = [from_density_matrix(m) for m in rho]
+    _same_bits(np.column_stack([*coefficients, residual]), [(*c, r) for c, r in singles])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(list(ChannelKind)),
+    st.lists(st.tuples(physical_coefficients(on_boundary=True) | physical_coefficients(),
+                       P_VALUES, st.integers(1, 8)), min_size=1, max_size=10),
+)
+def test_apply_n_with_per_row_p_and_n_stack_bitwise(kind, rows):
+    rho = np.stack([to_density_matrix(c) for c, _, _ in rows])
+    ksets = [single_parameter_kraus_set(kind, p) for _, p, _ in rows]
+    counts = [n for _, _, n in rows]
+    _same_bits(apply_n(rho, ksets, counts),
+               [apply_n(m, kset, n) for m, kset, n in zip(rho, ksets, counts)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(list(ChannelKind)),
+    st.sampled_from(list(Engine)),
+    st.lists(st.tuples(physical_coefficients(), st.sampled_from(list(Measure)),
+                       st.floats(0.01, 0.99), st.integers(1, 12)), min_size=1, max_size=10),
+)
+def test_decay_rates_stack_bitwise(kind, engine, rows):
+    queries = [DecayQuery(c, m, kind, p, n, engine=engine) for c, m, p, n in rows
+               if matrix_measure(m, to_density_matrix(c)) > 1e-6]
+    if queries:
+        _same_bits(decay_rates(queries), [decay_rate(q) for q in queries])
+
+
+def _bell_stack(count=7):
+    states = [BellCoefficients(0.6 - 0.1 * k, 0.1, 0.2) for k in range(count)]
+    return np.stack([to_density_matrix(c) for c in states])
+
+
+def _not_hermitian():
+    m = to_density_matrix(REFERENCE)
+    m[0, 1] += 1e-6
+    return m
+
+
+BAD_MATRICES = (
+    (validate_density_matrix, _not_hermitian(), NotHermitianError),
+    (validate_density_matrix, to_density_matrix(REFERENCE) * 1.5, TraceNotOneError),
+    (validate_density_matrix, np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex), NotPSDError),
+    (psd_sqrt, np.diag([1.0, 1.0, 1.0, -1e-6]).astype(complex), NotPSDError),
+    (von_neumann_entropy, np.eye(4, dtype=complex) / 2.0, TraceNotOneError),
+    (lambda m: apply_n(m, LEAVE_FAMILY, 2), _not_hermitian(), NotHermitianError),
+)
+
+
+@pytest.mark.parametrize("row", [0, 3, 6])
+@pytest.mark.parametrize("routine, bad, error", BAD_MATRICES)
+def test_a_bad_row_raises_its_own_error(routine, bad, error, row):
+    with pytest.raises(error) as alone:
+        routine(bad)
+    stack = _bell_stack()
+    stack[row] = bad
+    with pytest.raises(error) as stacked:
+        routine(stack)
+    assert str(stacked.value) == str(alone.value)
+
+
+def test_the_first_bad_row_is_reported():
+    stack = _bell_stack()
+    stack[2] = stack[2] * 1.5
+    stack[5] = stack[5] * 2.0
+    with pytest.raises(TraceNotOneError) as first:
+        validate_density_matrix(stack[2])
+    with pytest.raises(TraceNotOneError) as stacked:
+        validate_density_matrix(stack)
+    assert str(stacked.value) == str(first.value)
+
+
+@pytest.mark.parametrize("row", [0, 4, 6])
+def test_a_leaky_row_fails_its_step(row):
+    good = single_parameter_kraus_set(ChannelKind.BIT_FLIP, 0.3)
+    leaky = dataclasses.replace(good, products=good.products * 1.01,
+                                adjoints=good.adjoints * 1.01)
+    stack = _bell_stack()
+    ksets = [leaky if k == row else good for k in range(len(stack))]
+    counts = [1 + k for k in range(len(stack))]
+    with pytest.raises(InternalNumericalError) as alone:
+        apply_n(stack[row], leaky, counts[row])
+    with pytest.raises(InternalNumericalError) as stacked:
+        apply_n(stack, ksets, counts)
+    assert "trace" in str(stacked.value)
+    assert str(stacked.value) == str(alone.value)
