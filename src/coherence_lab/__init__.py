@@ -21,18 +21,14 @@ from .channels import (
 from .coherence import (
     Measure,
     closed_measure,
-    l1_closed,
     l1_matrix,
     matrix_measure,
-    rel_entropy_closed,
     rel_entropy_matrix,
-    skew_closed,
     skew_matrix,
 )
 from .decay import (
     DecayQuery,
     Engine,
-    complete_incoherence_p,
     decay_rate,
     decay_rates,
     is_frozen,
@@ -96,7 +92,6 @@ __all__ = [
     "bell_eigenvalues",
     "closed_measure",
     "coefficient_map",
-    "complete_incoherence_p",
     "decay_curve",
     "decay_rate",
     "decay_rates",
@@ -106,17 +101,14 @@ __all__ = [
     "is_frozen",
     "is_physical",
     "kraus_set",
-    "l1_closed",
     "l1_matrix",
     "matrix_measure",
     "per_iteration_factors",
     "psd_sqrt",
     "random_physical_state",
-    "rel_entropy_closed",
     "rel_entropy_matrix",
     "sample_states",
     "single_parameter_kraus_set",
-    "skew_closed",
     "skew_matrix",
     "to_density_matrix",
     "von_neumann_entropy",

@@ -36,14 +36,10 @@ from .channels import (
 from . import __version__
 from .coherence import Measure, closed_measure, closed_measures, matrix_measure
 from .decay import DecayQuery, Engine, decay_rates
-from .errors import (
-    CoherenceLabError,
-    ParameterRangeError,
-    ValidationError,
-)
+from .errors import CoherenceLabError, ParameterRangeError, ValidationError, require_count
 from .sampling import Lcg, random_physical_state, sample_states
 from .scan import DecayCurve, SurfacePointCloud, decay_curve, frozen_surface
-from .states import BellCoefficients, from_density_matrix, is_physical, to_density_matrix
+from .states import BellCoefficients, from_density_matrix, require_physical, to_density_matrix
 
 P_CLAMP = 1e-12
 
@@ -68,16 +64,12 @@ class _Parser(argparse.ArgumentParser):
 
 def _parse_state(text: str) -> BellCoefficients:
     c = BellCoefficients.from_text(text)
-    if not is_physical(c):
-        raise ValidationError(
-            f"state {text!r} lies outside the physical tetrahedron with vertices "
-            "(1,-1,1), (-1,1,1), (1,1,-1), (-1,-1,-1)"
-        )
+    require_physical(*c)
     return c
 
 
 def _clamped_probability(name: str, value: float) -> float:
-    if not np.isfinite(value) or value < 0.0 or value > 1.0:
+    if not 0.0 <= value <= 1.0:  # NaN fails too
         raise ParameterRangeError(f"{name} must lie in [0, 1], got {value!r}")
     if value == 0.0:
         print(f"warning: {name}=0 clamped to {P_CLAMP:g}", file=sys.stderr)
@@ -372,8 +364,7 @@ def _verify_engines(seed: int, trials: int) -> tuple[list[_Deviation], list[str]
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    if args.trials < 1:
-        raise ParameterRangeError(f"--trials must be positive, got {args.trials}")
+    require_count("--trials", args.trials)
     suites = (
         ("coherence measures", lambda: _verify_measures(args.seed, args.trials)),
         ("coefficient maps", lambda: _verify_coefficient_maps(args.seed)),

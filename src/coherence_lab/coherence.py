@@ -2,7 +2,7 @@
 
 Closed forms (in the correlation coefficients):
 
-    l1:       C = (|c1 - c2| + |c1 + c2|) / 2 = max(|c1|, |c2|)
+    l1:       C = (|c1 - c2| + |c1 + c2|) / 2 = max(|c1|, |c2|), evaluated as the exact max
     rel-ent:  C = S(rho_diag) - S(rho)
                 = (1/4) sum_i q_i ln q_i - (1/2) [(1+c3) ln(1+c3) + (1-c3) ln(1-c3)]
     skew:     C = (2 - sqrt(q1 q2) - sqrt(q3 q4)) / 4
@@ -21,38 +21,31 @@ one-row cases.
 
 from __future__ import annotations
 
-from enum import Enum
-
 import numpy as np
 
-from .errors import InternalNumericalError, UnphysicalStateError
-from .linalg import psd_sqrt, von_neumann_entropy
-from .states import BellCoefficients, first_unphysical, parities, validate_density_matrix
+from .errors import Choice, InternalNumericalError
+from .linalg import psd_sqrt, raise_for_first, row_value, von_neumann_entropy
+from .states import BellCoefficients, parities, require_physical, validate_density_matrix
 
 NEGATIVE_CLAMP = 1e-12
 XLNX_FLOOR = 1e-15
 
 
-class Measure(str, Enum):
+class Measure(Choice):
     L1 = "l1"
     REL_ENT = "rel-ent"
     SKEW = "skew"
 
 
-def _clamped(value: float) -> float:
-    if value < -NEGATIVE_CLAMP:
-        raise InternalNumericalError(
-            f"coherence value {value!r} is negative beyond round-off"
-        )
-    return max(value, 0.0)
-
-
 def clamped_array(values: np.ndarray) -> np.ndarray:
-    """``_clamped`` elementwise, bit for bit: -0.0 and NaN pass through unchanged."""
+    """Round-off negatives down to -NEGATIVE_CLAMP set to 0.0; -0.0 and NaN pass unchanged.
+
+    The first value below -NEGATIVE_CLAMP raises InternalNumericalError.
+    """
     values = np.asarray(values)
-    low = values < -NEGATIVE_CLAMP
-    if np.any(low):
-        _clamped(float(values[low][0]))  # raises with the scalar message
+    raise_for_first(values < -NEGATIVE_CLAMP, lambda row: InternalNumericalError(
+        f"coherence value {row_value(values, row)!r} is negative beyond round-off"
+    ))
     return np.where(values < 0.0, 0.0, values)
 
 
@@ -64,7 +57,7 @@ def _xlnx(x):
 
 def l1_kernel(c1, c2, c3):
     """Closed-form l1 coherence; accepts scalars or broadcastable arrays."""
-    return (np.abs(c1 - c2) + np.abs(c1 + c2)) / 2.0
+    return np.maximum(np.abs(c1), np.abs(c2))
 
 
 def rel_entropy_kernel(c1, c2, c3):
@@ -102,24 +95,8 @@ def closed_measures(measure: Measure, c1, c2, c3) -> np.ndarray:
     The one closed-measure path: it rejects the first unphysical state, then
     evaluates the kernel and clamps round-off negatives.
     """
-    first = first_unphysical(c1, c2, c3)
-    if first is not None:
-        raise UnphysicalStateError(
-            f"coefficients {first} lie outside the physical tetrahedron"
-        )
+    require_physical(c1, c2, c3)
     return clamped_array(_KERNELS[Measure(measure)](c1, c2, c3))
-
-
-def l1_closed(c: BellCoefficients) -> float:
-    return closed_measure(Measure.L1, c)
-
-
-def rel_entropy_closed(c: BellCoefficients) -> float:
-    return closed_measure(Measure.REL_ENT, c)
-
-
-def skew_closed(c: BellCoefficients) -> float:
-    return closed_measure(Measure.SKEW, c)
 
 
 def _per_matrix(values: np.ndarray, a: np.ndarray) -> float | np.ndarray:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -11,14 +10,20 @@ import numpy as np
 from .channels import (
     ChannelKind,
     CoefficientMapMode,
-    _require_iterations,
     apply_n,
     evolve_rows,
     per_iteration_factors,
     single_parameter_kraus_set,
 )
 from .coherence import Measure, closed_measures, matrix_measure
-from .errors import IncoherentStateError, ValidationError
+from .errors import (
+    Choice,
+    IncoherentStateError,
+    ValidationError,
+    require_bound,
+    require_count,
+    require_real,
+)
 from .linalg import raise_for_first, row_value
 from .states import BellCoefficients, to_density_matrix
 
@@ -26,7 +31,7 @@ COHERENCE_FLOOR = 1e-12
 FROZEN_TOL = 1e-9
 
 
-class Engine(str, Enum):
+class Engine(Choice):
     CLOSED_FORM = "closed-form"
     MATRIX_ORACLE = "matrix-oracle"
 
@@ -70,20 +75,22 @@ def decay_rates(queries: Sequence[DecayQuery]) -> np.ndarray:
         raise ValidationError("a stack of decay queries needs exactly one channel kind and engine")
     (kind,), (engine,) = kinds, engines
     measures = [Measure(q.measure) for q in queries]
+    # checked before the conversion to float64 would parse strings and bools
+    require_real("coefficients", *(c for q in queries for c in q.state))
     states = np.array([tuple(q.state) for q in queries], dtype=np.float64)
     if engine is Engine.CLOSED_FORM:
         def measure_rows(measure, coefficients):
             return closed_measures(measure, *coefficients.T)
 
         before = _by_measure(measures, states, measure_rows)
-        _require_coherent(before)
-        counts = np.array([_require_iterations(q.n) for q in queries])
+        require_coherent(before)
+        counts = np.array([require_count("iteration count", q.n) for q in queries])
         factors = np.array([per_iteration_factors(kind, q.p, q.mode) for q in queries])
         after = _by_measure(measures, evolve_rows(states, factors, counts), measure_rows)
         return after / before
     rho = to_density_matrix(BellCoefficients(*states.T))
     before = _by_measure(measures, rho, matrix_measure)
-    _require_coherent(before)
+    require_coherent(before)
     ksets = [single_parameter_kraus_set(kind, q.p) for q in queries]
     evolved = apply_n(rho, ksets, [q.n for q in queries])
     return _by_measure(measures, evolved, matrix_measure) / before
@@ -101,23 +108,14 @@ def _by_measure(measures: list[Measure], rows: np.ndarray, evaluate) -> np.ndarr
     return values
 
 
-def _require_coherent(before: np.ndarray) -> None:
+def require_coherent(before: np.ndarray) -> None:
+    """Reject the first initial coherence at or below COHERENCE_FLOOR: no ratio exists."""
     raise_for_first(before <= COHERENCE_FLOOR, lambda row: IncoherentStateError(
         f"initial coherence {row_value(before, row)!r} is at or below {COHERENCE_FLOOR:.1e}"
     ))
 
 
 def is_frozen(query: DecayQuery, tol: float = FROZEN_TOL) -> bool:
-    """True when the decay rate sits within tol of 1."""
+    """True when the decay rate sits within tol (> 0) of 1."""
+    tol = require_bound("tol", tol, strict=True)
     return abs(decay_rate(query) - 1.0) <= tol
-
-
-def complete_incoherence_p(kind: ChannelKind) -> float | None:
-    """The p at which a single iteration erases all coherence, if one exists.
-
-    Only dep has one: at p = 3/4 every coefficient factor vanishes. The
-    other channels return None.
-    """
-    if ChannelKind(kind) is ChannelKind.DEPOLARIZING:
-        return 0.75
-    return None

@@ -9,7 +9,7 @@ in a report always regenerates the identical sweep.
 from __future__ import annotations
 
 from .coherence import l1_kernel
-from .errors import ParameterRangeError
+from .errors import require_count
 from .states import BellCoefficients, is_physical
 
 _MULT = 6364136223846793005
@@ -46,7 +46,6 @@ def random_physical_state(rng: Lcg, min_l1: float = 0.0) -> BellCoefficients:
 
 
 def sample_states(seed: int, count: int, min_l1: float = 0.0) -> list[BellCoefficients]:
-    if count < 1:
-        raise ParameterRangeError(f"sample count must be positive, got {count!r}")
+    count = require_count("sample count", count)
     rng = Lcg(seed)
     return [random_physical_state(rng, min_l1) for _ in range(count)]

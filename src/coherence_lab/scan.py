@@ -16,15 +16,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .channels import (
-    ChannelKind,
-    CoefficientMapMode,
-    _require_iterations,
-    per_iteration_factors,
-)
+from .channels import ChannelKind, CoefficientMapMode, evolve_rows, per_iteration_factors
 from .coherence import Measure, clamped_array, closed_measure, closed_measures, _KERNELS
-from .decay import COHERENCE_FLOOR
-from .errors import IncoherentStateError, ParameterRangeError
+from .decay import COHERENCE_FLOOR, require_coherent
+from .errors import ParameterRangeError, require_bound, require_count
 from .states import BellCoefficients, physical_mask
 
 
@@ -55,16 +50,12 @@ def decay_curve(
     kind = ChannelKind(kind)
     measure = Measure(measure)
     mode = CoefficientMapMode(mode)
-    if not isinstance(p_count, (int, np.integer)) or isinstance(p_count, bool) or p_count < 1:
-        raise ParameterRangeError(f"p_count must be a positive integer, got {p_count!r}")
-    n_tuple = tuple(_require_iterations(n) for n in n_list)
+    p_count = require_count("p_count", p_count)
+    n_tuple = tuple(require_count("iteration count", n) for n in n_list)
     if not n_tuple:
         raise ParameterRangeError(f"n_list must be nonempty, got {n_list!r}")
     before = closed_measure(measure, state)
-    if before <= COHERENCE_FLOOR:
-        raise IncoherentStateError(
-            f"state {tuple(state)} has no {measure.value} coherence to decay"
-        )
+    require_coherent(before)
     p_values = np.array([k / (p_count + 1) for k in range(1, p_count + 1)])
     factors = np.array([per_iteration_factors(kind, float(p), mode) for p in p_values])
     current = np.tile(np.array(state, dtype=np.float64), (len(p_values), 1))
@@ -142,26 +133,21 @@ def frozen_surface(
     kind = ChannelKind(kind)
     measure = Measure(measure)
     mode = CoefficientMapMode(mode)
-    if not isinstance(grid_res, (int, np.integer)) or grid_res < 3 or grid_res % 2 == 0:
+    grid_res = require_count("grid_res", grid_res, minimum=3)
+    if grid_res % 2 == 0:
         raise ParameterRangeError(f"grid_res must be an odd integer >= 3, got {grid_res!r}")
-    if not np.isfinite(tol) or tol <= 0.0:
-        raise ParameterRangeError(f"tol must be positive, got {tol!r}")
-    if not np.isfinite(min_coherence) or min_coherence < 0.0:
-        raise ParameterRangeError(f"min_coherence must be >= 0, got {min_coherence!r}")
-    n = _require_iterations(n)
+    tol = require_bound("tol", tol, strict=True)
+    min_coherence = require_bound("min_coherence", min_coherence, strict=False)
+    n = require_count("iteration count", n)
     factors = per_iteration_factors(kind, p, mode)
 
-    grid_res = int(grid_res)
     axis = np.linspace(-1.0, 1.0, grid_res)
     # a coefficient's evolution does not depend on the other two, so evolving
     # the axis once per factor gives every lattice point's evolved coefficients
-    evolved_axes = []
-    for factor in factors:
-        values = axis.copy()
-        for _ in range(n):
-            values *= factor
-        evolved_axes.append(values)
-    e1, e2, e3 = evolved_axes
+    e1, e2, e3 = evolve_rows(
+        np.repeat(axis[:, None], 3, axis=1), np.tile(factors, (grid_res, 1)),
+        np.full(grid_res, n),
+    ).T
     # (c2, c3) and their evolved values at flat plane index j * grid_res + k
     plane_c2, plane_c3 = np.repeat(axis, grid_res), np.tile(axis, grid_res)
     plane_e2, plane_e3 = np.repeat(e2, grid_res), np.tile(e3, grid_res)
@@ -188,8 +174,8 @@ def frozen_surface(
         n=n,
         mode=mode,
         grid_res=grid_res,
-        tol=float(tol),
-        min_coherence=float(min_coherence),
+        tol=tol,
+        min_coherence=min_coherence,
         points=points,
         components=int(components),
     )

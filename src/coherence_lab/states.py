@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotBellDiagonalError, UnphysicalStateError, ValidationError
+from .errors import NotBellDiagonalError, UnphysicalStateError, ValidationError, require_real
 from .linalg import (
     raise_for_first,
     require_hermitian,
@@ -99,12 +99,20 @@ def is_physical(c: BellCoefficients, tol: float = PHYSICAL_TOL) -> bool:
     return bool(physical_mask(*c, tol))
 
 
-def first_unphysical(c1, c2, c3) -> tuple[float, float, float] | None:
-    """The first (row-major) state of broadcastable coefficients outside the tetrahedron."""
+def require_physical(c1, c2, c3) -> None:
+    """Reject the first (row-major) state of broadcastable coefficients outside the tetrahedron.
+
+    Coordinates must be real numbers or real arrays; anything else raises
+    ValidationError before the tetrahedron test.
+    """
+    require_real("coefficients", c1, c2, c3)
     outside = np.logical_not(physical_mask(c1, c2, c3))
-    if not np.any(outside):
-        return None
-    return tuple(float(np.broadcast_to(c, outside.shape)[outside][0]) for c in (c1, c2, c3))
+    if outside.any():
+        first = tuple(float(np.broadcast_to(c, outside.shape)[outside][0]) for c in (c1, c2, c3))
+        raise UnphysicalStateError(
+            f"coefficients {first} lie outside the physical tetrahedron "
+            "with vertices (1,-1,1), (-1,1,1), (1,1,-1), (-1,-1,-1)"
+        )
 
 
 def to_density_matrix(c: BellCoefficients) -> np.ndarray:
@@ -112,12 +120,7 @@ def to_density_matrix(c: BellCoefficients) -> np.ndarray:
 
     Coefficient arrays give the (..., 4, 4) stack of their states.
     """
-    first = first_unphysical(*c)
-    if first is not None:
-        raise UnphysicalStateError(
-            f"coefficients {first} lie outside the physical tetrahedron "
-            "with vertices (1,-1,1), (-1,1,1), (1,1,-1), (-1,-1,-1)"
-        )
+    require_physical(*c)
     return _build_matrix(*c)
 
 

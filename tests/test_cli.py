@@ -187,11 +187,10 @@ def test_frozen_surface_ply_format(tmp_path, capsys):
     assert count > 0
 
 
-def test_frozen_surface_deterministic_across_threads(tmp_path, capsys, monkeypatch):
+def test_frozen_surface_deterministic_across_runs(tmp_path, capsys):
     paths = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("COHERENCE_LAB_THREADS", threads)
-        out_path = tmp_path / f"cloud-{threads}.csv"
+    for run_index in range(2):
+        out_path = tmp_path / f"cloud-{run_index}.csv"
         code, _, _ = run(
             capsys, "frozen-surface", "--channel", "bf", "--measure", "rel-ent",
             "--p", "0.5", "--n", "5", "--grid", "21", "--out", str(out_path),

@@ -8,13 +8,10 @@ from coherence_lab import (
     UnphysicalStateError,
     bell_eigenvalues,
     closed_measure,
-    l1_closed,
     l1_matrix,
     matrix_measure,
-    rel_entropy_closed,
     rel_entropy_matrix,
     sample_states,
-    skew_closed,
     skew_matrix,
     to_density_matrix,
 )
@@ -28,11 +25,11 @@ SKEW_REFERENCE = 0.13045761347892172
 
 
 def test_reference_state_closed_values():
-    assert l1_closed(REFERENCE) == 0.6
-    assert abs(rel_entropy_closed(REFERENCE) - REL_ENT_REFERENCE) <= 1e-12
-    assert abs(skew_closed(REFERENCE) - SKEW_REFERENCE) <= 1e-12
+    assert closed_measure(Measure.L1, REFERENCE) == 0.6
+    assert abs(closed_measure(Measure.REL_ENT, REFERENCE) - REL_ENT_REFERENCE) <= 1e-12
+    assert abs(closed_measure(Measure.SKEW, REFERENCE) - SKEW_REFERENCE) <= 1e-12
     block_form = (2.0 - np.sqrt(0.1 * 1.5) - np.sqrt(1.7 * 0.7)) / 4.0
-    assert abs(skew_closed(REFERENCE) - block_form) <= 1e-15
+    assert abs(closed_measure(Measure.SKEW, REFERENCE) - block_form) <= 1e-15
 
 
 def test_reference_state_matrix_values():
@@ -45,11 +42,11 @@ def test_reference_state_matrix_values():
 def test_bell_vertex_values_both_routes():
     vertex = BellCoefficients(1.0, -1.0, 1.0)
     rho = to_density_matrix(vertex)
-    assert abs(l1_closed(vertex) - 1.0) <= 1e-12
+    assert abs(closed_measure(Measure.L1, vertex) - 1.0) <= 1e-12
     assert abs(l1_matrix(rho) - 1.0) <= 1e-12
-    assert abs(rel_entropy_closed(vertex) - LN2) <= 1e-12
+    assert abs(closed_measure(Measure.REL_ENT, vertex) - LN2) <= 1e-12
     assert abs(rel_entropy_matrix(rho) - LN2) <= 1e-12
-    assert abs(skew_closed(vertex) - 0.5) <= 1e-12
+    assert abs(closed_measure(Measure.SKEW, vertex) - 0.5) <= 1e-12
     assert abs(skew_matrix(rho) - 0.5) <= 1e-12
 
 
@@ -62,8 +59,8 @@ def test_diagonal_states_have_zero_coherence(c3):
 
 
 def test_l1_equals_max_coefficient():
-    assert l1_closed(BellCoefficients(-0.3, 0.5, 0.1)) == 0.5
-    assert l1_closed(BellCoefficients(0.3, -0.2, 0.0)) == 0.3
+    assert closed_measure(Measure.L1, BellCoefficients(-0.3, 0.5, 0.1)) == 0.5
+    assert closed_measure(Measure.L1, BellCoefficients(0.3, -0.2, 0.0)) == 0.3
 
 
 @settings(max_examples=200, deadline=None)
@@ -95,9 +92,7 @@ def test_closed_matches_matrix_on_exact_faces():
 
 def test_ranges_and_faithfulness_over_sample():
     for c in sample_states(seed=5, count=1000):
-        l1 = l1_closed(c)
-        rel = rel_entropy_closed(c)
-        skew = skew_closed(c)
+        l1, rel, skew = (closed_measure(measure, c) for measure in Measure)
         assert 0.0 <= l1 <= 1.0 + 1e-12
         assert 0.0 <= rel <= LN2 + 1e-12
         assert 0.0 <= skew <= 0.5 + 1e-12
@@ -116,6 +111,6 @@ def test_dephasing_kills_every_measure():
 
 def test_closed_measures_reject_unphysical():
     bad = BellCoefficients(1.0, 1.0, 1.0)
-    for fn in (l1_closed, rel_entropy_closed, skew_closed):
+    for measure in Measure:
         with pytest.raises(UnphysicalStateError):
-            fn(bad)
+            closed_measure(measure, bad)

@@ -1,15 +1,21 @@
+import numpy as np
 import pytest
 
 from coherence_lab import (
     BellCoefficients,
     ChannelKind,
+    CoefficientMapMode,
     DecayQuery,
     Engine,
     IncoherentStateError,
     Measure,
-    complete_incoherence_p,
+    ValidationError,
+    closed_measure,
     decay_rate,
+    frozen_surface,
     is_frozen,
+    kraus_set,
+    per_iteration_factors,
     sample_states,
 )
 from conftest import REFERENCE
@@ -67,10 +73,48 @@ def test_incoherent_input_rejected():
             )
 
 
-def test_complete_incoherence_p():
-    assert complete_incoherence_p(DEP) == 0.75
-    for kind in (BF, PF, ChannelKind.BIT_PHASE_FLIP, ChannelKind.AMPLITUDE_DAMPING):
-        assert complete_incoherence_p(kind) is None
+_QUERY = DecayQuery(REFERENCE, Measure.L1, BF, 0.5, 1)
+
+# entry point x bad value; each was accepted, coerced or met with a bare
+# TypeError/ValueError before the validators in errors.py took over
+BAD_INPUTS = {
+    "kraus_set p string": lambda: kraus_set(BF, "0.5"),
+    "kraus_set gamma string": lambda: kraus_set(ChannelKind.AMPLITUDE_DAMPING, 0.5, "0.3"),
+    "per_iteration_factors p None": lambda: per_iteration_factors(BF, None),
+    "frozen_surface tol bool": lambda: frozen_surface(BF, Measure.L1, 0.5, 1, 5, tol=True),
+    "frozen_surface tol string": lambda: frozen_surface(BF, Measure.L1, 0.5, 1, 5, tol="x"),
+    "frozen_surface min_coherence bool":
+        lambda: frozen_surface(BF, Measure.L1, 0.5, 1, 5, min_coherence=True),
+    "ChannelKind unknown": lambda: ChannelKind("xx"),
+    "Measure unknown": lambda: Measure("l2"),
+    "CoefficientMapMode unknown": lambda: CoefficientMapMode("exact"),
+    "Engine unknown": lambda: Engine("gpu"),
+    "sample_states count float": lambda: sample_states(1, 2.7),
+    "sample_states count bool": lambda: sample_states(1, True),
+    "is_frozen tol NaN": lambda: is_frozen(_QUERY, tol=float("nan")),
+    "is_frozen tol negative": lambda: is_frozen(_QUERY, tol=-1),
+    "decay_rate string state":
+        lambda: decay_rate(DecayQuery(("0.6", "0.1", "0.2"), Measure.L1, BF, 0.5, 1)),
+    "decay_rate oracle bool coordinate": lambda: decay_rate(DecayQuery(
+        (False, 0.1, 0.2), Measure.L1, BF, 0.5, 1, engine=Engine.MATRIX_ORACLE)),
+    "closed_measure complex coordinate":
+        lambda: closed_measure(Measure.L1, BellCoefficients(0.1j, 0.0, 0.0)),
+}
+
+
+@pytest.mark.parametrize("call", BAD_INPUTS.values(), ids=list(BAD_INPUTS))
+def test_bad_input_raises_a_typed_error(call):
+    with pytest.raises(ValidationError):
+        call()
+
+
+def test_numpy_scalars_are_still_accepted():
+    cloud = frozen_surface(BF, Measure.L1, np.float64(0.5), np.int64(2), np.int32(5))
+    plain = frozen_surface(BF, Measure.L1, 0.5, 2, 5)
+    assert cloud.metadata() == plain.metadata()
+    assert np.array_equal(cloud.points, plain.points)
+    query = DecayQuery(REFERENCE, Measure.SKEW, PF, np.float64(0.3), np.int64(3))
+    assert decay_rate(query) == decay_rate(DecayQuery(REFERENCE, Measure.SKEW, PF, 0.3, 3))
 
 
 def _sweep(count):

@@ -64,13 +64,11 @@ def test_curve_rejects_incoherent_state_and_bad_grid():
         decay_curve(BF, Measure.L1, REFERENCE, (0, 2), p_count=9)
 
 
-def test_curve_deterministic_across_thread_counts(monkeypatch):
-    monkeypatch.setenv("COHERENCE_LAB_THREADS", "1")
-    one = decay_curve(GAD, Measure.SKEW, REFERENCE, (1, 7), p_count=33)
-    monkeypatch.setenv("COHERENCE_LAB_THREADS", "4")
-    four = decay_curve(GAD, Measure.SKEW, REFERENCE, (1, 7), p_count=33)
-    assert np.array_equal(one.rates, four.rates)
-    assert np.array_equal(one.p_values, four.p_values)
+def test_curve_deterministic_across_runs():
+    first = decay_curve(GAD, Measure.SKEW, REFERENCE, (1, 7), p_count=33)
+    second = decay_curve(GAD, Measure.SKEW, REFERENCE, (1, 7), p_count=33)
+    assert np.array_equal(first.rates, second.rates)
+    assert np.array_equal(first.p_values, second.p_values)
 
 
 def test_surface_validation():
@@ -150,13 +148,11 @@ def test_surface_min_coherence_zero_still_excludes_incoherent():
         assert max(abs(c1), abs(c2)) > 1e-12
 
 
-def test_surface_deterministic_across_thread_counts(monkeypatch):
-    monkeypatch.setenv("COHERENCE_LAB_THREADS", "1")
-    one = frozen_surface(BF, Measure.SKEW, 0.5, 5, grid_res=21)
-    monkeypatch.setenv("COHERENCE_LAB_THREADS", "5")
-    five = frozen_surface(BF, Measure.SKEW, 0.5, 5, grid_res=21)
-    assert np.array_equal(one.points, five.points)
-    assert one.components == five.components
+def test_surface_deterministic_across_runs():
+    first = frozen_surface(BF, Measure.SKEW, 0.5, 5, grid_res=21)
+    second = frozen_surface(BF, Measure.SKEW, 0.5, 5, grid_res=21)
+    assert np.array_equal(first.points, second.points)
+    assert first.components == second.components
 
 
 def test_curve_rejects_fractional_iteration_count():
