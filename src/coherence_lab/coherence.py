@@ -50,9 +50,16 @@ def clamped_array(values: np.ndarray) -> np.ndarray:
 
 
 def _xlnx(x):
-    """x ln x extended by continuity with 0 at x <= XLNX_FLOOR."""
-    safe = np.maximum(x, XLNX_FLOOR)
-    return np.where(x > XLNX_FLOOR, safe * np.log(safe), 0.0)
+    """x ln x extended by continuity with 0 at x <= XLNX_FLOOR and at NaN.
+
+    The logarithm and the product are taken only where x > XLNX_FLOOR, into
+    one zero-filled array, so negative round-off needs no clip beforehand.
+    """
+    x = np.asarray(x)
+    keep = x > XLNX_FLOOR
+    out = np.zeros(x.shape, dtype=np.result_type(x, XLNX_FLOOR))
+    np.log(x, out=out, where=keep)
+    return np.multiply(out, x, out=out, where=keep)
 
 
 def l1_kernel(c1, c2, c3):
@@ -62,9 +69,14 @@ def l1_kernel(c1, c2, c3):
 
 def rel_entropy_kernel(c1, c2, c3):
     """Closed-form relative entropy of coherence; physical inputs assumed."""
-    q1, q2, q3, q4 = (np.clip(q, 0.0, None) for q in parities(c1, c2, c3))
+    return _rel_entropy(parities(c1, c2, c3), c3)
+
+
+def _rel_entropy(q, c3):
+    """Relative entropy of coherence from the parities ``q`` of a state and its c3."""
+    q1, q2, q3, q4 = q
     spectral = _xlnx(q1) + _xlnx(q2) + _xlnx(q3) + _xlnx(q4)
-    diagonal = _xlnx(np.clip(1.0 + c3, 0.0, None)) + _xlnx(np.clip(1.0 - c3, 0.0, None))
+    diagonal = _xlnx(1.0 + c3) + _xlnx(1.0 - c3)
     return spectral / 4.0 - diagonal / 2.0
 
 
@@ -93,10 +105,14 @@ def closed_measures(measure: Measure, c1, c2, c3) -> np.ndarray:
     """Closed-form values of ``measure`` over broadcastable coefficient arrays.
 
     The one closed-measure path: it rejects the first unphysical state, then
-    evaluates the kernel and clamps round-off negatives.
+    evaluates the kernel and clamps round-off negatives. rel-ent reuses the
+    parities that the physicality test formed.
     """
-    require_physical(c1, c2, c3)
-    return clamped_array(_KERNELS[Measure(measure)](c1, c2, c3))
+    q = require_physical(c1, c2, c3)
+    measure = Measure(measure)
+    if measure is Measure.REL_ENT:
+        return clamped_array(_rel_entropy(q, c3))
+    return clamped_array(_KERNELS[measure](c1, c2, c3))
 
 
 def _per_matrix(values: np.ndarray, a: np.ndarray) -> float | np.ndarray:

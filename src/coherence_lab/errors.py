@@ -6,9 +6,10 @@ an internal inconsistency and derive from the base only.
 
 Each kind of parameter is checked by one function here: channel and
 measure names by ``Choice``, probabilities by ``require_probability``,
-counts by ``require_count``, tolerances by ``require_bound`` and real
-coordinates by ``require_real``. None of them coerces: bools, strings,
-None and NaN are rejected, numpy scalars are accepted.
+counts by ``require_count``, seeds by ``require_integer``, tolerances by
+``require_bound`` and real coordinates by ``require_real``. None of them
+coerces: bools, strings, None, NaN and Python ints beyond float range are
+rejected, numpy scalars are accepted.
 """
 
 import math
@@ -82,35 +83,70 @@ def _is_real(kind: type) -> bool:
     return issubclass(kind, _REAL) and not issubclass(kind, bool)
 
 
+def _is_integer(value) -> bool:
+    """True for Python and numpy integers other than bool."""
+    return isinstance(value, _INTEGRAL) and not isinstance(value, bool)
+
+
+def _fits_float(value) -> bool:
+    """False for a Python int beyond float range, on which float arithmetic overflows."""
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
+
+
+def _shown(value) -> str:
+    """``value`` for an error message; an int beyond float range by its size, not its digits."""
+    if _is_integer(value) and not _fits_float(value):
+        return f"an integer of {int(value).bit_length()} bits"
+    return repr(value)
+
+
 def require_real(name: str, *values) -> None:
     """Reject any of ``values`` that is not a real number or an array of them.
 
     An array is judged by its dtype, anything else by its type, and each
     distinct type once, so a long run of Python floats costs one pass.
+    Python ints are also checked one by one against float range.
     """
-    for kind in {v.dtype.type if isinstance(v, np.ndarray) else type(v) for v in values}:
+    kinds = {v.dtype.type if isinstance(v, np.ndarray) else type(v) for v in values}
+    for kind in kinds:
         if not _is_real(kind):
             raise ValidationError(f"{name} must be real numbers, got {kind.__name__}")
+    if int in kinds:
+        for value in values:
+            if type(value) is int and not _fits_float(value):
+                raise ParameterRangeError(f"{name} must fit a float, got {_shown(value)}")
 
 
 def require_probability(name: str, value) -> float:
     """``value`` as a float strictly between 0 and 1 (NaN fails the range test)."""
     if not _is_real(type(value)) or not 0.0 < value < 1.0:
-        raise ParameterRangeError(f"{name} must lie strictly between 0 and 1, got {value!r}")
+        raise ParameterRangeError(f"{name} must lie strictly between 0 and 1, got {_shown(value)}")
     return float(value)
+
+
+def require_integer(name: str, value) -> int:
+    """``value`` as an int of any sign; bools, floats and strings are rejected."""
+    if not _is_integer(value):
+        raise ParameterRangeError(f"{name} must be an integer, got {_shown(value)}")
+    return int(value)
 
 
 def require_count(name: str, value, minimum: int = 1) -> int:
     """``value`` as an int >= ``minimum``; bools and integral floats are rejected."""
-    if not isinstance(value, _INTEGRAL) or isinstance(value, bool) or value < minimum:
-        raise ParameterRangeError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if not _is_integer(value) or value < minimum:
+        raise ParameterRangeError(f"{name} must be an integer >= {minimum}, got {_shown(value)}")
     return int(value)
 
 
 def require_bound(name: str, value, strict: bool) -> float:
     """``value`` as a finite float, > 0 when ``strict`` and >= 0 otherwise."""
-    if not (_is_real(type(value)) and math.isfinite(value)
+    if not (_is_real(type(value)) and _fits_float(value) and math.isfinite(value)
             and (value > 0.0 if strict else value >= 0.0)):
         relation = "> 0" if strict else ">= 0"
-        raise ParameterRangeError(f"{name} must be a finite number {relation}, got {value!r}")
+        shown = _shown(value)
+        raise ParameterRangeError(f"{name} must be a finite number {relation}, got {shown}")
     return float(value)

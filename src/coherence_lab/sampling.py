@@ -9,7 +9,7 @@ in a report always regenerates the identical sweep.
 from __future__ import annotations
 
 from .coherence import l1_kernel
-from .errors import require_count
+from .errors import require_count, require_integer
 from .states import BellCoefficients, is_physical
 
 _MULT = 6364136223846793005
@@ -18,10 +18,14 @@ _MASK = (1 << 64) - 1
 
 
 class Lcg:
-    """64-bit LCG yielding floats in [0, 1) from the top 53 bits."""
+    """64-bit LCG yielding floats in [0, 1) from the top 53 bits.
+
+    The seed is any integer, negative ones included (taken modulo 2**64);
+    a bool, float or string seed is rejected rather than truncated.
+    """
 
     def __init__(self, seed: int):
-        self.state = int(seed) & _MASK
+        self.state = require_integer("seed", seed) & _MASK
 
     def next_float(self) -> float:
         self.state = (self.state * _MULT + _INC) & _MASK

@@ -7,6 +7,14 @@ a power), ``closed_measure`` of the evolved state, and one division. Every
 curve cell and every lattice point's rate is therefore bit for bit the
 ``decay_rate`` of that state, and the output is deterministic by
 construction.
+
+The frozen-surface scan does each piece of per-point work once. Lattice
+physicality is an exact integer test (lattice value i is c = u / s with
+u = 2i - s and s = grid_res - 1), made from two plane arrays built once
+per scan; it selects exactly the points ``physical_mask`` selects. The
+evolved side goes through ``closed_measures``, which forms each point's
+parities q_i once and uses them for both the physicality check and the
+rel-ent value.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from .channels import ChannelKind, CoefficientMapMode, evolve_rows, per_iteratio
 from .coherence import Measure, clamped_array, closed_measure, closed_measures, _KERNELS
 from .decay import COHERENCE_FLOOR, require_coherent
 from .errors import ParameterRangeError, require_bound, require_count
-from .states import BellCoefficients, physical_mask
+from .states import BellCoefficients
 
 
 @dataclass(frozen=True)
@@ -97,6 +105,23 @@ class SurfacePointCloud:
         }
 
 
+def _physical_plane_indices(grid_res: int):
+    """For each c1 plane of the lattice, the flat indices j * grid_res + k of its physical points.
+
+    Lattice value i is c = u / s exactly, with s = grid_res - 1 and u = 2i - s,
+    so every parity q = (s -+ u1 -+ u2 -+ u3) / s >= 0 reads
+    |u2 + u3| <= s - u1 and |u2 - u3| <= s + u1 in integers. The nonzero q
+    are multiples of 2 / s, far outside PHYSICAL_TOL, so this exact test
+    selects what ``physical_mask`` selects on the rounded lattice.
+    """
+    s = grid_res - 1
+    u = 2 * np.arange(grid_res, dtype=np.int32) - s
+    plane_sum = np.abs(np.add.outer(u, u)).ravel()
+    plane_diff = np.abs(np.subtract.outer(u, u)).ravel()
+    for u1 in u:
+        yield np.flatnonzero((plane_sum <= s - u1) & (plane_diff <= s + u1))
+
+
 def frozen_surface(
     kind: ChannelKind,
     measure: Measure,
@@ -153,8 +178,7 @@ def frozen_surface(
     plane_e2, plane_e3 = np.repeat(e2, grid_res), np.tile(e3, grid_res)
 
     kept = np.zeros((grid_res, grid_res * grid_res), dtype=bool)
-    for i, c1 in enumerate(axis):
-        index = np.flatnonzero(physical_mask(c1, plane_c2, plane_c3))
+    for i, (c1, index) in enumerate(zip(axis, _physical_plane_indices(grid_res))):
         # physical by selection, so only the clamp of closed_measure applies
         before = clamped_array(_KERNELS[measure](c1, plane_c2[index], plane_c3[index]))
         coherent = (before > COHERENCE_FLOOR) & (before >= min_coherence)

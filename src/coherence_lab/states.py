@@ -79,13 +79,18 @@ def parities(c1, c2, c3):
 
 
 def physical_mask(c1, c2, c3, tol: float = PHYSICAL_TOL):
-    """Elementwise: every eigenvalue q_i / 4 is >= -tol (NaN counts as unphysical).
+    """Elementwise: every eigenvalue q_i / 4 is >= -tol (NaN counts as unphysical)."""
+    return _nonnegative(parities(c1, c2, c3), tol)
+
+
+def _nonnegative(q, tol: float = PHYSICAL_TOL):
+    """Elementwise: every q_i / 4 of the parities ``q`` is >= -tol.
 
     Four comparisons rather than min(q_i) / 4 >= -tol: rounded division by 4
     is monotone, so the two tests agree on every input, and this one is
     cheaper on arrays and stays in plain floats for a scalar state.
     """
-    q1, q2, q3, q4 = parities(c1, c2, c3)
+    q1, q2, q3, q4 = q
     return (q1 / 4.0 >= -tol) & (q2 / 4.0 >= -tol) & (q3 / 4.0 >= -tol) & (q4 / 4.0 >= -tol)
 
 
@@ -99,20 +104,23 @@ def is_physical(c: BellCoefficients, tol: float = PHYSICAL_TOL) -> bool:
     return bool(physical_mask(*c, tol))
 
 
-def require_physical(c1, c2, c3) -> None:
+def require_physical(c1, c2, c3) -> tuple:
     """Reject the first (row-major) state of broadcastable coefficients outside the tetrahedron.
 
     Coordinates must be real numbers or real arrays; anything else raises
-    ValidationError before the tetrahedron test.
+    ValidationError before the tetrahedron test. Returns the parities
+    (q1, q2, q3, q4) it tested, so a caller that needs them forms them once.
     """
     require_real("coefficients", c1, c2, c3)
-    outside = np.logical_not(physical_mask(c1, c2, c3))
+    q = parities(c1, c2, c3)
+    outside = np.logical_not(_nonnegative(q))
     if outside.any():
         first = tuple(float(np.broadcast_to(c, outside.shape)[outside][0]) for c in (c1, c2, c3))
         raise UnphysicalStateError(
             f"coefficients {first} lie outside the physical tetrahedron "
             "with vertices (1,-1,1), (-1,1,1), (1,1,-1), (-1,-1,-1)"
         )
+    return q
 
 
 def to_density_matrix(c: BellCoefficients) -> np.ndarray:

@@ -15,7 +15,9 @@ from coherence_lab import (
     skew_matrix,
     to_density_matrix,
 )
-from conftest import REFERENCE, physical_coefficients
+from coherence_lab.coherence import XLNX_FLOOR, clamped_array, closed_measures, rel_entropy_kernel
+from coherence_lab.states import physical_mask
+from conftest import REFERENCE, VERTICES, physical_coefficients
 
 LN2 = float(np.log(2.0))
 
@@ -114,3 +116,67 @@ def test_closed_measures_reject_unphysical():
     for measure in Measure:
         with pytest.raises(UnphysicalStateError):
             closed_measure(measure, bad)
+
+
+def _clipped_rel_entropy(c1, c2, c3):
+    """Reference rel-ent: clipped parities, then x ln x guarded by np.maximum and np.where.
+
+    The masked-log kernel skips the clips and the guard temporaries; its
+    bits must equal this form's on every input.
+    """
+    def xlnx(x):
+        safe = np.maximum(x, XLNX_FLOOR)
+        return np.where(x > XLNX_FLOOR, safe * np.log(safe), 0.0)
+
+    q1, q2, q3, q4 = (
+        np.clip(q, 0.0, None)
+        for q in (1.0 - c1 - c2 - c3, 1.0 + c1 + c2 - c3, 1.0 + c1 - c2 + c3, 1.0 - c1 + c2 + c3)
+    )
+    spectral = xlnx(q1) + xlnx(q2) + xlnx(q3) + xlnx(q4)
+    diagonal = xlnx(np.clip(1.0 + c3, 0.0, None)) + xlnx(np.clip(1.0 - c3, 0.0, None))
+    return spectral / 4.0 - diagonal / 2.0
+
+
+def _same_bits(a, b):
+    """Same type, dtype, shape and bytes, so that -0.0 and NaN payloads count too."""
+    if type(a) is not type(b):
+        return False
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _rel_ent_inputs():
+    """(label, c1, c2, c3, physical) over random, lattice, face, vertex and NaN states."""
+    rng = np.random.default_rng(20150521)
+    vertices = np.array(VERTICES)
+    inside = rng.dirichlet(np.ones(4), 50_000) @ vertices
+    on_face = rng.dirichlet(np.ones(3), 20_000) @ vertices[:3]
+    on_edge = np.linspace(0.0, 1.0, 1_001)[:, None] * (vertices[1] - vertices[0]) + vertices[0]
+    axis = np.linspace(-1.0, 1.0, 41)
+    lattice = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+    cube = rng.uniform(-1.2, 1.2, (50_000, 3))
+    with_nan = cube.copy()
+    with_nan[rng.random(with_nan.shape) < 0.02] = np.nan
+    for label, rows in (("inside", inside), ("face", on_face), ("edge", on_edge),
+                        ("vertices", vertices), ("lattice", lattice), ("cube", cube),
+                        ("nan", with_nan)):
+        physical = physical_mask(*rows.T)
+        yield label, *rows.T, bool(physical.all())
+        if not physical.all():
+            yield f"physical {label}", *rows[physical].T, True
+    scalars = [REFERENCE, *VERTICES, (0.5, -0.5, 0.0), (0.0, 0.0, 1.0), (1e-17, 0.0, 1.0 - 1e-16)]
+    for c in scalars:
+        yield f"floats {c}", *(float(x) for x in c), True
+        yield f"numpy scalars {c}", *(np.float64(x) for x in c), True
+    for c in VERTICES:
+        yield f"ints {c}", *(int(x) for x in c), True
+    yield "scalar nan", float("nan"), 0.0, 0.0, False
+
+
+def test_rel_entropy_bits_equal_the_clipped_form():
+    for label, c1, c2, c3, physical in _rel_ent_inputs():
+        reference = _clipped_rel_entropy(c1, c2, c3)
+        assert _same_bits(rel_entropy_kernel(c1, c2, c3), reference), label
+        if physical:
+            assert _same_bits(closed_measures(Measure.REL_ENT, c1, c2, c3),
+                              clamped_array(reference)), label

@@ -8,6 +8,7 @@ from coherence_lab import (
     DecayQuery,
     Engine,
     IncoherentStateError,
+    Lcg,
     Measure,
     ValidationError,
     closed_measure,
@@ -99,6 +100,18 @@ BAD_INPUTS = {
         (False, 0.1, 0.2), Measure.L1, BF, 0.5, 1, engine=Engine.MATRIX_ORACLE)),
     "closed_measure complex coordinate":
         lambda: closed_measure(Measure.L1, BellCoefficients(0.1j, 0.0, 0.0)),
+    # Python ints beyond float range, on which float arithmetic overflows
+    "frozen_surface tol huge int": lambda: frozen_surface(BF, Measure.L1, 0.5, 1, 5, tol=10**400),
+    # too many digits for repr, so the message must not print it
+    "frozen_surface tol 5001-digit int":
+        lambda: frozen_surface(BF, Measure.L1, 0.5, 1, 5, tol=10**5000),
+    "closed_measure huge int coordinate":
+        lambda: closed_measure(Measure.L1, BellCoefficients(10**400, 0, 0)),
+    "decay_rate huge int coordinate":
+        lambda: decay_rate(DecayQuery((0.1, -10**400, 0.2), Measure.L1, BF, 0.5, 1)),
+    "sample_states seed float": lambda: sample_states(2.7, 1),
+    "sample_states seed bool": lambda: sample_states(True, 1),
+    "sample_states seed string": lambda: sample_states("3", 1),
 }
 
 
@@ -115,6 +128,12 @@ def test_numpy_scalars_are_still_accepted():
     assert np.array_equal(cloud.points, plain.points)
     query = DecayQuery(REFERENCE, Measure.SKEW, PF, np.float64(0.3), np.int64(3))
     assert decay_rate(query) == decay_rate(DecayQuery(REFERENCE, Measure.SKEW, PF, 0.3, 3))
+
+
+def test_integer_seeds_of_any_sign_are_accepted():
+    assert Lcg(-1).state == Lcg(2**64 - 1).state
+    assert sample_states(np.int64(-7), 3) == sample_states(-7, 3)
+    assert sample_states(-7, 3) != sample_states(7, 3)
 
 
 def _sweep(count):

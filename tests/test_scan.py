@@ -21,6 +21,8 @@ from coherence_lab import (
     is_physical,
 )
 from coherence_lab.decay import COHERENCE_FLOOR
+from coherence_lab.scan import _physical_plane_indices
+from coherence_lab.states import physical_mask
 from conftest import REFERENCE, physical_coefficients
 
 BF = ChannelKind.BIT_FLIP
@@ -168,6 +170,20 @@ def test_curve_rejects_bool_p_count():
 def test_surface_rejects_bool_iteration_count():
     with pytest.raises(ParameterRangeError):
         frozen_surface(BF, Measure.L1, 0.5, True, grid_res=5)
+
+
+# every odd grid up to 101, the benchmark's grid 201 and grid 401; sweeping
+# every odd grid from 3 to 401 (3.3e9 points) takes minutes
+MASK_GRIDS = (*range(3, 102, 2), 201, 401)
+
+
+def test_integer_plane_mask_equals_float_mask():
+    for grid in MASK_GRIDS:
+        axis = np.linspace(-1.0, 1.0, grid)
+        plane_c2, plane_c3 = np.repeat(axis, grid), np.tile(axis, grid)
+        # strict: one index array per plane, no more and no fewer
+        for c1, index in zip(axis, _physical_plane_indices(grid), strict=True):
+            assert np.array_equal(index, np.flatnonzero(physical_mask(c1, plane_c2, plane_c3)))
 
 
 # p at both clamp edges, dep's complete-incoherence point, and anywhere between
