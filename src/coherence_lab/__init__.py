@@ -18,14 +18,7 @@ from .channels import (
     per_iteration_factors,
     single_parameter_kraus_set,
 )
-from .coherence import (
-    Measure,
-    closed_measure,
-    l1_matrix,
-    matrix_measure,
-    rel_entropy_matrix,
-    skew_matrix,
-)
+from .coherence import Measure, closed_measure, matrix_measure
 from .decay import (
     DecayQuery,
     Engine,
@@ -101,15 +94,12 @@ __all__ = [
     "is_frozen",
     "is_physical",
     "kraus_set",
-    "l1_matrix",
     "matrix_measure",
     "per_iteration_factors",
     "psd_sqrt",
     "random_physical_state",
-    "rel_entropy_matrix",
     "sample_states",
     "single_parameter_kraus_set",
-    "skew_matrix",
     "to_density_matrix",
     "von_neumann_entropy",
 ]

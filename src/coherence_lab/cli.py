@@ -30,7 +30,9 @@ from .channels import (
     CoefficientMapMode,
     apply_n,
     coefficient_map,
+    evolve_rows,
     kraus_set,
+    per_iteration_factors,
     single_parameter_kraus_set,
 )
 from . import __version__
@@ -89,16 +91,19 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Write ``text`` to ``path`` via a renamed temporary file; an OSError is a ValidationError."""
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".coherence-lab-")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".coherence-lab-")
         with os.fdopen(fd, "w", newline="") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
 
 
 def _emit(path: str | None, text: str) -> None:
@@ -181,6 +186,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         print("residual: 0")
         _print_measure_triple(lambda m: closed_measure(m, evolved))
         return 0
+    if mode is CoefficientMapMode.PAPER:
+        raise ValidationError("--coeff-map paper requires --method closed-form")
     if args.gamma is not None:
         gamma = _clamped_probability("gamma", args.gamma)
         kset = kraus_set(kind, p, gamma)
@@ -291,21 +298,17 @@ def _verify_coefficient_maps(seed: int) -> tuple[list[_Deviation], list[str]]:
                     block.append((random_physical_state(rng), kind, p, n))
                     ksets.append(kset)
         states = np.array([state for state, *_ in block])
-        evolved = apply_n(
-            to_density_matrix(BellCoefficients(*states.T)), ksets, [n for *_, n in block]
-        )
+        counts = np.array([n for *_, n in block])
+        evolved = apply_n(to_density_matrix(BellCoefficients(*states.T)), ksets, counts)
         coefficients, block_residual = from_density_matrix(evolved)
         extracted = np.column_stack(coefficients)
-        mapped = np.array([coefficient_map(k, p, n, state) for state, k, p, n in block])
-        map_dev.append(np.max(np.abs(mapped - extracted), axis=1))
+        derived = [per_iteration_factors(kind, p) for *_, p, _ in block]
+        map_dev.append(np.max(np.abs(evolve_rows(states, derived, counts) - extracted), axis=1))
         residual.append(block_residual)
         if kind is ChannelKind.DEPOLARIZING:
             dep_rows = block
-            paper = np.array([
-                coefficient_map(k, p, n, state, CoefficientMapMode.PAPER)
-                for state, k, p, n in block
-            ])
-            paper_gap = np.max(np.abs(paper - extracted), axis=1)
+            paper = [per_iteration_factors(kind, p, CoefficientMapMode.PAPER) for *_, p, _ in block]
+            paper_gap = np.max(np.abs(evolve_rows(states, paper, counts) - extracted), axis=1)
         rows += block
     worst = [
         _worst("coefficient map vs Kraus route", np.concatenate(map_dev), VERIFY_MAP_TOL,

@@ -121,14 +121,14 @@ def _per_matrix(values: np.ndarray, a: np.ndarray) -> float | np.ndarray:
     return float(values) if a.ndim == 2 else values
 
 
-def l1_matrix(rho: np.ndarray) -> float | np.ndarray:
+def _l1_matrix(rho: np.ndarray) -> float | np.ndarray:
     """Sum of absolute off-diagonal entries in the computational basis."""
     a = validate_density_matrix(rho)
     mags = np.abs(a)
     return _per_matrix(mags.sum(axis=(-2, -1)) - mags.trace(axis1=-2, axis2=-1), a)
 
 
-def rel_entropy_matrix(rho: np.ndarray) -> float | np.ndarray:
+def _rel_entropy_matrix(rho: np.ndarray) -> float | np.ndarray:
     """S(rho_diag) - S(rho) with rho_diag the dephased (diagonal) state."""
     a = validate_density_matrix(rho)
     dephased = np.zeros_like(a)
@@ -137,7 +137,7 @@ def rel_entropy_matrix(rho: np.ndarray) -> float | np.ndarray:
     return _per_matrix(von_neumann_entropy(dephased) - von_neumann_entropy(a), a)
 
 
-def skew_matrix(rho: np.ndarray) -> float | np.ndarray:
+def _skew_matrix(rho: np.ndarray) -> float | np.ndarray:
     """1 - sum_k <k|sqrt(rho)|k>^2 over the computational basis."""
     a = validate_density_matrix(rho)
     root_diag = np.diagonal(psd_sqrt(a), axis1=-2, axis2=-1).real
@@ -145,9 +145,9 @@ def skew_matrix(rho: np.ndarray) -> float | np.ndarray:
 
 
 _MATRIX = {
-    Measure.L1: l1_matrix,
-    Measure.REL_ENT: rel_entropy_matrix,
-    Measure.SKEW: skew_matrix,
+    Measure.L1: _l1_matrix,
+    Measure.REL_ENT: _rel_entropy_matrix,
+    Measure.SKEW: _skew_matrix,
 }
 
 

@@ -67,7 +67,8 @@ def decay_rates(queries: Sequence[DecayQuery]) -> np.ndarray:
     Rows may differ in state, measure, p, n and mode. Each step runs once
     over all rows (measures once per measure present), and every row gets
     the bits ``decay_rate`` gives it alone; a check that fails raises for
-    the first row that fails it.
+    the first row that fails it. ``mode`` is a closed-form convention, so
+    the matrix-oracle engine, whose Kraus route is 'derived', rejects 'paper'.
     """
     kinds = {ChannelKind(q.kind) for q in queries}
     engines = {Engine(q.engine) for q in queries}
@@ -75,6 +76,7 @@ def decay_rates(queries: Sequence[DecayQuery]) -> np.ndarray:
         raise ValidationError("a stack of decay queries needs exactly one channel kind and engine")
     (kind,), (engine,) = kinds, engines
     measures = [Measure(q.measure) for q in queries]
+    modes = {CoefficientMapMode(q.mode) for q in queries}
     # checked before the conversion to float64 would parse strings and bools
     require_real("coefficients", *(c for q in queries for c in q.state))
     states = np.array([tuple(q.state) for q in queries], dtype=np.float64)
@@ -88,6 +90,8 @@ def decay_rates(queries: Sequence[DecayQuery]) -> np.ndarray:
         factors = np.array([per_iteration_factors(kind, q.p, q.mode) for q in queries])
         after = _by_measure(measures, evolve_rows(states, factors, counts), measure_rows)
         return after / before
+    if CoefficientMapMode.PAPER in modes:
+        raise ValidationError("mode 'paper' is closed-form only; the Kraus route is 'derived'")
     rho = to_density_matrix(BellCoefficients(*states.T))
     before = _by_measure(measures, rho, matrix_measure)
     require_coherent(before)

@@ -71,11 +71,12 @@ def require_unit_trace(trace: np.ndarray) -> None:
     ))
 
 
-def require_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def require_hermitian(m: np.ndarray) -> np.ndarray:
     a = _as_square_complex(m)
     defects = np.abs(a - np.swapaxes(a, -1, -2).conj()).max(axis=(-2, -1))
-    raise_for_first(defects > tol, lambda row: NotHermitianError(
-        f"matrix is not Hermitian: max |M - M^dag| = {row_value(defects, row):.3e} > {tol:.1e}"
+    raise_for_first(defects > HERMITIAN_TOL, lambda row: NotHermitianError(
+        f"matrix is not Hermitian: max |M - M^dag| = {row_value(defects, row):.3e} "
+        f"> {HERMITIAN_TOL:.1e}"
     ))
     return a
 

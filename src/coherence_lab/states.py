@@ -78,20 +78,21 @@ def parities(c1, c2, c3):
     )
 
 
-def physical_mask(c1, c2, c3, tol: float = PHYSICAL_TOL):
-    """Elementwise: every eigenvalue q_i / 4 is >= -tol (NaN counts as unphysical)."""
-    return _nonnegative(parities(c1, c2, c3), tol)
+def physical_mask(c1, c2, c3):
+    """Elementwise: every eigenvalue q_i / 4 is >= -PHYSICAL_TOL (NaN counts as unphysical)."""
+    return _nonnegative(parities(c1, c2, c3))
 
 
-def _nonnegative(q, tol: float = PHYSICAL_TOL):
-    """Elementwise: every q_i / 4 of the parities ``q`` is >= -tol.
+def _nonnegative(q):
+    """Elementwise: every q_i / 4 of the parities ``q`` is >= -PHYSICAL_TOL.
 
-    Four comparisons rather than min(q_i) / 4 >= -tol: rounded division by 4
-    is monotone, so the two tests agree on every input, and this one is
-    cheaper on arrays and stays in plain floats for a scalar state.
+    Four comparisons rather than min(q_i) / 4 >= -PHYSICAL_TOL: rounded
+    division by 4 is monotone, so the two tests agree on every input, and
+    this one is cheaper on arrays and stays in plain floats for a scalar state.
     """
     q1, q2, q3, q4 = q
-    return (q1 / 4.0 >= -tol) & (q2 / 4.0 >= -tol) & (q3 / 4.0 >= -tol) & (q4 / 4.0 >= -tol)
+    floor = -PHYSICAL_TOL
+    return (q1 / 4.0 >= floor) & (q2 / 4.0 >= floor) & (q3 / 4.0 >= floor) & (q4 / 4.0 >= floor)
 
 
 def bell_eigenvalues(c: BellCoefficients) -> np.ndarray:
@@ -99,9 +100,9 @@ def bell_eigenvalues(c: BellCoefficients) -> np.ndarray:
     return np.sort(np.array(parities(*c))) / 4.0
 
 
-def is_physical(c: BellCoefficients, tol: float = PHYSICAL_TOL) -> bool:
-    """True when every eigenvalue is >= -tol (state inside the tetrahedron)."""
-    return bool(physical_mask(*c, tol))
+def is_physical(c: BellCoefficients) -> bool:
+    """True when every eigenvalue is >= -PHYSICAL_TOL (state inside the tetrahedron)."""
+    return bool(physical_mask(*c))
 
 
 def require_physical(c1, c2, c3) -> tuple:

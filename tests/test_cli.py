@@ -101,6 +101,15 @@ def test_evolve_gamma_rejected_for_other_channels(capsys):
     assert code == 1 and "gad" in err
 
 
+def test_evolve_paper_map_requires_closed_form(capsys):
+    code, out, err = run(
+        capsys, "evolve", "--channel", "dep", "--p", "0.3", "--n", "2",
+        "--state", "0.6,0.1,0.2", "--method", "kraus", "--coeff-map", "paper",
+    )
+    assert code == 1 and out == ""
+    assert err == "error: --coeff-map paper requires --method closed-form\n"
+
+
 def test_probability_endpoints_clamped_with_warning(capsys):
     code, out, err = run(
         capsys, "evolve", "--channel", "bf", "--p", "0", "--n", "5", "--state", "0.6,0.1,0.2"
@@ -153,6 +162,28 @@ def test_decay_curve_validation_never_writes_partial_file(tmp_path, capsys):
         "--state", "0.6,0.1,0.2", "--n-list", "0,2", "--out", str(out_path),
     )
     assert code == 1 and not out_path.exists()
+
+
+WRITERS = {
+    "decay-curve --out": ("decay-curve", "--channel", "bf", "--measure", "l1",
+                          "--state", "0.6,0.1,0.2", "--n-list", "1", "--grid", "3", "--out"),
+    "frozen-surface --out": ("frozen-surface", "--channel", "bf", "--measure", "l1",
+                             "--p", "0.5", "--n", "1", "--grid", "5", "--out"),
+    "verify --json": ("verify", "--trials", "5", "--json"),
+}
+
+
+# a missing directory fails before the temporary file exists, a directory
+# as the target only when the temporary file is renamed onto it
+@pytest.mark.parametrize("target", ["missing/out", "a-directory"])
+@pytest.mark.parametrize("argv", WRITERS.values(), ids=list(WRITERS))
+def test_unwritable_output_path_is_a_typed_error(tmp_path, capsys, argv, target):
+    (tmp_path / "a-directory").mkdir()
+    path = tmp_path / target
+    code, _, err = run(capsys, *argv, str(path))
+    assert code == 1
+    assert err.startswith(f"error: cannot write {path}: ") and "Traceback" not in err
+    assert not list(tmp_path.rglob(".coherence-lab-*"))
 
 
 def test_frozen_surface_csv_metadata(tmp_path, capsys):

@@ -8,11 +8,8 @@ from coherence_lab import (
     UnphysicalStateError,
     bell_eigenvalues,
     closed_measure,
-    l1_matrix,
     matrix_measure,
-    rel_entropy_matrix,
     sample_states,
-    skew_matrix,
     to_density_matrix,
 )
 from coherence_lab.coherence import XLNX_FLOOR, clamped_array, closed_measures, rel_entropy_kernel
@@ -36,20 +33,20 @@ def test_reference_state_closed_values():
 
 def test_reference_state_matrix_values():
     rho = to_density_matrix(REFERENCE)
-    assert abs(l1_matrix(rho) - 0.6) <= 1e-12
-    assert abs(rel_entropy_matrix(rho) - REL_ENT_REFERENCE) <= 1e-12
-    assert abs(skew_matrix(rho) - SKEW_REFERENCE) <= 1e-12
+    assert abs(matrix_measure(Measure.L1, rho) - 0.6) <= 1e-12
+    assert abs(matrix_measure(Measure.REL_ENT, rho) - REL_ENT_REFERENCE) <= 1e-12
+    assert abs(matrix_measure(Measure.SKEW, rho) - SKEW_REFERENCE) <= 1e-12
 
 
 def test_bell_vertex_values_both_routes():
     vertex = BellCoefficients(1.0, -1.0, 1.0)
     rho = to_density_matrix(vertex)
     assert abs(closed_measure(Measure.L1, vertex) - 1.0) <= 1e-12
-    assert abs(l1_matrix(rho) - 1.0) <= 1e-12
+    assert abs(matrix_measure(Measure.L1, rho) - 1.0) <= 1e-12
     assert abs(closed_measure(Measure.REL_ENT, vertex) - LN2) <= 1e-12
-    assert abs(rel_entropy_matrix(rho) - LN2) <= 1e-12
+    assert abs(matrix_measure(Measure.REL_ENT, rho) - LN2) <= 1e-12
     assert abs(closed_measure(Measure.SKEW, vertex) - 0.5) <= 1e-12
-    assert abs(skew_matrix(rho) - 0.5) <= 1e-12
+    assert abs(matrix_measure(Measure.SKEW, rho) - 0.5) <= 1e-12
 
 
 @pytest.mark.parametrize("c3", [-0.7, 0.0, 0.4, 1.0])

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from coherence_lab import (
     BellCoefficients,
@@ -13,12 +15,15 @@ from coherence_lab import (
     ValidationError,
     closed_measure,
     decay_rate,
+    decay_rates,
     frozen_surface,
     is_frozen,
+    is_physical,
     kraus_set,
     per_iteration_factors,
     sample_states,
 )
+from coherence_lab.cli import VERIFY_ENGINE_TOL
 from conftest import REFERENCE
 
 BF = ChannelKind.BIT_FLIP
@@ -112,6 +117,13 @@ BAD_INPUTS = {
     "sample_states seed float": lambda: sample_states(2.7, 1),
     "sample_states seed bool": lambda: sample_states(True, 1),
     "sample_states seed string": lambda: sample_states("3", 1),
+    # the Kraus route has one dep convention, so the oracle takes no other
+    "decay_rate oracle paper mode": lambda: decay_rate(DecayQuery(
+        REFERENCE, Measure.L1, DEP, 0.3, 2, mode="paper", engine=Engine.MATRIX_ORACLE)),
+    "decay_rate oracle unknown mode": lambda: decay_rate(DecayQuery(
+        REFERENCE, Measure.L1, DEP, 0.3, 2, mode="bogus", engine=Engine.MATRIX_ORACLE)),
+    "is_frozen oracle paper mode": lambda: is_frozen(DecayQuery(
+        REFERENCE, Measure.L1, BF, 0.3, 2, mode="paper", engine=Engine.MATRIX_ORACLE)),
 }
 
 
@@ -163,3 +175,44 @@ def test_bound_and_n_monotonicity_on_sweep():
         after = decay_rate(DecayQuery(state, measure, kind, p, n + 1))
         assert here <= 1.0 + 1e-9
         assert after <= here + 1e-10
+
+
+COORDINATE = st.floats(-1.0, 1.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from([BF, ChannelKind.BIT_PHASE_FLIP]), COORDINATE, COORDINATE,
+    st.floats(0.01, 0.99, exclude_min=True, exclude_max=True),
+    st.integers(1, 1000), st.integers(1, 50),
+)
+def test_freezing_surface_rates_stay_at_one(kind, kept, c3, p, n, oracle_n):
+    # Bromley, Cianciaruso and Adesso, PRL 114, 210401: on c2 = -c1 c3 under bf
+    # (c1 = -c2 c3 under bpf) the coherence of every measure is frozen for all n
+    if kind is BF:
+        state = BellCoefficients(kept, -kept * c3, c3)
+    else:
+        state = BellCoefficients(-kept * c3, kept, c3)
+    assume(is_physical(state))
+    assume(all(closed_measure(measure, state) >= 1e-4 for measure in Measure))
+    # the closed skew kernel misses by up to ~2e-8 one ulp from a vertex:
+    # test_skew_freezing_next_to_a_vertex
+    closed = decay_rates([
+        DecayQuery(state, measure, kind, p, n) for measure in (Measure.L1, Measure.REL_ENT)
+    ])
+    assert np.all(np.abs(closed - 1.0) <= 1e-9), closed
+    oracle = decay_rates([
+        DecayQuery(state, measure, kind, p, oracle_n, engine=Engine.MATRIX_ORACLE)
+        for measure in Measure
+    ])
+    assert np.all(np.abs(oracle - 1.0) <= VERIFY_ENGINE_TOL), oracle
+
+
+@pytest.mark.xfail(strict=True, reason="skew_kernel takes sqrt of a parity product that is "
+                   "only round-off next to a face, so its error grows to ~sqrt(eps)")
+def test_skew_freezing_next_to_a_vertex():
+    # exactly on the bf surface c2 = -c1 c3, one ulp from the vertex (1, -1, 1);
+    # the evolved state (c1, c2 / 4, c3 / 4) is exactly on it too, so R = 1
+    state = BellCoefficients(0.9999999999999999, -0.9999999999999999, 1.0)
+    rate = decay_rate(DecayQuery(state, Measure.SKEW, BF, 0.5, 1))
+    assert abs(rate - 1.0) <= 1e-9

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,8 @@ from coherence_lab import (
     is_physical,
     to_density_matrix,
 )
-from coherence_lab.states import validate_density_matrix
+from coherence_lab.linalg import require_hermitian
+from coherence_lab.states import physical_mask, validate_density_matrix
 from conftest import REFERENCE, VERTICES, physical_coefficients
 
 
@@ -39,6 +42,12 @@ def test_bell_eigenvalues_examples():
     assert np.allclose(
         bell_eigenvalues(BellCoefficients(1, -1, 1)), [0.0, 0.0, 0.0, 1.0], atol=1e-15
     )
+
+
+def test_physicality_and_hermiticity_tolerances_are_fixed():
+    # no caller sets them, so they are constants rather than parameters
+    for check in (is_physical, physical_mask, require_hermitian):
+        assert "tol" not in inspect.signature(check).parameters, check.__name__
 
 
 def test_is_physical_examples():
