@@ -236,8 +236,14 @@ def _per_row_steps(out: np.ndarray, counts: np.ndarray, step, per_row=lambda ord
     order ``order``, cut to the same rows. Rows run longest first, in phases
     between distinct counts: the rows still going in a phase are a leading
     slice of the sorted stack, so no phase copies them, and a row stops once
-    it has had its own count of steps.
+    it has had its own count of steps. When every count is equal, the whole
+    stack is one phase in its own order, which runs the same operations.
     """
+    if counts.size and (counts == counts[0]).all():
+        args = per_row(np.arange(len(counts)))
+        for _ in range(int(counts[0])):
+            out = step(out, *args)
+        return out
     order = np.argsort(-counts, kind="stable")
     stack, counts, args = out[order], counts[order], per_row(order)
     done = 0

@@ -106,6 +106,26 @@ def _atomic_write(path: str, text: str) -> None:
             os.unlink(tmp)
 
 
+def _require_writable(path: str | None) -> None:
+    """Fail before any work when ``path`` (if given) cannot be written.
+
+    Probes the directory with a temporary file, which it removes, and
+    rejects an existing directory as the target, with the ValidationError
+    that ``_atomic_write`` would raise only after the work.
+    """
+    if path is None:
+        return
+    if os.path.isdir(path):
+        raise ValidationError(f"cannot write {path}: it is a directory")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".coherence-lab-")
+    except OSError as exc:
+        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    os.close(fd)
+    os.unlink(tmp)
+
+
 def _emit(path: str | None, text: str) -> None:
     if path is None:
         sys.stdout.write(text)
@@ -202,6 +222,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
 
 
 def _cmd_decay_curve(args: argparse.Namespace) -> int:
+    _require_writable(args.out)
     curve = decay_curve(
         ChannelKind(args.channel),
         Measure(args.measure),
@@ -217,6 +238,7 @@ def _cmd_decay_curve(args: argparse.Namespace) -> int:
 
 
 def _cmd_frozen_surface(args: argparse.Namespace) -> int:
+    _require_writable(args.out)
     cloud = frozen_surface(
         ChannelKind(args.channel),
         Measure(args.measure),
@@ -368,6 +390,7 @@ def _verify_engines(seed: int, trials: int) -> tuple[list[_Deviation], list[str]
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     require_count("--trials", args.trials)
+    _require_writable(args.json)
     suites = (
         ("coherence measures", lambda: _verify_measures(args.seed, args.trials)),
         ("coefficient maps", lambda: _verify_coefficient_maps(args.seed)),

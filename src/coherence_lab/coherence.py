@@ -41,25 +41,33 @@ def clamped_array(values: np.ndarray) -> np.ndarray:
     """Round-off negatives down to -NEGATIVE_CLAMP set to 0.0; -0.0 and NaN pass unchanged.
 
     The first value below -NEGATIVE_CLAMP raises InternalNumericalError.
+    Without negatives the float values come back as they are, never written.
     """
-    values = np.asarray(values)
+    values = np.asarray(values, dtype=np.result_type(values, 0.0))
+    negative = values < 0.0
+    if not negative.any():
+        return values
     raise_for_first(values < -NEGATIVE_CLAMP, lambda row: InternalNumericalError(
         f"coherence value {row_value(values, row)!r} is negative beyond round-off"
     ))
-    return np.where(values < 0.0, 0.0, values)
+    return np.where(negative, 0.0, values)
 
 
 def _xlnx(x):
     """x ln x extended by continuity with 0 at x <= XLNX_FLOOR and at NaN.
 
-    The logarithm and the product are taken only where x > XLNX_FLOOR, into
-    one zero-filled array, so negative round-off needs no clip beforehand.
+    A plain log and an in-place product, which give the bits a masked log
+    would; the entries at or below the floor (0 and negative round-off
+    included) and NaNs are zeroed only when there are any. The log is
+    unguarded, so callers run this under np.errstate.
     """
     x = np.asarray(x)
-    keep = x > XLNX_FLOOR
-    out = np.zeros(x.shape, dtype=np.result_type(x, XLNX_FLOOR))
-    np.log(x, out=out, where=keep)
-    return np.multiply(out, x, out=out, where=keep)
+    out = np.empty(x.shape, np.result_type(x, XLNX_FLOOR))
+    np.log(x, out=out)
+    out *= x
+    if x.size and not x.min() > XLNX_FLOOR:
+        np.copyto(out, 0.0, where=np.logical_not(x > XLNX_FLOOR))
+    return out
 
 
 def l1_kernel(c1, c2, c3):
@@ -73,11 +81,21 @@ def rel_entropy_kernel(c1, c2, c3):
 
 
 def _rel_entropy(q, c3):
-    """Relative entropy of coherence from the parities ``q`` of a state and its c3."""
+    """Relative entropy of coherence from the parities ``q`` of a state and its c3.
+
+    Summed in place in the order ((x1 + x2) + x3) + x4; multiplying by 1/4
+    and 1/2 rounds exactly as dividing by 4 and 2 does.
+    """
     q1, q2, q3, q4 = q
-    spectral = _xlnx(q1) + _xlnx(q2) + _xlnx(q3) + _xlnx(q4)
-    diagonal = _xlnx(1.0 + c3) + _xlnx(1.0 - c3)
-    return spectral / 4.0 - diagonal / 2.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spectral = _xlnx(q1) + _xlnx(q2)
+        spectral += _xlnx(q3)
+        spectral += _xlnx(q4)
+        diagonal = _xlnx(1.0 + c3) + _xlnx(1.0 - c3)
+    spectral *= 0.25
+    diagonal *= 0.5
+    spectral -= diagonal
+    return spectral
 
 
 def skew_kernel(c1, c2, c3):
@@ -87,11 +105,12 @@ def skew_kernel(c1, c2, c3):
     exactly on a tetrahedron face then keep an exact zero product, whereas
     the plain products carry additive round-off that sqrt amplifies to ~1e-8.
     """
-    prod12 = (1.0 - c3 - (c1 + c2)) * (1.0 - c3 + (c1 + c2))
-    prod34 = (1.0 + c3 - (c1 - c2)) * (1.0 + c3 + (c1 - c2))
-    root12 = np.sqrt(np.clip(prod12, 0.0, None))
-    root34 = np.sqrt(np.clip(prod34, 0.0, None))
-    return (2.0 - root12 - root34) / 4.0
+    a, b = 1.0 - c3, 1.0 + c3
+    s, d = c1 + c2, c1 - c2
+    value = 2.0 - np.sqrt(np.maximum((a - s) * (a + s), 0.0))
+    value -= np.sqrt(np.maximum((b - d) * (b + d), 0.0))
+    value *= 0.25
+    return value
 
 
 _KERNELS = {

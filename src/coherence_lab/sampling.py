@@ -9,7 +9,7 @@ in a report always regenerates the identical sweep.
 from __future__ import annotations
 
 from .coherence import l1_kernel
-from .errors import require_count, require_integer
+from .errors import ParameterRangeError, require_bound, require_count, require_integer
 from .states import BellCoefficients, is_physical
 
 _MULT = 6364136223846793005
@@ -39,8 +39,13 @@ def random_physical_state(rng: Lcg, min_l1: float = 0.0) -> BellCoefficients:
     """Rejection-sample the cube [-1, 1]^3 until inside the tetrahedron.
 
     ``min_l1`` additionally rejects states whose l1 coherence falls below the
-    floor, which keeps decay-ratio denominators well conditioned.
+    floor, which keeps decay-ratio denominators well conditioned. It must lie
+    in [0, 1): l1 = max(|c1|, |c2|) reaches 1 only at the vertices, a set
+    of measure zero, so a floor of 1 or more would never be met.
     """
+    min_l1 = require_bound("min_l1", min_l1, strict=False)
+    if min_l1 >= 1.0:
+        raise ParameterRangeError(f"min_l1 must be < 1, got {min_l1!r}")
     while True:
         c = BellCoefficients(
             rng.next_in(-1.0, 1.0), rng.next_in(-1.0, 1.0), rng.next_in(-1.0, 1.0)

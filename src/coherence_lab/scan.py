@@ -10,11 +10,13 @@ construction.
 
 The frozen-surface scan does each piece of per-point work once. Lattice
 physicality is an exact integer test (lattice value i is c = u / s with
-u = 2i - s and s = grid_res - 1), made from two plane arrays built once
-per scan; it selects exactly the points ``physical_mask`` selects. The
-evolved side goes through ``closed_measures``, which forms each point's
-parities q_i once and uses them for both the physicality check and the
-rel-ent value.
+u = 2i - s and s = grid_res - 1), solved for the last index: row j of plane
+i is the run |i - j| <= k <= s - |i + j - s|, so each plane's points come
+from run lengths and are exactly those ``physical_mask`` selects. The two
+coherence floors are one compare, against the larger of
+nextafter(COHERENCE_FLOOR, inf) and min_coherence. The evolved side goes
+through ``closed_measures``, which forms each point's parities q_i once and
+uses them for both the physicality check and the rel-ent value.
 """
 
 from __future__ import annotations
@@ -112,14 +114,16 @@ def _physical_plane_indices(grid_res: int):
     so every parity q = (s -+ u1 -+ u2 -+ u3) / s >= 0 reads
     |u2 + u3| <= s - u1 and |u2 - u3| <= s + u1 in integers. The nonzero q
     are multiples of 2 / s, far outside PHYSICAL_TOL, so this exact test
-    selects what ``physical_mask`` selects on the rounded lattice.
+    selects what ``physical_mask`` selects on the rounded lattice. Solved
+    for k: row j of plane i is the run |i - j| <= k <= s - |i + j - s|.
     """
     s = grid_res - 1
-    u = 2 * np.arange(grid_res, dtype=np.int32) - s
-    plane_sum = np.abs(np.add.outer(u, u)).ravel()
-    plane_diff = np.abs(np.subtract.outer(u, u)).ravel()
-    for u1 in u:
-        yield np.flatnonzero((plane_sum <= s - u1) & (plane_diff <= s + u1))
+    j = np.arange(grid_res)
+    for i in range(grid_res):
+        first = np.abs(i - j)
+        lengths = np.maximum(s - np.abs(i + j - s) - first + 1, 0)
+        ends = np.cumsum(lengths)
+        yield np.repeat(j * grid_res + first - ends + lengths, lengths) + np.arange(ends[-1])
 
 
 def frozen_surface(
@@ -177,12 +181,15 @@ def frozen_surface(
     plane_c2, plane_c3 = np.repeat(axis, grid_res), np.tile(axis, grid_res)
     plane_e2, plane_e3 = np.repeat(e2, grid_res), np.tile(e3, grid_res)
 
+    # before > COHERENCE_FLOOR and before >= min_coherence, as one compare
+    floor = max(np.nextafter(COHERENCE_FLOOR, np.inf), min_coherence)
     kept = np.zeros((grid_res, grid_res * grid_res), dtype=bool)
     for i, (c1, index) in enumerate(zip(axis, _physical_plane_indices(grid_res))):
         # physical by selection, so only the clamp of closed_measure applies
         before = clamped_array(_KERNELS[measure](c1, plane_c2[index], plane_c3[index]))
-        coherent = (before > COHERENCE_FLOOR) & (before >= min_coherence)
-        index, before = index[coherent], before[coherent]
+        coherent = before >= floor
+        if not coherent.all():
+            index, before = index[coherent], before[coherent]
         after = closed_measures(measure, e1[i], plane_e2[index], plane_e3[index])
         kept[i, index[np.abs(after / before - 1.0) <= tol]] = True
     kept = kept.reshape(grid_res, grid_res, grid_res)

@@ -68,14 +68,11 @@ def parities(c1, c2, c3):
     """The parity combinations (q1, q2, q3, q4); scalars or broadcastable arrays.
 
     The density-matrix eigenvalues are q_i / 4. Every caller that needs the
-    q_i goes through here, so they are rounded the same way everywhere.
+    q_i goes through here, so they are rounded the same way everywhere: left
+    to right, as in 1 - c1 - c2 - c3, with 1 -+ c1 formed once.
     """
-    return (
-        1.0 - c1 - c2 - c3,
-        1.0 + c1 + c2 - c3,
-        1.0 + c1 - c2 + c3,
-        1.0 - c1 + c2 + c3,
-    )
+    a, b = 1.0 - c1, 1.0 + c1
+    return (a - c2 - c3, b + c2 - c3, b - c2 + c3, a + c2 + c3)
 
 
 def physical_mask(c1, c2, c3):
@@ -114,8 +111,14 @@ def require_physical(c1, c2, c3) -> tuple:
     """
     require_real("coefficients", c1, c2, c3)
     q = parities(c1, c2, c3)
-    outside = np.logical_not(_nonnegative(q))
-    if outside.any():
+    if isinstance(q[0], np.ndarray):
+        # q / 4 >= -tol exactly when q >= -4 tol: division by 4 is exact on
+        # normal numbers, and both hold on subnormals; NaN fails the minimum
+        inside = all(x.min(initial=np.inf) >= -4.0 * PHYSICAL_TOL for x in q)
+    else:
+        inside = _nonnegative(q)
+    if not inside:
+        outside = np.logical_not(_nonnegative(q))
         first = tuple(float(np.broadcast_to(c, outside.shape)[outside][0]) for c in (c1, c2, c3))
         raise UnphysicalStateError(
             f"coefficients {first} lie outside the physical tetrahedron "

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from coherence_lab import (
     single_parameter_kraus_set,
     to_density_matrix,
 )
+from coherence_lab import cli
 from coherence_lab.cli import main
 
 
@@ -184,6 +186,40 @@ def test_unwritable_output_path_is_a_typed_error(tmp_path, capsys, argv, target)
     assert code == 1
     assert err.startswith(f"error: cannot write {path}: ") and "Traceback" not in err
     assert not list(tmp_path.rglob(".coherence-lab-*"))
+
+
+# the first piece of work each writer does
+WORK = {
+    "decay-curve --out": "decay_curve",
+    "frozen-surface --out": "frozen_surface",
+    "verify --json": "_verify_measures",
+}
+
+
+@pytest.mark.parametrize("writer", list(WRITERS))
+def test_unwritable_output_path_fails_before_the_work(tmp_path, capsys, monkeypatch, writer):
+    def work(*args, **kwargs):
+        raise AssertionError(f"{writer} started its work before checking its output path")
+
+    monkeypatch.setattr(cli, WORK[writer], work)
+    path = tmp_path / "missing" / "out"
+    code, out, err = run(capsys, *WRITERS[writer], str(path))
+    assert code == 1 and err.startswith(f"error: cannot write {path}: ")
+    assert out == "" and "verify: PASS" not in out
+
+
+@pytest.mark.parametrize("measure", ["rel-ent", "skew"])
+def test_frozen_surface_on_faces_writes_nothing_to_stderr(tmp_path, capsys, measure):
+    # grid 21 puts lattice points on the tetrahedron faces, where q = 0 and
+    # the rel-ent log meets log(0): no RuntimeWarning may reach stderr, so
+    # none may be issued under any warning filter
+    with warnings.catch_warnings(record=True) as issued:
+        warnings.simplefilter("always")
+        code, _, err = run(
+            capsys, "frozen-surface", "--channel", "bf", "--measure", measure,
+            "--p", "0.5", "--n", "3", "--grid", "21", "--out", str(tmp_path / "cloud.csv"),
+        )
+    assert code == 0 and err == "" and not issued
 
 
 def test_frozen_surface_csv_metadata(tmp_path, capsys):

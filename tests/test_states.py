@@ -6,7 +6,9 @@ from hypothesis import given, settings
 
 from coherence_lab import (
     BellCoefficients,
+    Lcg,
     NotBellDiagonalError,
+    ParameterRangeError,
     NotPSDError,
     TraceNotOneError,
     UnphysicalStateError,
@@ -15,6 +17,8 @@ from coherence_lab import (
     from_density_matrix,
     hermitian_eigensystem,
     is_physical,
+    random_physical_state,
+    sample_states,
     to_density_matrix,
 )
 from coherence_lab.linalg import require_hermitian
@@ -130,3 +134,21 @@ def test_validate_density_matrix_errors():
         validate_density_matrix(good * 1.5)
     with pytest.raises(NotPSDError):
         validate_density_matrix(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
+
+
+# a floor of 1 or more, or NaN, could never be met, so the rejection loop
+# would never return: the check must fire before the first draw
+@pytest.mark.parametrize("min_l1", ["x", None, True, float("nan"), float("inf"), -1e-3, 1.0, 1.5, 2])
+def test_sampling_rejects_a_bad_l1_floor(min_l1):
+    with pytest.raises(ParameterRangeError, match="min_l1"):
+        sample_states(1, 1, min_l1=min_l1)
+    rng = Lcg(1)
+    with pytest.raises(ParameterRangeError, match="min_l1"):
+        random_physical_state(rng, min_l1)
+    assert rng.state == Lcg(1).state
+
+
+def test_sampling_accepts_l1_floors_below_one():
+    for min_l1 in (0, 0.0, np.float64(0.5), 0.9):
+        states = sample_states(3, 4, min_l1=min_l1)
+        assert all(is_physical(c) and max(abs(c.c1), abs(c.c2)) >= min_l1 for c in states)
