@@ -31,7 +31,6 @@ from .errors import (
     IncoherentStateError,
     InternalNumericalError,
     MissingGammaError,
-    NotBellDiagonalError,
     NotHermitianError,
     NotPSDError,
     ParameterRangeError,
@@ -72,7 +71,6 @@ __all__ = [
     "Lcg",
     "Measure",
     "MissingGammaError",
-    "NotBellDiagonalError",
     "NotHermitianError",
     "NotPSDError",
     "ParameterRangeError",

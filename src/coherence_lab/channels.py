@@ -168,12 +168,12 @@ def single_parameter_kraus_set(kind: ChannelKind, p: float) -> KrausSet:
 def _step(a: np.ndarray, products: np.ndarray, adjoints: np.ndarray) -> np.ndarray:
     """One application of E (x) E to checked density matrices; checks its output.
 
-    ``a`` is one matrix or an (N, 4, 4) stack, and ``products``/``adjoints``
-    are shared (K^2, 4, 4) stacks or per-row (N, K^2, 4, 4) ones. The terms
-    P_k a P_k^dag are summed from zero in the order of the products. Each
-    output is checked once, by ``validate_density_matrix`` and for trace
-    drift, so it can be the next input unchecked. A check that fails here is
-    the channel's fault, not the caller's, so it raises InternalNumericalError.
+    ``a`` is an (N, 4, 4) stack, and ``products``/``adjoints`` are the
+    (N, K^2, 4, 4) stacks of its rows' Kraus sets. The terms P_k a P_k^dag
+    are summed from zero in the order of the products. Each output is
+    checked once, by ``validate_density_matrix`` and for trace drift, so it
+    can be the next input unchecked. A check that fails here is the
+    channel's fault, not the caller's, so it raises InternalNumericalError.
     """
     terms = products @ a[..., None, :, :] @ adjoints
     out = np.add.reduce(terms, axis=-3, initial=0.0)
@@ -200,10 +200,11 @@ def apply_n(
     """n successive applications of the product channel.
 
     ``rho`` is one density matrix or an (N, 4, 4) stack; one matrix runs as
-    a stack of one. For a stack, ``kset`` may be one Kraus set or N of them
-    (one per row, all with the same number of operators), and ``n`` one
-    count or N of them; a row stops once it has had its own n steps. ``rho``
-    is validated once; every later input is a step's checked output.
+    a stack of one. For a stack, ``kset`` may be N Kraus sets (one per row,
+    all with the same number of operators) or one, which stands for itself
+    repeated per row, and ``n`` one count or N of them; a row stops once it
+    has had its own n steps. ``rho`` is validated once; every later input
+    is a step's checked output.
     """
     counts = np.array([
         require_count("iteration count", k) for k in np.ravel(np.array(n, dtype=object))
@@ -214,21 +215,19 @@ def apply_n(
         counts = np.full(len(stack), counts[0])
     elif counts.size != len(stack):
         raise ValidationError(f"{counts.size} iteration counts for a stack of shape {a.shape}")
-    if isinstance(kset, KrausSet):
-        out = _per_row_steps(stack, counts, lambda rows: _step(rows, kset.products, kset.adjoints))
-    else:
-        if len(kset) != len(stack):
-            raise ValidationError(f"{len(kset)} Kraus sets for a stack of shape {a.shape}")
-        if len({k.products.shape for k in kset}) > 1:
-            raise ValidationError("the Kraus sets of one stack must have equal operator counts")
-        out = _per_row_steps(stack, counts, _step, lambda order: (
-            np.stack([kset[k].products for k in order]),
-            np.stack([kset[k].adjoints for k in order]),
-        ))
+    ksets = [kset] * len(stack) if isinstance(kset, KrausSet) else kset
+    if len(ksets) != len(stack):
+        raise ValidationError(f"{len(ksets)} Kraus sets for a stack of shape {a.shape}")
+    if len({k.products.shape for k in ksets}) > 1:
+        raise ValidationError("the Kraus sets of one stack must have equal operator counts")
+    out = _per_row_steps(stack, counts, _step, lambda order: (
+        np.stack([ksets[k].products for k in order]),
+        np.stack([ksets[k].adjoints for k in order]),
+    ))
     return out.reshape(a.shape)
 
 
-def _per_row_steps(out: np.ndarray, counts: np.ndarray, step, per_row=lambda order: ()):
+def _per_row_steps(out: np.ndarray, counts: np.ndarray, step, per_row):
     """``out`` with row k replaced by ``counts[k]`` applications of ``step``.
 
     ``step(rows, *args)`` maps a stack of rows to the next one, with

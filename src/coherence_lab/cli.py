@@ -17,8 +17,8 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
@@ -90,47 +90,46 @@ def _parse_n_list(text: str) -> tuple[int, ...]:
         raise ValidationError(f"could not parse iteration list from {text!r}") from exc
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write ``text`` to ``path`` via a renamed temporary file; an OSError is a ValidationError."""
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    tmp = None
+@contextmanager
+def _output(path: str | None):
+    """The one output writer: yields ``write(text)`` for a command's result.
+
+    Without a path the text goes to stdout. With one, entering rejects a
+    path that has no file name or that names a directory, and creates the
+    temporary file beside the target, so an unwritable path fails before the
+    work in the ``with`` body. When the body ends, the text is written to
+    that file and the file is renamed onto ``path``. The temporary file is
+    opened as ``open(path, "w")`` opens a file, so a new target gets mode
+    0o666 less the umask, and it is removed on any failure.
+    """
+    if path is None:
+        yield sys.stdout.write
+        return
+    if not os.path.basename(path) or os.path.isdir(path):
+        raise ValidationError(f"cannot write {path}: it names no file")
+    tmp = os.path.join(os.path.dirname(path), f".coherence-lab-{os.urandom(8).hex()}")
+    with _cannot_write(path):
+        fh = open(tmp, "x", newline="")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".coherence-lab-")
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        with fh:
+            parts = []
+            yield parts.append
+            with _cannot_write(path):
+                fh.write("".join(parts))
+                fh.close()
+                os.replace(tmp, path)
     finally:
-        if tmp is not None and os.path.exists(tmp):
+        if os.path.exists(tmp):
             os.unlink(tmp)
 
 
-def _require_writable(path: str | None) -> None:
-    """Fail before any work when ``path`` (if given) cannot be written.
-
-    Probes the directory with a temporary file, which it removes, and
-    rejects an existing directory as the target, with the ValidationError
-    that ``_atomic_write`` would raise only after the work.
-    """
-    if path is None:
-        return
-    if os.path.isdir(path):
-        raise ValidationError(f"cannot write {path}: it is a directory")
+@contextmanager
+def _cannot_write(path: str):
+    """Re-raise an OSError of the block as the ValidationError 'cannot write ``path``'."""
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                   prefix=".coherence-lab-")
+        yield
     except OSError as exc:
         raise ValidationError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    os.close(fd)
-    os.unlink(tmp)
-
-
-def _emit(path: str | None, text: str) -> None:
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        _atomic_write(path, text)
 
 
 def _curve_csv(curve: DecayCurve) -> str:
@@ -202,55 +201,55 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         if args.gamma is not None:
             raise ValidationError("--gamma requires --method kraus (two-parameter gad)")
         evolved = coefficient_map(kind, p, args.n, state, mode)
-        print(f"state: {evolved.c1:.12g},{evolved.c2:.12g},{evolved.c3:.12g}")
-        print("residual: 0")
-        _print_measure_triple(lambda m: closed_measure(m, evolved))
-        return 0
-    if mode is CoefficientMapMode.PAPER:
-        raise ValidationError("--coeff-map paper requires --method closed-form")
-    if args.gamma is not None:
-        gamma = _clamped_probability("gamma", args.gamma)
-        kset = kraus_set(kind, p, gamma)
+        residual = "0"
+        value_of = lambda m: closed_measure(m, evolved)
     else:
-        kset = single_parameter_kraus_set(kind, p)
-    rho = apply_n(to_density_matrix(state), kset, args.n)
-    evolved, residual = from_density_matrix(rho)
+        if mode is CoefficientMapMode.PAPER:
+            raise ValidationError("--coeff-map paper requires --method closed-form")
+        if args.gamma is not None:
+            kset = kraus_set(kind, p, _clamped_probability("gamma", args.gamma))
+        else:
+            kset = single_parameter_kraus_set(kind, p)
+        rho = apply_n(to_density_matrix(state), kset, args.n)
+        evolved, residual = from_density_matrix(rho)
+        residual = f"{residual:.3e}"
+        value_of = lambda m: matrix_measure(m, rho)
     print(f"state: {evolved.c1:.12g},{evolved.c2:.12g},{evolved.c3:.12g}")
-    print(f"residual: {residual:.3e}")
-    _print_measure_triple(lambda m: matrix_measure(m, rho))
+    print(f"residual: {residual}")
+    _print_measure_triple(value_of)
     return 0
 
 
 def _cmd_decay_curve(args: argparse.Namespace) -> int:
-    _require_writable(args.out)
-    curve = decay_curve(
-        ChannelKind(args.channel),
-        Measure(args.measure),
-        _parse_state(args.state),
-        _parse_n_list(args.n_list),
-        p_count=args.grid,
-        mode=CoefficientMapMode(args.coeff_map),
-    )
-    _emit(args.out, _curve_csv(curve))
+    with _output(args.out) as write:
+        curve = decay_curve(
+            ChannelKind(args.channel),
+            Measure(args.measure),
+            _parse_state(args.state),
+            _parse_n_list(args.n_list),
+            p_count=args.grid,
+            mode=CoefficientMapMode(args.coeff_map),
+        )
+        write(_curve_csv(curve))
     if args.out is not None:
         print(f"wrote {args.out}: {len(curve.p_values)} p values x {len(curve.n_list)} n values")
     return 0
 
 
 def _cmd_frozen_surface(args: argparse.Namespace) -> int:
-    _require_writable(args.out)
-    cloud = frozen_surface(
-        ChannelKind(args.channel),
-        Measure(args.measure),
-        _clamped_probability("p", args.p),
-        args.n,
-        grid_res=args.grid,
-        tol=args.tol,
-        min_coherence=args.min_coherence,
-        mode=CoefficientMapMode(args.coeff_map),
-    )
-    render = _cloud_ply if args.format == "ply" else _cloud_csv
-    _emit(args.out, render(cloud))
+    with _output(args.out) as write:
+        cloud = frozen_surface(
+            ChannelKind(args.channel),
+            Measure(args.measure),
+            _clamped_probability("p", args.p),
+            args.n,
+            grid_res=args.grid,
+            tol=args.tol,
+            min_coherence=args.min_coherence,
+            mode=CoefficientMapMode(args.coeff_map),
+        )
+        render = _cloud_ply if args.format == "ply" else _cloud_csv
+        write(render(cloud))
     if args.out is not None:
         print(f"wrote {args.out}: points={len(cloud.points)} components={cloud.components}")
     return 0
@@ -390,7 +389,6 @@ def _verify_engines(seed: int, trials: int) -> tuple[list[_Deviation], list[str]
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     require_count("--trials", args.trials)
-    _require_writable(args.json)
     suites = (
         ("coherence measures", lambda: _verify_measures(args.seed, args.trials)),
         ("coefficient maps", lambda: _verify_coefficient_maps(args.seed)),
@@ -405,26 +403,27 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "suites": [],
     }
     all_ok = True
-    print(f"verify: seed={args.seed} trials={args.trials}")
-    for name, run in suites:
-        start = time.perf_counter()
-        worst, lines = run()
-        wall_s = time.perf_counter() - start
-        ok = all(dev.ok for dev in worst)
-        all_ok = all_ok and ok
-        print(f"suite {name}: {'PASS' if ok else 'FAIL'}")
-        for line in lines:
-            print(line)
-        report["suites"].append({
-            "suite": name,
-            "passed": ok,
-            "wall_s": wall_s,
-            "checks": [asdict(dev) for dev in worst],
-        })
-    print(f"verify: {'PASS' if all_ok else 'FAIL'}")
-    report["passed"] = all_ok
-    if args.json is not None:
-        _atomic_write(args.json, json.dumps(report, indent=2) + "\n")
+    with _output(args.json) as write:
+        print(f"verify: seed={args.seed} trials={args.trials}")
+        for name, run in suites:
+            start = time.perf_counter()
+            worst, lines = run()
+            wall_s = time.perf_counter() - start
+            ok = all(dev.ok for dev in worst)
+            all_ok = all_ok and ok
+            print(f"suite {name}: {'PASS' if ok else 'FAIL'}")
+            for line in lines:
+                print(line)
+            report["suites"].append({
+                "suite": name,
+                "passed": ok,
+                "wall_s": wall_s,
+                "checks": [asdict(dev) for dev in worst],
+            })
+        print(f"verify: {'PASS' if all_ok else 'FAIL'}")
+        report["passed"] = all_ok
+        if args.json is not None:
+            write(json.dumps(report, indent=2) + "\n")
     return 0 if all_ok else 1
 
 

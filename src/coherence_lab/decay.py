@@ -102,11 +102,8 @@ def decay_rates(queries: Sequence[DecayQuery]) -> np.ndarray:
 
 def _by_measure(measures: list[Measure], rows: np.ndarray, evaluate) -> np.ndarray:
     """``evaluate(measure, rows[mask])`` for each measure present, scattered back by row."""
-    present = dict.fromkeys(measures)
-    if len(present) == 1:
-        return evaluate(measures[0], rows)
     values = np.empty(len(measures))
-    for measure in present:
+    for measure in dict.fromkeys(measures):
         mask = np.array([m is measure for m in measures])
         values[mask] = evaluate(measure, rows[mask])
     return values

@@ -42,10 +42,6 @@ class UnphysicalStateError(ValidationError):
     """Correlation coefficients lie outside the physical tetrahedron."""
 
 
-class NotBellDiagonalError(ValidationError):
-    """Density matrix is too far from the Bell-diagonal family."""
-
-
 class ParameterRangeError(ValidationError):
     """Scalar parameter (probability, iteration count, grid size) out of range."""
 

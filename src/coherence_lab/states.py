@@ -16,14 +16,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import NotBellDiagonalError, UnphysicalStateError, ValidationError, require_real
-from .linalg import (
-    raise_for_first,
-    require_hermitian,
-    require_psd,
-    require_unit_trace,
-    row_value,
-)
+from .errors import UnphysicalStateError, ValidationError, require_real
+from .linalg import require_hermitian, require_psd, require_unit_trace
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
@@ -83,13 +77,13 @@ def physical_mask(c1, c2, c3):
 def _nonnegative(q):
     """Elementwise: every q_i / 4 of the parities ``q`` is >= -PHYSICAL_TOL.
 
-    Four comparisons rather than min(q_i) / 4 >= -PHYSICAL_TOL: rounded
-    division by 4 is monotone, so the two tests agree on every input, and
-    this one is cheaper on arrays and stays in plain floats for a scalar state.
+    Tested as q_i >= -4 PHYSICAL_TOL, with no division: division by 4 is
+    exact on normal numbers, both tests hold on subnormals and NaN fails
+    both, so the two agree on every input. A scalar state stays in floats.
     """
     q1, q2, q3, q4 = q
-    floor = -PHYSICAL_TOL
-    return (q1 / 4.0 >= floor) & (q2 / 4.0 >= floor) & (q3 / 4.0 >= floor) & (q4 / 4.0 >= floor)
+    floor = -4.0 * PHYSICAL_TOL
+    return (q1 >= floor) & (q2 >= floor) & (q3 >= floor) & (q4 >= floor)
 
 
 def bell_eigenvalues(c: BellCoefficients) -> np.ndarray:
@@ -111,14 +105,9 @@ def require_physical(c1, c2, c3) -> tuple:
     """
     require_real("coefficients", c1, c2, c3)
     q = parities(c1, c2, c3)
-    if isinstance(q[0], np.ndarray):
-        # q / 4 >= -tol exactly when q >= -4 tol: division by 4 is exact on
-        # normal numbers, and both hold on subnormals; NaN fails the minimum
-        inside = all(x.min(initial=np.inf) >= -4.0 * PHYSICAL_TOL for x in q)
-    else:
-        inside = _nonnegative(q)
-    if not inside:
-        outside = np.logical_not(_nonnegative(q))
+    inside = _nonnegative(q)
+    if not np.asarray(inside).all():
+        outside = np.logical_not(inside)
         first = tuple(float(np.broadcast_to(c, outside.shape)[outside][0]) for c in (c1, c2, c3))
         raise UnphysicalStateError(
             f"coefficients {first} lie outside the physical tetrahedron "
@@ -160,25 +149,17 @@ def validate_density_matrix(rho: np.ndarray) -> np.ndarray:
     return a
 
 
-def from_density_matrix(
-    rho: np.ndarray, max_residual: float | None = None
-) -> tuple[BellCoefficients, float]:
+def from_density_matrix(rho: np.ndarray) -> tuple[BellCoefficients, float]:
     """Extract (c1, c2, c3) = Tr(rho sigma_i (x) sigma_i) from a density matrix.
 
     Returns the coefficients together with the reconstruction residual
-    max |rho - rho(c)|. The residual is 0 (up to round-off) exactly when rho
-    is Bell diagonal; when ``max_residual`` is given, a larger residual
-    raises NotBellDiagonalError instead of being returned. A (..., 4, 4)
-    stack gives coefficient and residual arrays, one entry per matrix.
+    max |rho - rho(c)|, which is 0 (up to round-off) exactly when rho is
+    Bell diagonal. A (..., 4, 4) stack gives coefficient and residual
+    arrays, one entry per matrix.
     """
     a = validate_density_matrix(rho)
     c = [np.trace(a @ m, axis1=-2, axis2=-1).real for m in _CORRELATORS]
     residual = np.max(np.abs(a - _build_matrix(*c)), axis=(-2, -1))
-    if max_residual is not None:
-        raise_for_first(residual > max_residual, lambda row: NotBellDiagonalError(
-            f"reconstruction residual {row_value(residual, row):.3e} exceeds "
-            f"{max_residual:.1e}; the matrix is not Bell diagonal"
-        ))
     if a.ndim == 2:
         return BellCoefficients(*(float(x) for x in c)), float(residual)
     return BellCoefficients(*c), residual

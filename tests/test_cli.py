@@ -1,4 +1,6 @@
 import json
+import os
+import stat
 import warnings
 
 import numpy as np
@@ -164,6 +166,7 @@ def test_decay_curve_validation_never_writes_partial_file(tmp_path, capsys):
         "--state", "0.6,0.1,0.2", "--n-list", "0,2", "--out", str(out_path),
     )
     assert code == 1 and not out_path.exists()
+    assert not list(tmp_path.iterdir())  # nor the temporary file made before the work
 
 
 WRITERS = {
@@ -175,17 +178,27 @@ WRITERS = {
 }
 
 
-# a missing directory fails before the temporary file exists, a directory
-# as the target only when the temporary file is renamed onto it
-@pytest.mark.parametrize("target", ["missing/out", "a-directory"])
+# targets relative to a working directory one level inside tmp_path, so a
+# temporary file left beside the target, or beside its parent, shows there:
+# a missing directory, a directory, no path at all, and a path with no file
+# name (all rejected before the work, so no temporary file is ever made)
+UNWRITABLE = ["missing/out", "a-directory", "", "missing-dir/"]
+
+
+@pytest.fixture
+def workdir(tmp_path, monkeypatch):
+    (tmp_path / "cwd" / "a-directory").mkdir(parents=True)
+    monkeypatch.chdir(tmp_path / "cwd")
+    return tmp_path
+
+
+@pytest.mark.parametrize("target", UNWRITABLE)
 @pytest.mark.parametrize("argv", WRITERS.values(), ids=list(WRITERS))
-def test_unwritable_output_path_is_a_typed_error(tmp_path, capsys, argv, target):
-    (tmp_path / "a-directory").mkdir()
-    path = tmp_path / target
-    code, _, err = run(capsys, *argv, str(path))
-    assert code == 1
-    assert err.startswith(f"error: cannot write {path}: ") and "Traceback" not in err
-    assert not list(tmp_path.rglob(".coherence-lab-*"))
+def test_unwritable_output_path_is_a_typed_error(workdir, capsys, argv, target):
+    code, out, err = run(capsys, *argv, target)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: cannot write {target}: ") and "Traceback" not in err
+    assert not list(workdir.rglob(".coherence-lab-*"))
 
 
 # the first piece of work each writer does
@@ -196,16 +209,31 @@ WORK = {
 }
 
 
+@pytest.mark.parametrize("target", UNWRITABLE)
 @pytest.mark.parametrize("writer", list(WRITERS))
-def test_unwritable_output_path_fails_before_the_work(tmp_path, capsys, monkeypatch, writer):
+def test_unwritable_output_path_fails_before_the_work(workdir, capsys, monkeypatch, writer,
+                                                      target):
     def work(*args, **kwargs):
         raise AssertionError(f"{writer} started its work before checking its output path")
 
     monkeypatch.setattr(cli, WORK[writer], work)
-    path = tmp_path / "missing" / "out"
-    code, out, err = run(capsys, *WRITERS[writer], str(path))
-    assert code == 1 and err.startswith(f"error: cannot write {path}: ")
-    assert out == "" and "verify: PASS" not in out
+    code, out, err = run(capsys, *WRITERS[writer], target)
+    assert code == 1 and err.startswith(f"error: cannot write {target}: ")
+    assert out == ""
+    assert not list(workdir.rglob(".coherence-lab-*"))
+
+
+@pytest.mark.parametrize("writer", list(WRITERS))
+def test_output_file_gets_the_mode_open_gives(tmp_path, capsys, writer):
+    path = tmp_path / "out"
+    old = os.umask(0o022)
+    try:
+        code, _, _ = run(capsys, *WRITERS[writer], str(path))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o644
+    assert [entry.name for entry in tmp_path.iterdir()] == ["out"]
 
 
 @pytest.mark.parametrize("measure", ["rel-ent", "skew"])

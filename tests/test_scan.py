@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
+from scipy.special import xlogy
 
 from coherence_lab import (
     BellCoefficients,
@@ -288,3 +289,61 @@ def test_skew_rate_bound_next_to_an_edge():
     state = BellCoefficients(0.18642486398938007, -0.9999999999999999, 0.18642486398938007)
     rate = decay_rate(DecayQuery(state, Measure.SKEW, ChannelKind.BIT_PHASE_FLIP, 0.25, 1))
     assert rate <= 1.0 + 1e-9
+
+
+# Bromley, Cianciaruso and Adesso, PRL 114, 210401: under bf (which keeps c1)
+# a Bell-diagonal state on c2 = -c1 c3 keeps all its coherence, and so does
+# one on c1 = -c2 c3 under bpf (which keeps c2). This check uses only that
+# condition and numpy's eigh, and shares no code with either engine.
+_PAULI_PAIRS = np.array([np.kron(m, m) for m in (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]]),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)])
+
+
+def _surface_lattice_points(kind, grid_res):
+    """Integer coordinates (u1, u2, u3) of the physical lattice points on the freezing surface.
+
+    Lattice value i is c = u / s with u = 2i - s and s = grid_res - 1, so the
+    bf surface reads u2 s = -u1 u3, the bpf surface u1 s = -u2 u3, and a
+    point is physical when every parity s -+ u1 -+ u2 -+ u3 is >= 0.
+    """
+    s = grid_res - 1
+    u = np.arange(-s, s + 1, 2)
+    u1, u2, u3 = u[:, None, None], u[None, :, None], u[None, None, :]
+    on = (u2 * s == -u1 * u3) if kind is BF else (u1 * s == -u2 * u3)
+    u1, u2, u3 = (u[axis] for axis in np.nonzero(on))
+    parities = np.array([s - u1 - u2 - u3, s + u1 + u2 - u3, s + u1 - u2 + u3, s - u1 + u2 + u3])
+    return np.column_stack([u1, u2, u3])[parities.min(axis=0) >= 0]
+
+
+def _matrix_coherence(measure, c):
+    """rel-ent S(diag rho) - S(rho) or skew 1 - sum_k <k|sqrt(rho)|k>^2 of each row of ``c``."""
+    rho = (np.eye(4) + np.einsum("ni,ijk->njk", c, _PAULI_PAIRS)) / 4.0
+    w, v = np.linalg.eigh(rho)
+    w = np.clip(w, 0.0, None)
+    if measure is Measure.REL_ENT:
+        diagonal = np.clip(np.diagonal(rho, axis1=1, axis2=2).real, 0.0, None)
+        return np.sum(xlogy(w, w), axis=1) - np.sum(xlogy(diagonal, diagonal), axis=1)
+    root = (v * np.sqrt(w)[:, None, :]) @ v.conj().transpose(0, 2, 1)
+    return 1.0 - np.sum(np.diagonal(root, axis1=1, axis2=2).real ** 2, axis=1)
+
+
+@pytest.mark.parametrize("grid_res", [41, 101])
+@pytest.mark.parametrize("measure", [Measure.REL_ENT, Measure.SKEW])
+@pytest.mark.parametrize("kind", [BF, ChannelKind.BIT_PHASE_FLIP])
+def test_lattice_points_on_the_freezing_surface_are_in_the_cloud(kind, measure, grid_res):
+    min_coherence = 1e-4
+    u = _surface_lattice_points(kind, grid_res)
+    before = _matrix_coherence(measure, u / (grid_res - 1))
+    # no point so close to the floor that round-off could decide its side
+    assert np.all(np.abs(before / min_coherence - 1.0) > 1e-6)
+    expected = u[before >= min_coherence]
+    assert len(expected) > 0
+    for n in (1, 5, 50):
+        cloud = frozen_surface(kind, measure, 0.5, n, grid_res=grid_res,
+                               min_coherence=min_coherence)
+        members = {tuple(row) for row in np.rint(cloud.points * (grid_res - 1)).astype(int)}
+        missing = [tuple(row) for row in expected if tuple(row) not in members]
+        assert not missing, (n, missing[:5])

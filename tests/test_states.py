@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from coherence_lab import (
     BellCoefficients,
     Lcg,
-    NotBellDiagonalError,
     ParameterRangeError,
     NotPSDError,
     TraceNotOneError,
@@ -118,8 +117,6 @@ def test_from_density_matrix_strict_residual():
     rho[0, 0] = 1.0  # |00><00| is not Bell diagonal
     _, residual = from_density_matrix(rho)
     assert residual > 0.2
-    with pytest.raises(NotBellDiagonalError):
-        from_density_matrix(rho, max_residual=1e-6)
 
 
 def test_validate_density_matrix_errors():
