@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import time
 from contextlib import contextmanager
@@ -40,7 +41,7 @@ from .coherence import Measure, closed_measure, closed_measures, matrix_measure
 from .decay import DecayQuery, Engine, decay_rates
 from .errors import CoherenceLabError, ParameterRangeError, ValidationError, require_count
 from .sampling import Lcg, random_physical_state, sample_states
-from .scan import DecayCurve, SurfacePointCloud, decay_curve, frozen_surface
+from .scan import DecayCurve, SurfacePointCloud, decay_curve, frozen_surface, lattice_axis
 from .states import BellCoefficients, from_density_matrix, require_physical, to_density_matrix
 
 P_CLAMP = 1e-12
@@ -96,18 +97,21 @@ def _output(path: str | None):
 
     Without a path the text goes to stdout. With one, entering rejects a
     path that has no file name or that names a directory, and creates the
-    temporary file beside the target, so an unwritable path fails before the
-    work in the ``with`` body. When the body ends, the text is written to
-    that file and the file is renamed onto ``path``. The temporary file is
-    opened as ``open(path, "w")`` opens a file, so a new target gets mode
-    0o666 less the umask, and it is removed on any failure.
+    temporary file beside the file ``path`` resolves to through any
+    symlinks, so an unwritable path fails before the work in the ``with``
+    body. When the body ends, the text is written to that file and the file
+    is renamed onto the resolved target, as ``open(path, "w")`` would write
+    through a symlink. The temporary file is opened as ``open`` opens a
+    file, so a new target gets mode 0o666 less the umask; an existing target
+    keeps its permission bits. The temporary file is removed on any failure.
     """
     if path is None:
         yield sys.stdout.write
         return
     if not os.path.basename(path) or os.path.isdir(path):
         raise ValidationError(f"cannot write {path}: it names no file")
-    tmp = os.path.join(os.path.dirname(path), f".coherence-lab-{os.urandom(8).hex()}")
+    target = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(target), f".coherence-lab-{os.urandom(8).hex()}")
     with _cannot_write(path):
         fh = open(tmp, "x", newline="")
     try:
@@ -117,7 +121,9 @@ def _output(path: str | None):
             with _cannot_write(path):
                 fh.write("".join(parts))
                 fh.close()
-                os.replace(tmp, path)
+                if os.path.exists(target):
+                    shutil.copymode(target, tmp)
+                os.replace(tmp, target)
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -141,25 +147,23 @@ def _curve_csv(curve: DecayCurve) -> str:
 
 
 def _metadata_comment(cloud: SurfacePointCloud) -> str:
-    pairs = ", ".join(f"{key}={value:.9g}" if isinstance(value, float) else f"{key}={value}"
-                      for key, value in cloud.metadata().items())
-    return pairs
+    return ", ".join(f"{key}={value:.9g}" if isinstance(value, float) else f"{key}={value}"
+                     for key, value in cloud.metadata().items())
 
 
-def _rows(points: np.ndarray, sep: str) -> list[str]:
+def _rows(cloud: SurfacePointCloud, sep: str) -> list[str]:
     """One line per point, each coordinate as ``{:.9g}``.
 
-    Lattice clouds repeat few distinct values, so each distinct bit pattern
-    (keeping -0.0 apart from 0.0) is formatted once and then looked up.
+    Each of the grid_res axis values is formatted once; a row joins the
+    texts its three lattice indices pick.
     """
-    bits = np.ascontiguousarray(points, dtype=np.float64).view(np.int64)
-    keys, inverse = np.unique(bits, return_inverse=True)
-    text = np.array([f"{v:.9g}" for v in keys.view(np.float64)], dtype=object)
-    return [sep.join(row) for row in text[inverse.reshape(bits.shape)].tolist()]
+    text = [f"{v:.9g}" for v in lattice_axis(cloud.grid_res).tolist()]
+    return [f"{text[i]}{sep}{text[j]}{sep}{text[k]}"
+            for i, j, k in zip(*cloud.indices.T.tolist())]
 
 
 def _cloud_csv(cloud: SurfacePointCloud) -> str:
-    lines = [f"# {_metadata_comment(cloud)}", "c1,c2,c3", *_rows(cloud.points, ",")]
+    lines = [f"# {_metadata_comment(cloud)}", "c1,c2,c3", *_rows(cloud, ",")]
     return "\n".join(lines) + "\n"
 
 
@@ -168,12 +172,12 @@ def _cloud_ply(cloud: SurfacePointCloud) -> str:
         "ply",
         "format ascii 1.0",
         f"comment {_metadata_comment(cloud)}",
-        f"element vertex {len(cloud.points)}",
+        f"element vertex {len(cloud.indices)}",
         "property float x",
         "property float y",
         "property float z",
         "end_header",
-        *_rows(cloud.points, " "),
+        *_rows(cloud, " "),
     ]
     return "\n".join(lines) + "\n"
 
@@ -251,7 +255,7 @@ def _cmd_frozen_surface(args: argparse.Namespace) -> int:
         render = _cloud_ply if args.format == "ply" else _cloud_csv
         write(render(cloud))
     if args.out is not None:
-        print(f"wrote {args.out}: points={len(cloud.points)} components={cloud.components}")
+        print(f"wrote {args.out}: points={len(cloud.indices)} components={cloud.components}")
     return 0
 
 

@@ -16,7 +16,9 @@ from run lengths and are exactly those ``physical_mask`` selects. The two
 coherence floors are one compare, against the larger of
 nextafter(COHERENCE_FLOOR, inf) and min_coherence. The evolved side goes
 through ``closed_measures``, which forms each point's parities q_i once and
-uses them for both the physicality check and the rel-ent value.
+uses them for both the physicality check and the rel-ent value. The cloud
+keeps the kept points' integer lattice indices; their coordinates are
+derived from ``lattice_axis`` on demand, so renderers work from the indices.
 """
 
 from __future__ import annotations
@@ -79,6 +81,11 @@ def decay_curve(
     return DecayCurve(kind, measure, state, mode, n_tuple, p_values, rates)
 
 
+def lattice_axis(grid_res: int) -> np.ndarray:
+    """The values of the grid_res lattice points along each axis, evenly spaced from -1 to 1."""
+    return np.linspace(-1.0, 1.0, grid_res)
+
+
 @dataclass(frozen=True)
 class SurfacePointCloud:
     kind: ChannelKind
@@ -89,8 +96,13 @@ class SurfacePointCloud:
     grid_res: int
     tol: float
     min_coherence: float
-    points: np.ndarray  # shape (N, 3), lattice order
+    indices: np.ndarray  # shape (N, 3), integer lattice indices in lattice order
     components: int
+
+    @property
+    def points(self) -> np.ndarray:
+        """The (N, 3) coordinates of the points, ``lattice_axis(grid_res)[indices]``."""
+        return lattice_axis(self.grid_res)[self.indices]
 
     def metadata(self) -> dict[str, object]:
         return {
@@ -102,7 +114,7 @@ class SurfacePointCloud:
             "grid": self.grid_res,
             "tol": self.tol,
             "min_coherence": self.min_coherence,
-            "points": len(self.points),
+            "points": len(self.indices),
             "components": self.components,
         }
 
@@ -157,7 +169,9 @@ def frozen_surface(
 
     Returns
     -------
-    SurfacePointCloud with points in ascending lattice order.
+    SurfacePointCloud whose ``indices`` are the kept points' (i, j, k)
+    lattice indices in ascending lattice order; ``points`` gives their
+    coordinates ``lattice_axis(grid_res)[indices]``.
     """
     kind = ChannelKind(kind)
     measure = Measure(measure)
@@ -170,7 +184,7 @@ def frozen_surface(
     n = require_count("iteration count", n)
     factors = per_iteration_factors(kind, p, mode)
 
-    axis = np.linspace(-1.0, 1.0, grid_res)
+    axis = lattice_axis(grid_res)
     # a coefficient's evolution does not depend on the other two, so evolving
     # the axis once per factor gives every lattice point's evolved coefficients
     e1, e2, e3 = evolve_rows(
@@ -195,9 +209,9 @@ def frozen_surface(
     kept = kept.reshape(grid_res, grid_res, grid_res)
     if kept.any():
         _, components = ndimage.label(kept)
-        points = np.column_stack([axis[index] for index in np.nonzero(kept)])
+        indices = np.argwhere(kept)
     else:  # an empty cloud has nothing to label or gather
-        components, points = 0, np.empty((0, 3))
+        components, indices = 0, np.empty((0, 3), dtype=np.intp)
     return SurfacePointCloud(
         kind=kind,
         measure=measure,
@@ -207,6 +221,6 @@ def frozen_surface(
         grid_res=grid_res,
         tol=tol,
         min_coherence=min_coherence,
-        points=points,
+        indices=indices,
         components=int(components),
     )

@@ -236,6 +236,37 @@ def test_output_file_gets_the_mode_open_gives(tmp_path, capsys, writer):
     assert [entry.name for entry in tmp_path.iterdir()] == ["out"]
 
 
+@pytest.mark.parametrize("writer", list(WRITERS))
+def test_output_file_keeps_an_existing_targets_mode(tmp_path, capsys, writer):
+    path = tmp_path / "out"
+    path.write_text("old\n")
+    path.chmod(0o600)
+    code, _, _ = run(capsys, *WRITERS[writer], str(path))
+    assert code == 0
+    assert stat.S_IMODE(os.stat(path).st_mode) == 0o600
+    assert path.read_text() != "old\n"
+    assert [entry.name for entry in tmp_path.iterdir()] == ["out"]
+
+
+@pytest.mark.parametrize("writer", list(WRITERS))
+def test_output_through_a_symlink_writes_its_target(tmp_path, capsys, writer):
+    # the link and its target in different directories, so the temporary
+    # file must be made beside the target for the rename to land there
+    (tmp_path / "data").mkdir()
+    (tmp_path / "links").mkdir()
+    real = tmp_path / "data" / "real"
+    real.write_text("old\n")
+    link = tmp_path / "links" / "out"
+    link.symlink_to(os.path.join("..", "data", "real"))
+    code, _, _ = run(capsys, *WRITERS[writer], str(link))
+    assert code == 0
+    assert link.is_symlink() and os.readlink(link) == os.path.join("..", "data", "real")
+    assert real.read_text() != "old\n" and link.read_text() == real.read_text()
+    assert sorted(str(entry.relative_to(tmp_path)) for entry in tmp_path.rglob("*")) == [
+        "data", os.path.join("data", "real"), "links", os.path.join("links", "out"),
+    ]
+
+
 @pytest.mark.parametrize("measure", ["rel-ent", "skew"])
 def test_frozen_surface_on_faces_writes_nothing_to_stderr(tmp_path, capsys, measure):
     # grid 21 puts lattice points on the tetrahedron faces, where q = 0 and

@@ -20,6 +20,7 @@ from coherence_lab.cli import main
 SURFACE_CASES = (
     ("bf", "0.5", "3", "21", ()),
     ("bf", "0.02", "2", "41", ("--tol", "1e-4")),
+    ("bf", "0.5", "5", "101", ()),  # the surface-dense benchmark's grid
     ("pf", "1e-4", "2", "21", ()),
     ("pf", "0.003", "1", "41", ("--tol", "0.01")),
     ("bpf", "0.3", "2", "21", ()),
@@ -81,6 +82,14 @@ GOLDEN = {
         '5b3b0e037b4b0a860ba23b74cbbb4816d44246a2b10d4d02be014cb8a512a215',
     'frozen-surface --channel bf --measure skew --p 0.02 --n 2 --grid 41 --format ply --tol 1e-4':
         '42d6f3c9bdf11477e5ab5aecd928fc1c711d4100f8e93f2b20bf36d971738a77',
+    'frozen-surface --channel bf --measure l1 --p 0.5 --n 5 --grid 101 --format csv':
+        'd607093c133909c0b43a21046d0513776fbd4d7b262316fb35940521d536223b',
+    'frozen-surface --channel bf --measure l1 --p 0.5 --n 5 --grid 101 --format ply':
+        '237f906ba2996b6f7577bb1d2f6cd727f36a648c2f84025a813559eed5374b83',
+    'frozen-surface --channel bf --measure skew --p 0.5 --n 5 --grid 101 --format csv':
+        '54dab04eb75efc69860fb98ca9bb593a533c47016b9a0600536207dd5d2cbdc9',
+    'frozen-surface --channel bf --measure skew --p 0.5 --n 5 --grid 101 --format ply':
+        '87e11513723f3226b4b6a936025ce42f68a566d8bdfbb8aec9c8e41fba742ab8',
     'frozen-surface --channel pf --measure l1 --p 1e-4 --n 2 --grid 21 --format csv':
         'b327faf571ff62ca6712445387f5d983374b12e316a4107948b62efbeab4d882',
     'frozen-surface --channel pf --measure l1 --p 1e-4 --n 2 --grid 21 --format ply':

@@ -107,6 +107,14 @@ def test_surface_bf_l1_region_small_grid():
         cloud.points,
         np.column_stack([axis[expected[:, 0]], axis[expected[:, 1]], axis[expected[:, 2]]]),
     )
+    # the stored lattice indices: integers, strictly ascending rows, and the
+    # points derived from them bit for bit
+    assert np.issubdtype(cloud.indices.dtype, np.integer)
+    steps = np.diff(cloud.indices, axis=0)
+    first_change = steps[np.arange(len(steps)), np.argmax(steps != 0, axis=1)]
+    assert np.all(first_change > 0)
+    assert np.array_equal(cloud.points.view(np.int64),
+                          np.linspace(-1, 1, grid)[cloud.indices].view(np.int64))
 
 
 def test_surface_soundness_recheck():
@@ -122,6 +130,8 @@ def test_surface_soundness_recheck():
 def test_surface_empty_cloud_is_valid():
     cloud = frozen_surface(GAD, Measure.REL_ENT, 0.5, 24, grid_res=21)
     assert cloud.points.shape == (0, 3)
+    assert cloud.indices.shape == (0, 3)
+    assert np.issubdtype(cloud.indices.dtype, np.integer)
     assert cloud.components == 0
     assert cloud.metadata()["points"] == 0
 
