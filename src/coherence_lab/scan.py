@@ -11,14 +11,15 @@ construction.
 The frozen-surface scan does each piece of per-point work once. Lattice
 physicality is an exact integer test (lattice value i is c = u / s with
 u = 2i - s and s = grid_res - 1), solved for the last index: row j of plane
-i is the run |i - j| <= k <= s - |i + j - s|, so each plane's points come
-from run lengths and are exactly those ``physical_mask`` selects. The two
-coherence floors are one compare, against the larger of
-nextafter(COHERENCE_FLOOR, inf) and min_coherence. The evolved side goes
-through ``closed_measures``, which forms each point's parities q_i once and
-uses them for both the physicality check and the rel-ent value. The cloud
-keeps the kept points' integer lattice indices; their coordinates are
-derived from ``lattice_axis`` on demand, so renderers work from the indices.
+i is the run |i - j| <= k <= s - |i + j - s|, so each plane yields the
+(j, k) index pairs of its points, built from run lengths: exactly the
+points ``physical_mask`` selects. The two coherence floors are one compare,
+against the larger of nextafter(COHERENCE_FLOOR, inf) and min_coherence.
+The evolved side goes through ``closed_measures``, which forms each point's
+parities q_i once and uses them for both the physicality check and the
+rel-ent value. The cloud keeps the kept points' integer lattice indices;
+their coordinates are derived from ``lattice_axis`` on demand, so renderers
+work from the indices.
 """
 
 from __future__ import annotations
@@ -119,8 +120,8 @@ class SurfacePointCloud:
         }
 
 
-def _physical_plane_indices(grid_res: int):
-    """For each c1 plane of the lattice, the flat indices j * grid_res + k of its physical points.
+def _physical_plane_points(grid_res: int):
+    """For each c1 plane, the (j, k) index pairs of its physical points, built from run lengths.
 
     Lattice value i is c = u / s exactly, with s = grid_res - 1 and u = 2i - s,
     so every parity q = (s -+ u1 -+ u2 -+ u3) / s >= 0 reads
@@ -134,8 +135,8 @@ def _physical_plane_indices(grid_res: int):
     for i in range(grid_res):
         first = np.abs(i - j)
         lengths = np.maximum(s - np.abs(i + j - s) - first + 1, 0)
-        ends = np.cumsum(lengths)
-        yield np.repeat(j * grid_res + first - ends + lengths, lengths) + np.arange(ends[-1])
+        offsets = np.cumsum(lengths) - lengths  # where each row's run starts in the plane
+        yield np.repeat(j, lengths), np.repeat(first - offsets, lengths) + np.arange(lengths.sum())
 
 
 def frozen_surface(
@@ -191,22 +192,19 @@ def frozen_surface(
         np.repeat(axis[:, None], 3, axis=1), np.tile(factors, (grid_res, 1)),
         np.full(grid_res, n),
     ).T
-    # (c2, c3) and their evolved values at flat plane index j * grid_res + k
-    plane_c2, plane_c3 = np.repeat(axis, grid_res), np.tile(axis, grid_res)
-    plane_e2, plane_e3 = np.repeat(e2, grid_res), np.tile(e3, grid_res)
 
     # before > COHERENCE_FLOOR and before >= min_coherence, as one compare
     floor = max(np.nextafter(COHERENCE_FLOOR, np.inf), min_coherence)
-    kept = np.zeros((grid_res, grid_res * grid_res), dtype=bool)
-    for i, (c1, index) in enumerate(zip(axis, _physical_plane_indices(grid_res))):
+    kept = np.zeros((grid_res, grid_res, grid_res), dtype=bool)
+    for i, (c1, (j, k)) in enumerate(zip(axis, _physical_plane_points(grid_res))):
         # physical by selection, so only the clamp of closed_measure applies
-        before = clamped_array(_KERNELS[measure](c1, plane_c2[index], plane_c3[index]))
+        before = clamped_array(_KERNELS[measure](c1, axis[j], axis[k]))
         coherent = before >= floor
         if not coherent.all():
-            index, before = index[coherent], before[coherent]
-        after = closed_measures(measure, e1[i], plane_e2[index], plane_e3[index])
-        kept[i, index[np.abs(after / before - 1.0) <= tol]] = True
-    kept = kept.reshape(grid_res, grid_res, grid_res)
+            j, k, before = j[coherent], k[coherent], before[coherent]
+        after = closed_measures(measure, e1[i], e2[j], e3[k])
+        frozen = np.abs(after / before - 1.0) <= tol
+        kept[i, j[frozen], k[frozen]] = True
     if kept.any():
         _, components = ndimage.label(kept)
         indices = np.argwhere(kept)

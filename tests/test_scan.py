@@ -22,7 +22,7 @@ from coherence_lab import (
     is_physical,
 )
 from coherence_lab.decay import COHERENCE_FLOOR
-from coherence_lab.scan import _physical_plane_indices
+from coherence_lab.scan import _physical_plane_points
 from coherence_lab.states import physical_mask
 from conftest import REFERENCE, physical_coefficients
 
@@ -192,9 +192,10 @@ def test_integer_plane_mask_equals_float_mask():
     for grid in MASK_GRIDS:
         axis = np.linspace(-1.0, 1.0, grid)
         plane_c2, plane_c3 = np.repeat(axis, grid), np.tile(axis, grid)
-        # strict: one index array per plane, no more and no fewer
-        for c1, index in zip(axis, _physical_plane_indices(grid), strict=True):
-            assert np.array_equal(index, np.flatnonzero(physical_mask(c1, plane_c2, plane_c3)))
+        # strict: one (j, k) pair of index arrays per plane, no more and no fewer
+        for c1, (j, k) in zip(axis, _physical_plane_points(grid), strict=True):
+            mask = physical_mask(c1, plane_c2, plane_c3)
+            assert np.array_equal(j * grid + k, np.flatnonzero(mask))
 
 
 # p at both clamp edges, dep's complete-incoherence point, and anywhere between
