@@ -220,39 +220,34 @@ def apply_n(
         raise ValidationError(f"{len(ksets)} Kraus sets for a stack of shape {a.shape}")
     if len({k.products.shape for k in ksets}) > 1:
         raise ValidationError("the Kraus sets of one stack must have equal operator counts")
-    out = _per_row_steps(stack, counts, _step, lambda order: (
-        np.stack([ksets[k].products for k in order]),
-        np.stack([ksets[k].adjoints for k in order]),
+    out = _per_row_steps(stack, counts, _step, (
+        np.array([k.products for k in ksets]), np.array([k.adjoints for k in ksets]),
     ))
     return out.reshape(a.shape)
 
 
-def _per_row_steps(out: np.ndarray, counts: np.ndarray, step, per_row):
-    """``out`` with row k replaced by ``counts[k]`` applications of ``step``.
+def _per_row_steps(rows: np.ndarray, counts: np.ndarray, step, args: tuple) -> np.ndarray:
+    """``rows`` with row k replaced by ``counts[k]`` applications of ``step``.
 
     ``step(rows, *args)`` maps a stack of rows to the next one, with
-    ``args`` the per-row arrays that ``per_row(order)`` builds in the row
-    order ``order``, cut to the same rows. Rows run longest first, in phases
+    ``args`` the per-row arrays in row order, cut to the same rows. The rows
+    and ``args`` are sorted once by descending count (a stable sort, so the
+    identity when every count is equal) and run longest first, in phases
     between distinct counts: the rows still going in a phase are a leading
     slice of the sorted stack, so no phase copies them, and a row stops once
-    it has had its own count of steps. When every count is equal, the whole
-    stack is one phase in its own order, which runs the same operations.
+    it has had its own count of steps. The inputs are never written.
     """
-    if counts.size and (counts == counts[0]).all():
-        args = per_row(np.arange(len(counts)))
-        for _ in range(int(counts[0])):
-            out = step(out, *args)
-        return out
     order = np.argsort(-counts, kind="stable")
-    stack, counts, args = out[order], counts[order], per_row(order)
+    stack, counts = rows[order], counts[order]
+    args = [arg[order] for arg in args]
     done = 0
-    for count in np.unique(counts):
+    for count in sorted(set(counts.tolist())):
         going = int(np.count_nonzero(counts >= count))
-        head, cut = stack[:going], tuple(arg[:going] for arg in args)
-        for _ in range(int(count) - done):
+        head, cut = stack[:going], [arg[:going] for arg in args]
+        for _ in range(count - done):
             head = step(head, *cut)
         stack[:going] = head
-        done = int(count)
+        done = count
     out = np.empty_like(stack)
     out[order] = stack
     return out
@@ -308,8 +303,7 @@ def evolve_rows(coefficients: np.ndarray, factors: np.ndarray, counts: np.ndarra
     Row k is multiplied by its factors ``counts[k]`` times (never a power)
     and then left alone, the same per-row stop ``apply_n`` uses.
     """
-    factors = np.asarray(factors, dtype=np.float64)
     return _per_row_steps(
         np.asarray(coefficients, dtype=np.float64), np.asarray(counts), np.multiply,
-        lambda order: (factors[order],),
+        (np.asarray(factors, dtype=np.float64),),
     )

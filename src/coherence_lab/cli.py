@@ -24,7 +24,6 @@ from dataclasses import asdict, dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy
 
 from .channels import (
     ChannelKind,
@@ -398,14 +397,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ("coefficient maps", lambda: _verify_coefficient_maps(args.seed)),
         ("decay engines", lambda: _verify_engines(args.seed, args.trials)),
     )
-    report = {
-        "seed": args.seed,
-        "trials": args.trials,
-        "version": __version__,
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "suites": [],
-    }
+    reports = []
     all_ok = True
     with _output(args.json) as write:
         print(f"verify: seed={args.seed} trials={args.trials}")
@@ -418,15 +410,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             print(f"suite {name}: {'PASS' if ok else 'FAIL'}")
             for line in lines:
                 print(line)
-            report["suites"].append({
+            reports.append({
                 "suite": name,
                 "passed": ok,
                 "wall_s": wall_s,
                 "checks": [asdict(dev) for dev in worst],
             })
         print(f"verify: {'PASS' if all_ok else 'FAIL'}")
-        report["passed"] = all_ok
         if args.json is not None:
+            from importlib.metadata import version
+
+            report = {
+                "seed": args.seed,
+                "trials": args.trials,
+                "version": __version__,
+                "numpy": np.__version__,
+                "scipy": version("scipy"),
+                "suites": reports,
+                "passed": all_ok,
+            }
             write(json.dumps(report, indent=2) + "\n")
     return 0 if all_ok else 1
 

@@ -134,33 +134,24 @@ def closed_measures(measure: Measure, c1, c2, c3) -> np.ndarray:
     return clamped_array(_KERNELS[measure](c1, c2, c3))
 
 
-def _per_matrix(values: np.ndarray, a: np.ndarray) -> float | np.ndarray:
-    """Clamped values, one per matrix of ``a``: a float for a single matrix."""
-    values = clamped_array(values)
-    return float(values) if a.ndim == 2 else values
-
-
-def _l1_matrix(rho: np.ndarray) -> float | np.ndarray:
+def _l1_matrix(a: np.ndarray) -> np.ndarray:
     """Sum of absolute off-diagonal entries in the computational basis."""
-    a = validate_density_matrix(rho)
     mags = np.abs(a)
-    return _per_matrix(mags.sum(axis=(-2, -1)) - mags.trace(axis1=-2, axis2=-1), a)
+    return mags.sum(axis=(-2, -1)) - mags.trace(axis1=-2, axis2=-1)
 
 
-def _rel_entropy_matrix(rho: np.ndarray) -> float | np.ndarray:
+def _rel_entropy_matrix(a: np.ndarray) -> np.ndarray:
     """S(rho_diag) - S(rho) with rho_diag the dephased (diagonal) state."""
-    a = validate_density_matrix(rho)
     dephased = np.zeros_like(a)
     diagonal = np.arange(a.shape[-1])
     dephased[..., diagonal, diagonal] = a[..., diagonal, diagonal]
-    return _per_matrix(von_neumann_entropy(dephased) - von_neumann_entropy(a), a)
+    return von_neumann_entropy(dephased) - von_neumann_entropy(a)
 
 
-def _skew_matrix(rho: np.ndarray) -> float | np.ndarray:
+def _skew_matrix(a: np.ndarray) -> np.ndarray:
     """1 - sum_k <k|sqrt(rho)|k>^2 over the computational basis."""
-    a = validate_density_matrix(rho)
     root_diag = np.diagonal(psd_sqrt(a), axis1=-2, axis2=-1).real
-    return _per_matrix(1.0 - np.sum(root_diag**2, axis=-1), a)
+    return 1.0 - np.sum(root_diag**2, axis=-1)
 
 
 _MATRIX = {
@@ -176,5 +167,11 @@ def closed_measure(measure: Measure, c: BellCoefficients) -> float:
 
 
 def matrix_measure(measure: Measure, rho: np.ndarray) -> float | np.ndarray:
-    """Definition-level value of ``measure`` on ``rho``, or per matrix of a stack."""
-    return _MATRIX[Measure(measure)](rho)
+    """Definition-level value of ``measure`` on ``rho``, or per matrix of a stack.
+
+    ``rho`` is validated once, after the measure name; the forms take the result.
+    """
+    form = _MATRIX[Measure(measure)]
+    a = validate_density_matrix(rho)
+    values = clamped_array(form(a))
+    return float(values) if a.ndim == 2 else values

@@ -2,11 +2,11 @@
 
 Each scan is one exact array evaluation, run serially. It performs the
 scalar path's operations in the scalar path's order: ``closed_measure`` of
-the state, the per-iteration factor products of ``coefficient_map`` (never
-a power), ``closed_measure`` of the evolved state, and one division. Every
-curve cell and every lattice point's rate is therefore bit for bit the
-``decay_rate`` of that state, and the output is deterministic by
-construction.
+the state, the per-iteration factor products of ``evolve_rows`` (never a
+power; a curve's (p, n) cells are the rows of one call), ``closed_measure``
+of the evolved state, and one division. Every curve cell and every lattice
+point's rate is therefore bit for bit the ``decay_rate`` of that state, and
+the output is deterministic by construction.
 
 The frozen-surface scan does each piece of per-point work once. Lattice
 physicality is an exact integer test (lattice value i is c = u / s with
@@ -57,8 +57,9 @@ def decay_curve(
 ) -> DecayCurve:
     """Decay rates on the interior grid p_k = k / (p_count + 1), k = 1..p_count.
 
-    The factors of every p are stacked and multiplied in once per iteration
-    up to max(n_list); each requested n takes its column when reached.
+    Every (p, n) cell is one row of a single ``evolve_rows`` call: the state
+    multiplied by its p's factors n times (never a power), then measured by
+    ``closed_measures`` and divided by the state's own coherence.
     """
     kind = ChannelKind(kind)
     measure = Measure(measure)
@@ -71,14 +72,11 @@ def decay_curve(
     require_coherent(before)
     p_values = np.array([k / (p_count + 1) for k in range(1, p_count + 1)])
     factors = np.array([per_iteration_factors(kind, float(p), mode) for p in p_values])
-    current = np.tile(np.array(state, dtype=np.float64), (len(p_values), 1))
-    evolved = np.empty((3, len(p_values), len(n_tuple)))
-    for step in range(1, max(n_tuple) + 1):
-        current *= factors
-        for col, n in enumerate(n_tuple):
-            if n == step:
-                evolved[:, :, col] = current.T
-    rates = closed_measures(measure, *evolved) / before
+    evolved = evolve_rows(
+        np.tile(np.array(state, dtype=np.float64), (len(p_values) * len(n_tuple), 1)),
+        np.repeat(factors, len(n_tuple), axis=0), np.tile(n_tuple, len(p_values)),
+    )
+    rates = closed_measures(measure, *evolved.T.reshape(3, len(p_values), len(n_tuple))) / before
     return DecayCurve(kind, measure, state, mode, n_tuple, p_values, rates)
 
 

@@ -33,11 +33,13 @@ from coherence_lab import (
     from_density_matrix,
     kraus_set,
     matrix_measure,
+    per_iteration_factors,
     psd_sqrt,
     single_parameter_kraus_set,
     to_density_matrix,
     von_neumann_entropy,
 )
+from coherence_lab.channels import evolve_rows
 from coherence_lab.states import validate_density_matrix
 from conftest import REFERENCE, physical_coefficients
 
@@ -159,3 +161,33 @@ def test_a_leaky_row_fails_its_step(row):
         apply_n(stack, ksets, counts)
     assert "trace" in str(stacked.value)
     assert str(stacked.value) == str(alone.value)
+
+
+def test_an_empty_stack_steps_to_an_empty_stack():
+    empty = np.empty((0, 4, 4), dtype=complex)
+    kset = single_parameter_kraus_set(ChannelKind.BIT_FLIP, 0.3)
+    assert apply_n(empty, kset, 3).shape == (0, 4, 4)
+    assert apply_n(empty, [], []).shape == (0, 4, 4)
+
+
+@pytest.mark.parametrize("counts", [[3, 3, 3, 3], [2, 5, 1, 5, 2], [4]],
+                         ids=["equal", "mixed", "one-row"])
+def test_the_stepping_loop_never_writes_its_inputs(counts):
+    ps = [0.1 + 0.15 * k for k in range(len(counts))]
+    coefficients = np.array([BellCoefficients(0.6 - 0.1 * k, 0.1, 0.2) for k in range(len(counts))])
+    factors = np.array([per_iteration_factors(ChannelKind.DEPOLARIZING, p) for p in ps])
+    ksets = [single_parameter_kraus_set(ChannelKind.DEPOLARIZING, p) for p in ps]
+    rho = np.stack([to_density_matrix(BellCoefficients(*c)) for c in coefficients])
+    counts = np.array(counts)
+    inputs = (rho, coefficients, factors, counts)
+    saved = [x.copy() for x in inputs]
+    for x in inputs:
+        x.setflags(write=False)
+    evolved = evolve_rows(coefficients, factors, counts)
+    stepped = apply_n(rho, ksets, counts)
+    for x, before in zip(inputs, saved):
+        assert x.tobytes() == before.tobytes()
+    rows = range(len(counts))
+    _same_bits(evolved, [evolve_rows(coefficients[k:k + 1], factors[k:k + 1], counts[k:k + 1])[0]
+                         for k in rows])
+    _same_bits(stepped, [apply_n(rho[k], ksets[k], int(counts[k])) for k in rows])
