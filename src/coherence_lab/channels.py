@@ -35,11 +35,14 @@ from .states import (
     SIGMA_X,
     SIGMA_Y,
     SIGMA_Z,
+    coordinates,
     require_physical,
     validate_density_matrix,
 )
 
 COMPLETENESS_TOL = 1e-12
+# largest trace change one channel step may make before it is an internal error
+TRACE_DRIFT_TOL = 1e-12
 
 
 class ChannelKind(Choice):
@@ -183,7 +186,7 @@ def _step(a: np.ndarray, products: np.ndarray, adjoints: np.ndarray) -> np.ndarr
         raise InternalNumericalError(f"channel output: {exc}") from exc
     trace = out.trace(axis1=-2, axis2=-1).real
     drift = np.abs(trace - a.trace(axis1=-2, axis2=-1).real)
-    raise_for_first(drift > 1e-12, lambda row: InternalNumericalError(
+    raise_for_first(drift > TRACE_DRIFT_TOL, lambda row: InternalNumericalError(
         f"channel application drifted trace by {row_value(drift, row):.3e}"
     ))
     return out
@@ -291,6 +294,7 @@ def coefficient_map(
     n1 bit for bit.
     """
     n = require_count("iteration count", n)
+    c = coordinates(c)
     require_physical(*c)
     factors = per_iteration_factors(kind, p, mode)
     evolved = evolve_rows(np.array([c], dtype=np.float64), np.array([factors]), np.array([n]))

@@ -273,10 +273,17 @@ class _Deviation:
         return self.tol is None or self.worst <= self.tol
 
 
-def _worst(check: str, deviations: np.ndarray, tol: float | None, witness) -> _Deviation:
-    """The largest of per-row ``deviations``; ``witness(row)`` describes its first row."""
+def _worst(
+    check: str, deviations: np.ndarray, tol: float | None, witness,
+    template: str = "{check}: max dev {worst:.3e} (tol {tol:.0e})",
+) -> tuple[_Deviation, str]:
+    """The largest of per-row ``deviations`` and its stdout line, from ``template``.
+
+    ``witness(row)`` describes the first row with that deviation.
+    """
     row = int(np.argmax(deviations))
-    return _Deviation(check, float(deviations[row]), tol, witness(row), len(deviations))
+    dev = _Deviation(check, float(deviations[row]), tol, witness(row), len(deviations))
+    return dev, "  " + template.format(check=check, worst=dev.worst, tol=tol)
 
 
 def _witness(state, channel=None, p=None, n=None, measure=None) -> dict:
@@ -289,11 +296,11 @@ def _witness(state, channel=None, p=None, n=None, measure=None) -> dict:
     }
 
 
-def _verify_measures(seed: int, trials: int) -> tuple[list[_Deviation], list[str]]:
+def _verify_measures(seed: int, trials: int) -> list[tuple[_Deviation, str]]:
     """Closed forms against the matrix measures, on one (trials, 4, 4) stack."""
     states = np.array(sample_states(seed, trials))
     rho = to_density_matrix(BellCoefficients(*states.T))
-    worst = [
+    return [
         _worst(
             f"closed vs matrix [{measure.value}]",
             np.abs(closed_measures(measure, *states.T) - matrix_measure(measure, rho)),
@@ -302,14 +309,13 @@ def _verify_measures(seed: int, trials: int) -> tuple[list[_Deviation], list[str
         )
         for measure in Measure
     ]
-    lines = [
-        f"  {dev.check}: max dev {dev.worst:.3e} (tol {VERIFY_MEASURE_TOL:.0e})" for dev in worst
-    ]
-    return worst, lines
 
 
-def _verify_coefficient_maps(seed: int) -> tuple[list[_Deviation], list[str]]:
-    """The coefficient map against the Kraus route, one stack per channel kind."""
+def _verify_coefficient_maps(seed: int, trials: int) -> list[tuple[_Deviation, str]]:
+    """The coefficient map against the Kraus route, one stack per channel kind.
+
+    ``trials`` is unused: the draws are fixed, 60 per channel kind.
+    """
     rng = Lcg(seed + 1)
     rows = []  # (state, kind, p, n), drawn kind by kind in the order listed
     map_dev, residual = [], []
@@ -334,26 +340,19 @@ def _verify_coefficient_maps(seed: int) -> tuple[list[_Deviation], list[str]]:
             paper = [per_iteration_factors(kind, p, CoefficientMapMode.PAPER) for *_, p, _ in block]
             paper_gap = np.max(np.abs(evolve_rows(states, paper, counts) - extracted), axis=1)
         rows += block
-    worst = [
+    return [
         _worst("coefficient map vs Kraus route", np.concatenate(map_dev), VERIFY_MAP_TOL,
                lambda row: _witness(*rows[row])),
         _worst("Bell-diagonal extraction residual", np.concatenate(residual),
-               VERIFY_RESIDUAL_TOL, lambda row: _witness(*rows[row])),
+               VERIFY_RESIDUAL_TOL, lambda row: _witness(*rows[row]),
+               "{check}: max {worst:.3e} (tol {tol:.0e})"),
         _worst("dep paper-mode gap vs Kraus route", paper_gap, None,
-               lambda row: _witness(*dep_rows[row])),
+               lambda row: _witness(*dep_rows[row]),
+               "info: {check}: {worst:.3e} (single- vs squared-contraction; not scored)"),
     ]
-    lines = [
-        f"  coefficient map vs Kraus route: max dev {worst[0].worst:.3e} "
-        f"(tol {VERIFY_MAP_TOL:.0e})",
-        f"  Bell-diagonal extraction residual: max {worst[1].worst:.3e} "
-        f"(tol {VERIFY_RESIDUAL_TOL:.0e})",
-        f"  info: dep paper-mode gap vs Kraus route: {worst[2].worst:.3e} "
-        "(single- vs squared-contraction; not scored)",
-    ]
-    return worst, lines
 
 
-def _verify_engines(seed: int, trials: int) -> tuple[list[_Deviation], list[str]]:
+def _verify_engines(seed: int, trials: int) -> list[tuple[_Deviation, str]]:
     """Both decay engines on the same queries, in stacks of one channel kind."""
     rng = Lcg(seed + 2)
     kinds = list(ChannelKind)
@@ -381,42 +380,38 @@ def _verify_engines(seed: int, trials: int) -> tuple[list[_Deviation], list[str]
         q = queries[row]
         return _witness(q.state, q.kind, q.p, q.n, q.measure)
 
-    worst = [_worst("closed-form vs matrix-oracle decay rate", deviations, VERIFY_ENGINE_TOL,
-                    witness)]
-    lines = [
-        f"  closed-form vs matrix-oracle decay rate: max dev {worst[0].worst:.3e} "
-        f"(tol {VERIFY_ENGINE_TOL:.0e}, states drawn with l1 >= 1e-2)"
-    ]
-    return worst, lines
+    return [_worst(
+        "closed-form vs matrix-oracle decay rate", deviations, VERIFY_ENGINE_TOL, witness,
+        "{check}: max dev {worst:.3e} (tol {tol:.0e}, states drawn with l1 >= 1e-2)",
+    )]
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     require_count("--trials", args.trials)
     suites = (
-        ("coherence measures", lambda: _verify_measures(args.seed, args.trials)),
-        ("coefficient maps", lambda: _verify_coefficient_maps(args.seed)),
-        ("decay engines", lambda: _verify_engines(args.seed, args.trials)),
+        ("coherence measures", _verify_measures),
+        ("coefficient maps", _verify_coefficient_maps),
+        ("decay engines", _verify_engines),
     )
     reports = []
-    all_ok = True
     with _output(args.json) as write:
         print(f"verify: seed={args.seed} trials={args.trials}")
-        for name, run in suites:
+        for name, suite in suites:
             start = time.perf_counter()
-            worst, lines = run()
+            checks = suite(args.seed, args.trials)
             wall_s = time.perf_counter() - start
-            ok = all(dev.ok for dev in worst)
-            all_ok = all_ok and ok
-            print(f"suite {name}: {'PASS' if ok else 'FAIL'}")
-            for line in lines:
+            passed = all(dev.ok for dev, _ in checks)
+            print(f"suite {name}: {'PASS' if passed else 'FAIL'}")
+            for _, line in checks:
                 print(line)
             reports.append({
                 "suite": name,
-                "passed": ok,
+                "passed": passed,
                 "wall_s": wall_s,
-                "checks": [asdict(dev) for dev in worst],
+                "checks": [asdict(dev) for dev, _ in checks],
             })
-        print(f"verify: {'PASS' if all_ok else 'FAIL'}")
+        passed = all(report["passed"] for report in reports)
+        print(f"verify: {'PASS' if passed else 'FAIL'}")
         if args.json is not None:
             from importlib.metadata import version
 
@@ -427,10 +422,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                 "numpy": np.__version__,
                 "scipy": version("scipy"),
                 "suites": reports,
-                "passed": all_ok,
+                "passed": passed,
             }
             write(json.dumps(report, indent=2) + "\n")
-    return 0 if all_ok else 1
+    return 0 if passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

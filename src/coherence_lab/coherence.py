@@ -25,7 +25,13 @@ import numpy as np
 
 from .errors import Choice, InternalNumericalError
 from .linalg import psd_sqrt, raise_for_first, row_value, von_neumann_entropy
-from .states import BellCoefficients, parities, require_physical, validate_density_matrix
+from .states import (
+    BellCoefficients,
+    coordinates,
+    parities,
+    require_physical,
+    validate_density_matrix,
+)
 
 NEGATIVE_CLAMP = 1e-12
 XLNX_FLOOR = 1e-15
@@ -163,7 +169,7 @@ _MATRIX = {
 
 def closed_measure(measure: Measure, c: BellCoefficients) -> float:
     """Closed-form value of ``measure`` at coefficients ``c``; one row of ``closed_measures``."""
-    return float(closed_measures(measure, *c))
+    return float(closed_measures(measure, *coordinates(c)))
 
 
 def matrix_measure(measure: Measure, rho: np.ndarray) -> float | np.ndarray:

@@ -79,7 +79,12 @@ def decay_rates(queries: Sequence[DecayQuery]) -> np.ndarray:
     modes = {CoefficientMapMode(q.mode) for q in queries}
     # checked before the conversion to float64 would parse strings and bools
     require_real("coefficients", *(c for q in queries for c in q.state))
-    states = np.array([tuple(q.state) for q in queries], dtype=np.float64)
+    try:
+        states = np.array([tuple(q.state) for q in queries], dtype=np.float64)
+    except ValueError:  # states of different lengths do not stack
+        states = np.empty(0)
+    if states.shape != (len(queries), 3):
+        raise ValidationError("every state of a stack needs three coordinates (c1, c2, c3)")
     if engine is Engine.CLOSED_FORM:
         def measure_rows(measure, coefficients):
             return closed_measures(measure, *coefficients.T)

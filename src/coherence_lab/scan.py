@@ -65,7 +65,12 @@ def decay_curve(
     measure = Measure(measure)
     mode = CoefficientMapMode(mode)
     p_count = require_count("p_count", p_count)
-    n_tuple = tuple(require_count("iteration count", n) for n in n_list)
+    try:
+        n_tuple = tuple(n_list)
+    except TypeError:
+        got = type(n_list).__name__
+        raise ParameterRangeError(f"n_list must be a sequence of counts, got {got}") from None
+    n_tuple = tuple(require_count("iteration count", n) for n in n_tuple)
     if not n_tuple:
         raise ParameterRangeError(f"n_list must be nonempty, got {n_list!r}")
     before = closed_measure(measure, state)

@@ -91,6 +91,20 @@ def bell_eigenvalues(c: BellCoefficients) -> np.ndarray:
     return np.sort(np.array(parities(*c))) / 4.0
 
 
+def coordinates(c) -> tuple:
+    """The coordinates (c1, c2, c3) of a state, unpacked.
+
+    Anything that does not unpack into exactly three values, such as a 2-
+    or 4-tuple or a number, raises ValidationError. Whether the values are
+    real numbers is ``require_real``'s check.
+    """
+    try:
+        c1, c2, c3 = c
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"a state has three coordinates (c1, c2, c3): {exc}") from None
+    return c1, c2, c3
+
+
 def is_physical(c: BellCoefficients) -> bool:
     """True when every eigenvalue is >= -PHYSICAL_TOL (state inside the tetrahedron)."""
     return bool(physical_mask(*c))
@@ -121,6 +135,7 @@ def to_density_matrix(c: BellCoefficients) -> np.ndarray:
 
     Coefficient arrays give the (..., 4, 4) stack of their states.
     """
+    c = coordinates(c)
     require_physical(*c)
     return _build_matrix(*c)
 

@@ -13,6 +13,7 @@ from coherence_lab import (
     CoefficientMapMode,
     DecayQuery,
     Engine,
+    InternalNumericalError,
     Lcg,
     Measure,
     apply_n,
@@ -87,6 +88,34 @@ def test_evolve_kraus_method_reports_residual(capsys):
     lines = out.splitlines()
     assert lines[0].startswith("state: ")
     assert lines[1] == "residual: 6.000e-02"
+
+
+def test_evolve_kraus_method_without_gamma_matches_closed_form(capsys):
+    # gad without --gamma takes the one-parameter convention, mixing 1/2 and damping p
+    argv = ("evolve", "--channel", "gad", "--p", "0.3", "--n", "3", "--state", "0.6,0.1,0.2")
+    code, closed, _ = run(capsys, *argv)
+    code_kraus, kraus, _ = run(capsys, *argv, "--method", "kraus")
+    assert code == code_kraus == 0
+    closed, kraus = closed.splitlines(), kraus.splitlines()
+    assert kraus[0] == closed[0] == "state: 0.2058,0.0343,0.0235298"
+    assert float(kraus[1].removeprefix("residual: ")) <= cli.VERIFY_RESIDUAL_TOL
+    for kraus_line, closed_line in zip(kraus[2:], closed[2:]):
+        name, value = kraus_line.split(" = ")
+        assert closed_line.startswith(f"{name} = ")
+        closed_value = float(closed_line.removeprefix(f"{name} = "))
+        assert float(value) == pytest.approx(closed_value, abs=cli.VERIFY_MEASURE_TOL)
+
+
+def test_internal_numerical_error_exits_two(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise InternalNumericalError("channel output drifted")
+
+    monkeypatch.setattr(cli, "coefficient_map", broken)
+    code, out, err = run(
+        capsys, "evolve", "--channel", "bf", "--p", "0.5", "--n", "1", "--state", "0.6,0.1,0.2"
+    )
+    assert code == 2 and out == ""
+    assert err == "internal error: channel output drifted\n"
 
 
 def test_evolve_gamma_requires_kraus(capsys):
@@ -167,6 +196,15 @@ def test_decay_curve_validation_never_writes_partial_file(tmp_path, capsys):
     )
     assert code == 1 and not out_path.exists()
     assert not list(tmp_path.iterdir())  # nor the temporary file made before the work
+
+
+def test_decay_curve_rejects_an_unparseable_n_list(capsys):
+    code, out, err = run(
+        capsys, "decay-curve", "--channel", "bf", "--measure", "l1",
+        "--state", "0.6,0.1,0.2", "--n-list", "1,x",
+    )
+    assert code == 1 and out == ""
+    assert err == "error: could not parse iteration list from '1,x'\n"
 
 
 WRITERS = {
@@ -441,6 +479,34 @@ def test_verify_json_report(capsys, tmp_path):
     ))
     mapped = coefficient_map(w["channel"], w["p"], w["n"], state)
     assert max(abs(a - b) for a, b in zip(mapped, extracted)) == map_check["worst"]
+
+
+@pytest.mark.parametrize("engine_tol, passed", [(cli.VERIFY_ENGINE_TOL, True), (1e-300, False)],
+                         ids=["pass", "fail"])
+def test_verify_stdout_renders_each_json_check_once(capsys, tmp_path, monkeypatch, engine_tol,
+                                                    passed):
+    monkeypatch.setattr(cli, "VERIFY_ENGINE_TOL", engine_tol)
+    code, out, report = _verify_report(capsys, tmp_path, "--seed", "7", "--trials", "30")
+    lines = out.splitlines()
+    assert lines[-1] == f"verify: {'PASS' if report['passed'] else 'FAIL'}"
+    assert code == (0 if report["passed"] else 1)
+    suites = {}  # suite name -> (verdict, its check lines)
+    for line in lines[1:-1]:
+        if line.startswith("suite "):
+            name, verdict = line.removeprefix("suite ").rsplit(": ", 1)
+            suites[name] = (verdict, [])
+        else:
+            suites[name][1].append(line)
+    assert list(suites) == [suite["suite"] for suite in report["suites"]]
+    for suite in report["suites"]:
+        verdict, check_lines = suites[suite["suite"]]
+        assert verdict == ("PASS" if suite["passed"] else "FAIL")
+        assert len(check_lines) == len(suite["checks"])
+        for check in suite["checks"]:
+            shown = [line for line in check_lines
+                     if check["check"] in line and f"{check['worst']:.3e}" in line]
+            assert len(shown) == 1, (check, check_lines)
+    assert report["passed"] is report["suites"][2]["passed"] is passed
 
 
 def test_verify_rejects_zero_trials(capsys):

@@ -13,7 +13,10 @@ from coherence_lab import (
     Lcg,
     Measure,
     ValidationError,
+    apply_n,
     closed_measure,
+    coefficient_map,
+    decay_curve,
     decay_rate,
     decay_rates,
     frozen_surface,
@@ -22,6 +25,7 @@ from coherence_lab import (
     kraus_set,
     per_iteration_factors,
     sample_states,
+    to_density_matrix,
 )
 from coherence_lab.cli import VERIFY_ENGINE_TOL
 from conftest import REFERENCE
@@ -80,6 +84,10 @@ def test_incoherent_input_rejected():
 
 
 _QUERY = DecayQuery(REFERENCE, Measure.L1, BF, 0.5, 1)
+# states that are not exactly three coordinates
+_SHORT, _LONG, _TEXT = (0.6, 0.1), (0.6, 0.1, 0.2, 0.0), "0.6,0.1,0.2"
+# a stack of two density matrices
+_PAIR = to_density_matrix(BellCoefficients(np.array([0.6, 0.5]), 0.1, 0.2))
 
 # entry point x bad value; each was accepted, coerced or met with a bare
 # TypeError/ValueError before the validators in errors.py took over
@@ -124,6 +132,36 @@ BAD_INPUTS = {
         REFERENCE, Measure.L1, DEP, 0.3, 2, mode="bogus", engine=Engine.MATRIX_ORACLE)),
     "is_frozen oracle paper mode": lambda: is_frozen(DecayQuery(
         REFERENCE, Measure.L1, BF, 0.3, 2, mode="paper", engine=Engine.MATRIX_ORACLE)),
+    # states of the wrong arity, a bare TypeError where they were unpacked
+    # (a numpy ValueError for a ragged stack), and a count where a list goes
+    "closed_measure 2-tuple state": lambda: closed_measure(Measure.L1, _SHORT),
+    "closed_measure 4-tuple state": lambda: closed_measure(Measure.L1, _LONG),
+    "closed_measure string state": lambda: closed_measure(Measure.L1, _TEXT),
+    "coefficient_map 2-tuple state": lambda: coefficient_map(BF, 0.5, 1, _SHORT),
+    "coefficient_map 4-tuple state": lambda: coefficient_map(BF, 0.5, 1, _LONG),
+    "coefficient_map string state": lambda: coefficient_map(BF, 0.5, 1, _TEXT),
+    "to_density_matrix 2-tuple state": lambda: to_density_matrix(_SHORT),
+    "to_density_matrix 4-tuple state": lambda: to_density_matrix(_LONG),
+    "to_density_matrix string state": lambda: to_density_matrix(_TEXT),
+    "decay_rate 2-tuple state": lambda: decay_rate(DecayQuery(_SHORT, Measure.L1, BF, 0.5, 1)),
+    "decay_rate oracle 4-tuple state": lambda: decay_rate(DecayQuery(
+        _LONG, Measure.L1, BF, 0.5, 1, engine=Engine.MATRIX_ORACLE)),
+    "decay_rates ragged stack":
+        lambda: decay_rates([_QUERY, DecayQuery(_SHORT, Measure.L1, BF, 0.5, 1)]),
+    "decay_curve 2-tuple state": lambda: decay_curve(BF, Measure.L1, _SHORT, (1,), p_count=3),
+    "decay_curve 4-tuple state": lambda: decay_curve(BF, Measure.L1, _LONG, (1,), p_count=3),
+    "decay_curve string state": lambda: decay_curve(BF, Measure.L1, _TEXT, (1,), p_count=3),
+    "decay_curve n_list int": lambda: decay_curve(BF, Measure.L1, REFERENCE, 5, p_count=3),
+    # typed all along, but no test reached these branches
+    "apply_n more counts than rows": lambda: apply_n(_PAIR, kraus_set(BF, 0.5), [1, 2, 3]),
+    "apply_n fewer Kraus sets than rows": lambda: apply_n(_PAIR, [kraus_set(BF, 0.5)], 1),
+    "apply_n unequal operator counts":
+        lambda: apply_n(_PAIR, [kraus_set(BF, 0.5), kraus_set(DEP, 0.5)], 1),
+    "decay_rates mixed kinds":
+        lambda: decay_rates([_QUERY, DecayQuery(REFERENCE, Measure.L1, PF, 0.5, 1)]),
+    "decay_rates mixed engines": lambda: decay_rates([_QUERY, DecayQuery(
+        REFERENCE, Measure.L1, BF, 0.5, 1, engine=Engine.MATRIX_ORACLE)]),
+    "decay_curve empty n_list": lambda: decay_curve(BF, Measure.L1, REFERENCE, (), p_count=3),
 }
 
 
