@@ -43,6 +43,9 @@ from .states import (
 COMPLETENESS_TOL = 1e-12
 # largest trace change one channel step may make before it is an internal error
 TRACE_DRIFT_TOL = 1e-12
+# most rows ``evolve_matrices`` steps in one stack, which keeps the stack's
+# per-row Kraus products and their adjoints under 1 MB
+_ROWS_PER_STACK = 100
 
 
 class ChannelKind(Choice):
@@ -227,6 +230,31 @@ def apply_n(
         np.array([k.products for k in ksets]), np.array([k.adjoints for k in ksets]),
     ))
     return out.reshape(a.shape)
+
+
+def evolve_matrices(rho: np.ndarray, kinds, ps, counts) -> np.ndarray:
+    """The (N, 4, 4) stack ``rho`` with row k after ``counts[k]`` steps of its own channel.
+
+    Row k's channel is ``single_parameter_kraus_set(kinds[k], ps[k])``. The
+    rows go through ``apply_n`` one channel kind at a time, since a stack
+    needs one operator count, in blocks of at most ``_ROWS_PER_STACK`` rows,
+    and each block builds one Kraus set per distinct p. Every row gets the
+    bits ``apply_n`` gives it alone.
+    """
+    stack = np.asarray(rho)
+    kinds = [ChannelKind(kind) for kind in kinds]
+    if stack.ndim != 3 or not len(kinds) == len(ps) == len(counts) == len(stack):
+        raise ValidationError(f"{len(kinds)} kinds, {len(ps)} p values and {len(counts)} "
+                              f"iteration counts for a stack of shape {stack.shape}")
+    out = np.empty(stack.shape, dtype=np.complex128)
+    for kind in dict.fromkeys(kinds):
+        same_kind = [row for row, k in enumerate(kinds) if k is kind]
+        for start in range(0, len(same_kind), _ROWS_PER_STACK):
+            rows = same_kind[start:start + _ROWS_PER_STACK]
+            row_ps = [require_probability("p", ps[row]) for row in rows]
+            kset = {p: single_parameter_kraus_set(kind, p) for p in dict.fromkeys(row_ps)}
+            out[rows] = apply_n(stack[rows], [kset[p] for p in row_ps], [counts[k] for k in rows])
+    return out
 
 
 def _per_row_steps(rows: np.ndarray, counts: np.ndarray, step, args: tuple) -> np.ndarray:

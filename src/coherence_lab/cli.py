@@ -30,6 +30,7 @@ from .channels import (
     CoefficientMapMode,
     apply_n,
     coefficient_map,
+    evolve_matrices,
     evolve_rows,
     kraus_set,
     per_iteration_factors,
@@ -49,10 +50,6 @@ VERIFY_MEASURE_TOL = 1e-9
 VERIFY_MAP_TOL = 1e-9
 VERIFY_RESIDUAL_TOL = 1e-10
 VERIFY_ENGINE_TOL = 1e-8
-
-# verify's decay-engine stacks: one channel kind each, and at most this many
-# rows, which keeps its per-row Kraus products and their adjoints under 1 MB
-_ROWS_PER_STACK = 100
 
 
 class _UsageError(Exception):
@@ -312,48 +309,40 @@ def _verify_measures(seed: int, trials: int) -> list[tuple[_Deviation, str]]:
 
 
 def _verify_coefficient_maps(seed: int, trials: int) -> list[tuple[_Deviation, str]]:
-    """The coefficient map against the Kraus route, one stack per channel kind.
+    """The coefficient map against the Kraus route, on one stack of every channel kind.
 
-    ``trials`` is unused: the draws are fixed, 60 per channel kind.
+    ``trials`` is unused: the draws are fixed, 60 per channel kind, drawn
+    kind by kind in the order listed.
     """
     rng = Lcg(seed + 1)
-    rows = []  # (state, kind, p, n), drawn kind by kind in the order listed
-    map_dev, residual = [], []
-    for kind in ChannelKind:
-        block, ksets = [], []
-        for p in (0.1, 0.3, 0.5, 0.7, 0.9):
-            kset = single_parameter_kraus_set(kind, p)
-            for n in (1, 2, 5, 9):
-                for _ in range(3):
-                    block.append((random_physical_state(rng), kind, p, n))
-                    ksets.append(kset)
-        states = np.array([state for state, *_ in block])
-        counts = np.array([n for *_, n in block])
-        evolved = apply_n(to_density_matrix(BellCoefficients(*states.T)), ksets, counts)
-        coefficients, block_residual = from_density_matrix(evolved)
-        extracted = np.column_stack(coefficients)
-        derived = [per_iteration_factors(kind, p) for *_, p, _ in block]
-        map_dev.append(np.max(np.abs(evolve_rows(states, derived, counts) - extracted), axis=1))
-        residual.append(block_residual)
-        if kind is ChannelKind.DEPOLARIZING:
-            dep_rows = block
-            paper = [per_iteration_factors(kind, p, CoefficientMapMode.PAPER) for *_, p, _ in block]
-            paper_gap = np.max(np.abs(evolve_rows(states, paper, counts) - extracted), axis=1)
-        rows += block
+    rows = [(random_physical_state(rng), kind, p, n) for kind in ChannelKind
+            for p in (0.1, 0.3, 0.5, 0.7, 0.9) for n in (1, 2, 5, 9) for _ in range(3)]
+    states, kinds, ps, counts = zip(*rows)
+    states, counts = np.array(states), np.array(counts)
+    evolved = evolve_matrices(to_density_matrix(BellCoefficients(*states.T)), kinds, ps, counts)
+    coefficients, residual = from_density_matrix(evolved)
+    extracted = np.column_stack(coefficients)
+
+    def gap(picked, mode):
+        factors = [per_iteration_factors(kinds[row], ps[row], mode) for row in picked]
+        mapped = evolve_rows(states[picked], factors, counts[picked])
+        return np.max(np.abs(mapped - extracted[picked]), axis=1)
+
+    dep = [row for row, kind in enumerate(kinds) if kind is ChannelKind.DEPOLARIZING]
     return [
-        _worst("coefficient map vs Kraus route", np.concatenate(map_dev), VERIFY_MAP_TOL,
-               lambda row: _witness(*rows[row])),
-        _worst("Bell-diagonal extraction residual", np.concatenate(residual),
+        _worst("coefficient map vs Kraus route", gap(range(len(rows)), CoefficientMapMode.DERIVED),
+               VERIFY_MAP_TOL, lambda row: _witness(*rows[row])),
+        _worst("Bell-diagonal extraction residual", residual,
                VERIFY_RESIDUAL_TOL, lambda row: _witness(*rows[row]),
                "{check}: max {worst:.3e} (tol {tol:.0e})"),
-        _worst("dep paper-mode gap vs Kraus route", paper_gap, None,
-               lambda row: _witness(*dep_rows[row]),
+        _worst("dep paper-mode gap vs Kraus route", gap(dep, CoefficientMapMode.PAPER), None,
+               lambda row: _witness(*rows[dep[row]]),
                "info: {check}: {worst:.3e} (single- vs squared-contraction; not scored)"),
     ]
 
 
 def _verify_engines(seed: int, trials: int) -> list[tuple[_Deviation, str]]:
-    """Both decay engines on the same queries, in stacks of one channel kind."""
+    """Both decay engines on the same queries, each engine in one ``decay_rates`` call."""
     rng = Lcg(seed + 2)
     kinds = list(ChannelKind)
     measures = list(Measure)
@@ -366,23 +355,16 @@ def _verify_engines(seed: int, trials: int) -> list[tuple[_Deviation, str]]:
             state, measures[index % len(measures)], kinds[index % len(kinds)], p,
             1 + (index % 12),
         ))
-    deviations = np.empty(trials)
-    for first in range(len(kinds)):
-        same_kind = np.arange(first, trials, len(kinds))
-        for start in range(0, len(same_kind), _ROWS_PER_STACK):
-            rows = same_kind[start:start + _ROWS_PER_STACK]
-            stack = [queries[row] for row in rows]
-            closed = decay_rates(stack)
-            oracle = decay_rates([replace(q, engine=Engine.MATRIX_ORACLE) for q in stack])
-            deviations[rows] = np.abs(closed - oracle)
+    closed = decay_rates(queries)
+    oracle = decay_rates([replace(q, engine=Engine.MATRIX_ORACLE) for q in queries])
 
     def witness(row):
         q = queries[row]
         return _witness(q.state, q.kind, q.p, q.n, q.measure)
 
     return [_worst(
-        "closed-form vs matrix-oracle decay rate", deviations, VERIFY_ENGINE_TOL, witness,
-        "{check}: max dev {worst:.3e} (tol {tol:.0e}, states drawn with l1 >= 1e-2)",
+        "closed-form vs matrix-oracle decay rate", np.abs(closed - oracle), VERIFY_ENGINE_TOL,
+        witness, "{check}: max dev {worst:.3e} (tol {tol:.0e}, states drawn with l1 >= 1e-2)",
     )]
 
 

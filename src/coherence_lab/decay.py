@@ -10,10 +10,9 @@ import numpy as np
 from .channels import (
     ChannelKind,
     CoefficientMapMode,
-    apply_n,
+    evolve_matrices,
     evolve_rows,
     per_iteration_factors,
-    single_parameter_kraus_set,
 )
 from .coherence import Measure, closed_measures, matrix_measure
 from .errors import (
@@ -25,7 +24,7 @@ from .errors import (
     require_real,
 )
 from .linalg import raise_for_first, row_value
-from .states import BellCoefficients, to_density_matrix
+from .states import BellCoefficients, coordinates, to_density_matrix
 
 COHERENCE_FLOOR = 1e-12
 FROZEN_TOL = 1e-9
@@ -62,26 +61,29 @@ def decay_rate(query: DecayQuery) -> float:
 
 
 def decay_rates(queries: Sequence[DecayQuery]) -> np.ndarray:
-    """``decay_rate`` of many queries of one channel kind and one engine, as stacks.
+    """``decay_rate`` of many queries of one engine, as stacks.
 
-    Rows may differ in state, measure, p, n and mode. Each step runs once
-    over all rows (measures once per measure present), and every row gets
-    the bits ``decay_rate`` gives it alone; a check that fails raises for
-    the first row that fails it. ``mode`` is a closed-form convention, so
-    the matrix-oracle engine, whose Kraus route is 'derived', rejects 'paper'.
+    Rows may differ in state, measure, channel kind, p, n and mode. Each
+    step runs once over all rows (measures once per measure present), and
+    every row gets the bits ``decay_rate`` gives it alone. The oracle steps
+    its matrices through ``evolve_matrices``, which holds the per-row Kraus
+    products of one bounded block at a time. A check that fails raises for
+    the first row that fails it; the oracle's channel steps take their rows
+    kind by kind. ``mode`` is a closed-form convention, so the matrix-oracle
+    engine, whose Kraus route is 'derived', rejects 'paper'.
     """
-    kinds = {ChannelKind(q.kind) for q in queries}
     engines = {Engine(q.engine) for q in queries}
-    if len(kinds) != 1 or len(engines) != 1:
-        raise ValidationError("a stack of decay queries needs exactly one channel kind and engine")
-    (kind,), (engine,) = kinds, engines
+    if len(engines) != 1:
+        raise ValidationError("a stack of decay queries needs exactly one engine")
+    (engine,) = engines
     measures = [Measure(q.measure) for q in queries]
     modes = {CoefficientMapMode(q.mode) for q in queries}
+    states = [coordinates(q.state) for q in queries]
     # checked before the conversion to float64 would parse strings and bools
-    require_real("coefficients", *(c for q in queries for c in q.state))
+    require_real("coefficients", *(c for state in states for c in state))
     try:
-        states = np.array([tuple(q.state) for q in queries], dtype=np.float64)
-    except ValueError:  # states of different lengths do not stack
+        states = np.array(states, dtype=np.float64)
+    except ValueError:  # array coordinates of different lengths do not stack
         states = np.empty(0)
     if states.shape != (len(queries), 3):
         raise ValidationError("every state of a stack needs three coordinates (c1, c2, c3)")
@@ -92,7 +94,7 @@ def decay_rates(queries: Sequence[DecayQuery]) -> np.ndarray:
         before = _by_measure(measures, states, measure_rows)
         require_coherent(before)
         counts = np.array([require_count("iteration count", q.n) for q in queries])
-        factors = np.array([per_iteration_factors(kind, q.p, q.mode) for q in queries])
+        factors = np.array([per_iteration_factors(q.kind, q.p, q.mode) for q in queries])
         after = _by_measure(measures, evolve_rows(states, factors, counts), measure_rows)
         return after / before
     if CoefficientMapMode.PAPER in modes:
@@ -100,8 +102,8 @@ def decay_rates(queries: Sequence[DecayQuery]) -> np.ndarray:
     rho = to_density_matrix(BellCoefficients(*states.T))
     before = _by_measure(measures, rho, matrix_measure)
     require_coherent(before)
-    ksets = [single_parameter_kraus_set(kind, q.p) for q in queries]
-    evolved = apply_n(rho, ksets, [q.n for q in queries])
+    kinds, ps, counts = zip(*((q.kind, q.p, q.n) for q in queries))
+    evolved = evolve_matrices(rho, kinds, ps, counts)
     return _by_measure(measures, evolved, matrix_measure) / before
 
 

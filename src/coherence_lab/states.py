@@ -88,7 +88,7 @@ def _nonnegative(q):
 
 def bell_eigenvalues(c: BellCoefficients) -> np.ndarray:
     """The four eigenvalues q_i/4, sorted ascending."""
-    return np.sort(np.array(parities(*c))) / 4.0
+    return np.sort(np.array(parities(*coordinates(c)))) / 4.0
 
 
 def coordinates(c) -> tuple:

@@ -14,6 +14,7 @@ from coherence_lab import (
     Measure,
     ValidationError,
     apply_n,
+    bell_eigenvalues,
     closed_measure,
     coefficient_map,
     decay_curve,
@@ -157,11 +158,17 @@ BAD_INPUTS = {
     "apply_n fewer Kraus sets than rows": lambda: apply_n(_PAIR, [kraus_set(BF, 0.5)], 1),
     "apply_n unequal operator counts":
         lambda: apply_n(_PAIR, [kraus_set(BF, 0.5), kraus_set(DEP, 0.5)], 1),
-    "decay_rates mixed kinds":
-        lambda: decay_rates([_QUERY, DecayQuery(REFERENCE, Measure.L1, PF, 0.5, 1)]),
     "decay_rates mixed engines": lambda: decay_rates([_QUERY, DecayQuery(
         REFERENCE, Measure.L1, BF, 0.5, 1, engine=Engine.MATRIX_ORACLE)]),
     "decay_curve empty n_list": lambda: decay_curve(BF, Measure.L1, REFERENCE, (), p_count=3),
+    # states that do not unpack at all, a bare TypeError where they were iterated
+    "decay_rate None state": lambda: decay_rate(DecayQuery(None, Measure.L1, BF, 0.5, 1)),
+    "decay_rate int state": lambda: decay_rate(DecayQuery(5, Measure.L1, BF, 0.5, 1)),
+    "decay_rate oracle None state": lambda: decay_rate(DecayQuery(
+        None, Measure.L1, BF, 0.5, 1, engine=Engine.MATRIX_ORACLE)),
+    "decay_rate oracle int state": lambda: decay_rate(DecayQuery(
+        5, Measure.L1, BF, 0.5, 1, engine=Engine.MATRIX_ORACLE)),
+    "bell_eigenvalues 2-tuple state": lambda: bell_eigenvalues(_SHORT),
 }
 
 

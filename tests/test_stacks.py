@@ -6,10 +6,13 @@ per-matrix ones with ``tobytes`` (signs of zeros included), on face, edge
 and vertex states, where zero eigenvalues reach the ENTROPY_FLOOR and
 PSD_TOL snaps, and on non-Bell-diagonal states from the two-parameter gad
 channel. A bad matrix anywhere in a stack raises the error, and the
-message, that it raises on its own.
+message, that it raises on its own. Stacks that mix channel kinds and
+cross ``evolve_matrices``' block boundaries are held to the same bits.
 """
 
 import dataclasses
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -26,6 +29,7 @@ from coherence_lab import (
     NotHermitianError,
     NotPSDError,
     TraceNotOneError,
+    ValidationError,
     apply_n,
     apply_product_channel,
     decay_rate,
@@ -35,11 +39,13 @@ from coherence_lab import (
     matrix_measure,
     per_iteration_factors,
     psd_sqrt,
+    sample_states,
     single_parameter_kraus_set,
     to_density_matrix,
     von_neumann_entropy,
 )
-from coherence_lab.channels import evolve_rows
+from coherence_lab import channels
+from coherence_lab.channels import evolve_matrices, evolve_rows
 from coherence_lab.states import validate_density_matrix
 from conftest import REFERENCE, physical_coefficients
 
@@ -191,3 +197,101 @@ def test_the_stepping_loop_never_writes_its_inputs(counts):
     _same_bits(evolved, [evolve_rows(coefficients[k:k + 1], factors[k:k + 1], counts[k:k + 1])[0]
                          for k in rows])
     _same_bits(stepped, [apply_n(rho[k], ksets[k], int(counts[k])) for k in rows])
+
+
+def _mixed_queries(seed, crowded, engine):
+    """Every kind and measure, then more than one block of ``crowded``, shuffled."""
+    rng = np.random.default_rng(seed)
+    count = 3 * len(ChannelKind) + channels._ROWS_PER_STACK + 1
+    kinds = list(ChannelKind) * 3 + [crowded] * (count - 3 * len(ChannelKind))
+    measures = list(Measure)
+    queries = [
+        DecayQuery(state, measures[row % 3], kinds[row], float(rng.uniform(0.01, 0.99)),
+                   int(rng.integers(1, 13)), engine=engine)
+        for row, state in enumerate(sample_states(seed, count, min_l1=1e-2))
+    ]
+    return [queries[row] for row in rng.permutation(count)]
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(list(ChannelKind)),
+    st.sampled_from(list(Engine)),
+    st.lists(st.tuples(physical_coefficients(), st.sampled_from(list(Measure)),
+                       st.sampled_from(list(ChannelKind)), st.floats(0.01, 0.99),
+                       st.integers(1, 12)), max_size=10),
+)
+def test_mixed_kind_decay_rates_stack_bitwise(seed, crowded, engine, rows):
+    drawn = [DecayQuery(c, m, kind, p, n, engine=engine) for c, m, kind, p, n in rows
+             if matrix_measure(m, to_density_matrix(c)) > 1e-6]
+    queries = drawn + _mixed_queries(seed, crowded, engine)
+    _same_bits(decay_rates(queries), [decay_rate(q) for q in queries])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.lists(st.tuples(physical_coefficients(on_boundary=True) | physical_coefficients(),
+                       st.sampled_from(list(ChannelKind)), st.sampled_from([0.2, 0.7]) | P_VALUES,
+                       st.integers(1, 8)), min_size=1, max_size=12),
+)
+def test_evolve_matrices_equals_apply_n_per_row(rows_per_stack, rows):
+    # small blocks, so a short stack crosses block boundaries in every kind
+    rho = np.stack([to_density_matrix(c) for c, _, _, _ in rows])
+    _, kinds, ps, counts = zip(*rows)
+    with mock.patch.object(channels, "_ROWS_PER_STACK", rows_per_stack):
+        evolved = evolve_matrices(rho, kinds, ps, counts)
+    _same_bits(evolved, [apply_n(m, single_parameter_kraus_set(kind, p), n)
+                         for m, (_, kind, p, n) in zip(rho, rows)])
+
+
+def test_evolve_matrices_builds_one_kraus_set_per_p_and_block(monkeypatch):
+    built = []
+
+    def counting(kind, p):
+        built.append((kind, p))
+        return single_parameter_kraus_set(kind, p)
+
+    monkeypatch.setattr(channels, "single_parameter_kraus_set", counting)
+    count = 2 * channels._ROWS_PER_STACK + 1
+    rho = to_density_matrix(BellCoefficients(*np.array(sample_states(1, count)).T))
+    ps = [(0.1, 0.3, 0.5)[row % 3] for row in range(count)]
+    evolve_matrices(rho, [ChannelKind.DEPOLARIZING] * count, ps, [2] * count)
+    assert len(built) == 3 + 3 + 1  # two full blocks of three p values, then one row
+
+
+_PAIR_PARTS = (_bell_stack(2), [ChannelKind.BIT_FLIP] * 2, [0.3, 0.4], [1, 2])
+
+
+@pytest.mark.parametrize("short", range(4), ids=["stack", "kinds", "ps", "counts"])
+def test_evolve_matrices_rejects_a_length_mismatch(short):
+    parts = list(_PAIR_PARTS)
+    parts[short] = parts[short][:1]
+    with pytest.raises(ValidationError):
+        evolve_matrices(*parts)
+
+
+def test_evolve_matrices_rejects_a_single_matrix():
+    with pytest.raises(ValidationError):
+        evolve_matrices(_bell_stack(1)[0], [ChannelKind.BIT_FLIP] * 4, [0.3] * 4, [1] * 4)
+
+
+def _oracle_peak_bytes(count):
+    measures = list(Measure)
+    queries = [
+        DecayQuery(state, measures[row % 3], ChannelKind.DEPOLARIZING, 0.05 + 0.9 * row / count,
+                   1 + row % 12, engine=Engine.MATRIX_ORACLE)
+        for row, state in enumerate(sample_states(5, count, min_l1=1e-2))
+    ]
+    tracemalloc.start()
+    try:
+        decay_rates(queries)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_oracle_decay_rates_memory_is_bounded_by_a_block():
+    # the per-row Kraus products of one block, not of the whole stack
+    assert _oracle_peak_bytes(1000) < 2 * _oracle_peak_bytes(100)
