@@ -81,25 +81,41 @@ def l1_kernel(c1, c2, c3):
     return np.maximum(np.abs(c1), np.abs(c2))
 
 
-def rel_entropy_kernel(c1, c2, c3):
-    """Closed-form relative entropy of coherence; physical inputs assumed."""
-    return _rel_entropy(parities(c1, c2, c3), c3)
+def rel_entropy_kernel(c1, c2, c3, diagonal=None):
+    """Closed-form relative entropy of coherence; physical inputs assumed.
+
+    ``diagonal`` is ``dephased_entropy(c3)``, for a caller that holds it in a
+    table; without it the kernel forms it.
+    """
+    if diagonal is None:
+        diagonal = dephased_entropy(c3)
+    return _rel_entropy(parities(c1, c2, c3), diagonal)
 
 
-def _rel_entropy(q, c3):
-    """Relative entropy of coherence from the parities ``q`` of a state and its c3.
+def dephased_entropy(c3):
+    """The dephased-state term [(1+c3) ln(1+c3) + (1-c3) ln(1-c3)] / 2 of rel-ent.
 
-    Summed in place in the order ((x1 + x2) + x3) + x4; multiplying by 1/4
-    and 1/2 rounds exactly as dividing by 4 and 2 does.
+    It depends on c3 alone, so a scan forms it once per distinct c3 and
+    gathers it; multiplying by 1/2 rounds exactly as dividing by 2 does.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diagonal = _xlnx(1.0 + c3) + _xlnx(1.0 - c3)
+    diagonal *= 0.5
+    return diagonal
+
+
+def _rel_entropy(q, diagonal):
+    """Relative entropy of coherence from the parities ``q`` and ``dephased_entropy(c3)``.
+
+    The spectral sum is summed in place in the order ((x1 + x2) + x3) + x4;
+    multiplying by 1/4 rounds exactly as dividing by 4 does.
     """
     q1, q2, q3, q4 = q
     with np.errstate(divide="ignore", invalid="ignore"):
         spectral = _xlnx(q1) + _xlnx(q2)
         spectral += _xlnx(q3)
         spectral += _xlnx(q4)
-        diagonal = _xlnx(1.0 + c3) + _xlnx(1.0 - c3)
     spectral *= 0.25
-    diagonal *= 0.5
     spectral -= diagonal
     return spectral
 
@@ -136,7 +152,7 @@ def closed_measures(measure: Measure, c1, c2, c3) -> np.ndarray:
     q = require_physical(c1, c2, c3)
     measure = Measure(measure)
     if measure is Measure.REL_ENT:
-        return clamped_array(_rel_entropy(q, c3))
+        return clamped_array(_rel_entropy(q, dephased_entropy(c3)))
     return clamped_array(_KERNELS[measure](c1, c2, c3))
 
 

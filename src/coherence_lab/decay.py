@@ -61,7 +61,7 @@ def decay_rate(query: DecayQuery) -> float:
 
 
 def decay_rates(queries: Sequence[DecayQuery]) -> np.ndarray:
-    """``decay_rate`` of many queries of one engine, as stacks.
+    """``decay_rate`` of many queries of one engine, as stacks; no queries give no rates.
 
     Rows may differ in state, measure, channel kind, p, n and mode. Each
     step runs once over all rows (measures once per measure present), and
@@ -73,7 +73,9 @@ def decay_rates(queries: Sequence[DecayQuery]) -> np.ndarray:
     engine, whose Kraus route is 'derived', rejects 'paper'.
     """
     engines = {Engine(q.engine) for q in queries}
-    if len(engines) != 1:
+    if not engines:  # an empty stack maps to an empty one
+        return np.empty(0)
+    if len(engines) > 1:
         raise ValidationError("a stack of decay queries needs exactly one engine")
     (engine,) = engines
     measures = [Measure(q.measure) for q in queries]

@@ -8,18 +8,33 @@ of the evolved state, and one division. Every curve cell and every lattice
 point's rate is therefore bit for bit the ``decay_rate`` of that state, and
 the output is deterministic by construction.
 
-The frozen-surface scan does each piece of per-point work once. Lattice
-physicality is an exact integer test (lattice value i is c = u / s with
-u = 2i - s and s = grid_res - 1), solved for the last index: row j of plane
-i is the run |i - j| <= k <= s - |i + j - s|, so each plane yields the
-(j, k) index pairs of its points, built from run lengths: exactly the
-points ``physical_mask`` selects. The two coherence floors are one compare,
-against the larger of nextafter(COHERENCE_FLOOR, inf) and min_coherence.
-The evolved side goes through ``closed_measures``, which forms each point's
-parities q_i once and uses them for both the physicality check and the
-rel-ent value. The cloud keeps the kept points' integer lattice indices;
-their coordinates are derived from ``lattice_axis`` on demand, so renderers
-work from the indices.
+The frozen-surface scan evaluates each quantity only as often as it varies.
+Lattice point (i, j, k) evolves to (e1[i], e2[j], e3[k]), the three axes
+evolved once each. Lattice physicality is an exact integer test (lattice
+value i is c = u / s with u = 2i - s and s = grid_res - 1): row (i, j) holds
+the one run |i - j| <= k <= s - |i + j - s| of physical points, so a
+(grid, grid) table of run ends gives exactly the points ``physical_mask``
+selects.
+
+- l1 = max(|c1|, |c2|) ignores c3, so its initial and evolved values are
+  formed once per row, and a frozen row keeps its whole run.
+- The evolved physicality gate of l1 and skew tests run ends, once per
+  scan. Each e3 is its c3 multiplied n times by one factor, and rounding is
+  monotone, so e3 is monotone along a run and so is each evolved parity
+  q_i; the ends bound the run. Only if the gate fails are the points
+  checked one by one, which names the first unphysical coherent point in
+  lattice order, the one ``closed_measures`` would name.
+- rel-ent's dephased term [(1+c3) ln(1+c3) + (1-c3) ln(1-c3)] / 2 depends
+  on c3 alone: it is tabulated once over the axis and once over e3 and
+  gathered by k. Each evolved rel-ent point's parities are formed once, by
+  its physicality check, and reused for the value.
+
+Every value is formed by the scalar path's operations in its order, so each
+lattice point's rate is bit for bit its ``decay_rate``. The two coherence
+floors are one compare, against the larger of nextafter(COHERENCE_FLOOR,
+inf) and min_coherence. The cloud keeps the kept points' integer lattice
+indices; their coordinates are derived from ``lattice_axis`` on demand, so
+renderers work from the indices.
 """
 
 from __future__ import annotations
@@ -30,10 +45,19 @@ import numpy as np
 from scipy import ndimage
 
 from .channels import ChannelKind, CoefficientMapMode, evolve_rows, per_iteration_factors
-from .coherence import Measure, clamped_array, closed_measure, closed_measures, _KERNELS
+from . import coherence
+from .coherence import (
+    Measure,
+    clamped_array,
+    closed_measure,
+    closed_measures,
+    dephased_entropy,
+    _KERNELS,
+    _rel_entropy,
+)
 from .decay import COHERENCE_FLOOR, require_coherent
 from .errors import ParameterRangeError, require_bound, require_count
-from .states import BellCoefficients
+from .states import BellCoefficients, physical_mask, require_physical
 
 
 @dataclass(frozen=True)
@@ -123,23 +147,40 @@ class SurfacePointCloud:
         }
 
 
-def _physical_plane_points(grid_res: int):
-    """For each c1 plane, the (j, k) index pairs of its physical points, built from run lengths.
+def _row_runs(grid_res: int) -> tuple[np.ndarray, np.ndarray]:
+    """The run first[i, j] <= k <= last[i, j] of physical points in each lattice row (i, j).
 
-    Lattice value i is c = u / s exactly, with s = grid_res - 1 and u = 2i - s,
-    so every parity q = (s -+ u1 -+ u2 -+ u3) / s >= 0 reads
+    Lattice value i is c = u / s exactly, with s = grid_res - 1 and
+    u = 2i - s, so every parity q = (s -+ u1 -+ u2 -+ u3) / s >= 0 reads
     |u2 + u3| <= s - u1 and |u2 - u3| <= s + u1 in integers. The nonzero q
     are multiples of 2 / s, far outside PHYSICAL_TOL, so this exact test
     selects what ``physical_mask`` selects on the rounded lattice. Solved
-    for k: row j of plane i is the run |i - j| <= k <= s - |i + j - s|.
+    for k: row j of plane i is the run |i - j| <= k <= s - |i + j - s|,
+    whose length s + 1 - max(|2i - s|, |2j - s|) is never 0.
     """
     s = grid_res - 1
-    j = np.arange(grid_res)
-    for i in range(grid_res):
-        first = np.abs(i - j)
-        lengths = np.maximum(s - np.abs(i + j - s) - first + 1, 0)
-        offsets = np.cumsum(lengths) - lengths  # where each row's run starts in the plane
-        yield np.repeat(j, lengths), np.repeat(first - offsets, lengths) + np.arange(lengths.sum())
+    index = np.arange(grid_res)
+    return np.abs(index[:, None] - index), s - np.abs(index[:, None] + index - s)
+
+
+def _run_points(rows: np.ndarray, first: np.ndarray, last: np.ndarray):
+    """The (j, k) index pairs of the runs first[r] <= k <= last[r] of rows j = rows[r], in order."""
+    lengths = last - first + 1
+    offsets = np.cumsum(lengths) - lengths  # where each run starts in the output
+    return np.repeat(rows, lengths), np.repeat(first - offsets, lengths) + np.arange(lengths.sum())
+
+
+def _runs_physical(e1, e2, e3, first, last) -> bool:
+    """Whether every evolved point (e1[i], e2[j], e3[k]) of the runs first..last is physical.
+
+    Each e3 is its c3 multiplied n times by one factor, and rounding is
+    monotone, so e3 is monotone along a run (decreasing where the factor is
+    negative, as dep's 'paper' factor 1 - 4p/3 is for p > 3/4). Each parity
+    (1 -+ e1 -+ e2) -+ e3 of a row is then monotone along its run too, and
+    its least value sits at an end: testing the run ends is exactly testing
+    every point.
+    """
+    return all(physical_mask(e1[:, None], e2, e3[end]).all() for end in (first, last))
 
 
 def frozen_surface(
@@ -160,7 +201,10 @@ def frozen_surface(
     decay rate satisfies |R_n - 1| <= tol. The component count in the
     metadata joins lattice points that differ by one step along one axis.
     The lattice is evaluated one c1 plane at a time, so the floating-point
-    work arrays stay plane-sized at any grid.
+    work arrays stay plane-sized at any grid: l1 once per row of the plane,
+    rel-ent and skew once per physical point. The evolved states' physicality
+    is checked once per scan at the ends of each row's run of physical
+    points (per point for rel-ent, which needs the parities anyway).
 
     Parameters
     ----------
@@ -198,16 +242,41 @@ def frozen_surface(
 
     # before > COHERENCE_FLOOR and before >= min_coherence, as one compare
     floor = max(np.nextafter(COHERENCE_FLOOR, np.inf), min_coherence)
+    first, last = _row_runs(grid_res)
+    rows = np.arange(grid_res)
+    if measure is Measure.REL_ENT:
+        # the dephased term depends on c3 alone: one table per axis, gathered by k
+        diagonal, evolved_diagonal = dephased_entropy(axis), dephased_entropy(e3)
+    else:
+        runs_physical = _runs_physical(e1, e2, e3, first, last)
     kept = np.zeros((grid_res, grid_res, grid_res), dtype=bool)
-    for i, (c1, (j, k)) in enumerate(zip(axis, _physical_plane_points(grid_res))):
+    for i, c1 in enumerate(axis):
+        if measure is Measure.L1:
+            # l1 ignores c3, so each row is one item, its run start..stop,
+            # and the run's first point stands for all of it
+            j, start, stop = rows, first[i], last[i]
+        else:  # each physical point is one item, a run of one
+            j, start = _run_points(rows, first[i], last[i])
+            stop = start
+        given = (diagonal[start],) if measure is Measure.REL_ENT else ()
         # physical by selection, so only the clamp of closed_measure applies
-        before = clamped_array(_KERNELS[measure](c1, axis[j], axis[k]))
+        before = clamped_array(_KERNELS[measure](c1, axis[j], axis[start], *given))
         coherent = before >= floor
         if not coherent.all():
-            j, k, before = j[coherent], k[coherent], before[coherent]
-        after = closed_measures(measure, e1[i], e2[j], e3[k])
+            j, start, stop, before = j[coherent], start[coherent], stop[coherent], before[coherent]
+        if measure is Measure.REL_ENT:
+            q = require_physical(e1[i], e2[j], e3[start])
+            after = clamped_array(_rel_entropy(q, evolved_diagonal[start]))
+        else:
+            if not runs_physical:  # per point, to name the first unphysical coherent point
+                j_all, k_all = _run_points(j, start, stop)
+                require_physical(e1[i], e2[j_all], e3[k_all])
+            # coherence's own kernel: the tracer wraps scan._KERNELS to time the initial side
+            after = clamped_array(coherence._KERNELS[measure](e1[i], e2[j], e3[start]))
         frozen = np.abs(after / before - 1.0) <= tol
-        kept[i, j[frozen], k[frozen]] = True
+        if frozen.any():
+            j_kept, k_kept = _run_points(j[frozen], start[frozen], stop[frozen])
+            kept[i, j_kept, k_kept] = True
     if kept.any():
         _, components = ndimage.label(kept)
         indices = np.argwhere(kept)

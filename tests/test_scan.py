@@ -15,15 +15,25 @@ from coherence_lab import (
     IncoherentStateError,
     Measure,
     ParameterRangeError,
+    UnphysicalStateError,
     closed_measure,
     decay_curve,
     decay_rate,
     frozen_surface,
     is_physical,
 )
+from coherence_lab import scan
+from coherence_lab.channels import evolve_rows, per_iteration_factors
+from coherence_lab.coherence import (
+    _rel_entropy,
+    clamped_array,
+    closed_measures,
+    dephased_entropy,
+    rel_entropy_kernel,
+)
 from coherence_lab.decay import COHERENCE_FLOOR
-from coherence_lab.scan import _physical_plane_points
-from coherence_lab.states import physical_mask
+from coherence_lab.scan import _row_runs, _run_points, _runs_physical, lattice_axis
+from coherence_lab.states import parities, physical_mask
 from conftest import REFERENCE, physical_coefficients
 
 BF = ChannelKind.BIT_FLIP
@@ -192,10 +202,92 @@ def test_integer_plane_mask_equals_float_mask():
     for grid in MASK_GRIDS:
         axis = np.linspace(-1.0, 1.0, grid)
         plane_c2, plane_c3 = np.repeat(axis, grid), np.tile(axis, grid)
-        # strict: one (j, k) pair of index arrays per plane, no more and no fewer
-        for c1, (j, k) in zip(axis, _physical_plane_points(grid), strict=True):
+        first, last = _row_runs(grid)
+        assert first.shape == last.shape == (grid, grid)
+        for c1, plane_first, plane_last in zip(axis, first, last):
+            j, k = _run_points(np.arange(grid), plane_first, plane_last)
             mask = physical_mask(c1, plane_c2, plane_c3)
             assert np.array_equal(j * grid + k, np.flatnonzero(mask))
+
+
+def _evolved_axes(grid, factors, n):
+    """Each lattice axis value after n multiplications by its factor, as the scan evolves them."""
+    axis = lattice_axis(grid)
+    return evolve_rows(np.repeat(axis[:, None], 3, axis=1), np.tile(factors, (grid, 1)),
+                       np.full(grid, n)).T
+
+
+def _lattice_points(grid):
+    """The (i, j, k) index arrays of the physical lattice points, from the float mask."""
+    axis = lattice_axis(grid)
+    return np.nonzero(physical_mask(axis[:, None, None], axis[:, None], axis))
+
+
+@st.composite
+def _gate_factors(draw):
+    """Per-iteration factors of a channel, or arbitrary ones that may leave the tetrahedron."""
+    source = draw(st.sampled_from(["channel", "paper dep above 3/4", "arbitrary", "ulp from 1"]))
+    if source == "channel":
+        kind = draw(st.sampled_from(list(ChannelKind)))
+        p = draw(st.one_of(st.sampled_from([1e-12, 1.0 - 1e-12, 0.75]),
+                           st.floats(1e-12, 1.0 - 1e-12)))
+        return per_iteration_factors(kind, p, draw(st.sampled_from(list(CoefficientMapMode))))
+    if source == "paper dep above 3/4":  # a negative factor: e3 falls along each run
+        p = draw(st.floats(0.75, 1.0 - 1e-12, exclude_min=True))
+        return per_iteration_factors(DEP, p, CoefficientMapMode.PAPER)
+    if source == "arbitrary":
+        return tuple(draw(st.floats(-1.5, 1.5)) for _ in range(3))
+    edge = st.sampled_from([1.0, 1.0 + 2.0**-52, 1.0 - 2.0**-53, -1.0, -1.0 - 2.0**-52])
+    return tuple(draw(edge) for _ in range(3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_gate_factors(), st.integers(1, 12), st.sampled_from([11, 13, 15, 17, 19, 21]))
+def test_run_end_gate_equals_per_point_gate(factors, n, grid):
+    e1, e2, e3 = _evolved_axes(grid, factors, n)
+    i, j, k = _lattice_points(grid)
+    assert _runs_physical(e1, e2, e3, *_row_runs(grid)) == bool(
+        physical_mask(e1[i], e2[j], e3[k]).all())
+
+
+_OUTSIDE = ("lie outside the physical tetrahedron "
+            "with vertices (1,-1,1), (-1,1,1), (1,1,-1), (-1,-1,-1)")
+
+
+@pytest.mark.parametrize("measure", list(Measure))
+@pytest.mark.parametrize("factors, first", [
+    ((1.5, 1.5, 1.5), (-1.5, -1.5, -1.5)),
+    ((1.0, 0.5, -1.1), (-1.0, -0.5, 1.1)),
+])
+def test_unphysical_evolution_names_the_first_coherent_point(monkeypatch, measure, factors,
+                                                             first):
+    # the messages of the per-point check the run-end gate falls back to
+    monkeypatch.setattr(scan, "per_iteration_factors", lambda *args: factors)
+    for grid in (11, 21):
+        with pytest.raises(UnphysicalStateError) as raised:
+            frozen_surface(BF, measure, 0.5, 1, grid_res=grid)
+        assert str(raised.value) == f"coefficients {first} {_OUTSIDE}"
+
+
+@pytest.mark.parametrize("kind, p, n, mode", [
+    (BF, 0.5, 5, CoefficientMapMode.DERIVED),
+    (ChannelKind.BIT_PHASE_FLIP, 0.3, 1, CoefficientMapMode.DERIVED),
+    (ChannelKind.PHASE_FLIP, 1e-12, 2, CoefficientMapMode.DERIVED),
+    (DEP, 0.75, 3, CoefficientMapMode.DERIVED),
+    (DEP, 0.9, 3, CoefficientMapMode.PAPER),
+    (GAD, 1.0 - 1e-12, 40, CoefficientMapMode.DERIVED),
+])
+def test_rel_ent_diagonal_tables_are_bit_exact(kind, p, n, mode):
+    grid = 21
+    axis = lattice_axis(grid)
+    i, j, k = _lattice_points(grid)
+    table = rel_entropy_kernel(axis[i], axis[j], axis[k], dephased_entropy(axis)[k])
+    assert np.array_equal(clamped_array(table).view(np.int64),
+                          closed_measures(Measure.REL_ENT, axis[i], axis[j], axis[k]).view(np.int64))
+    e1, e2, e3 = _evolved_axes(grid, per_iteration_factors(kind, p, mode), n)
+    evolved = _rel_entropy(parities(e1[i], e2[j], e3[k]), dephased_entropy(e3)[k])
+    assert np.array_equal(clamped_array(evolved).view(np.int64),
+                          closed_measures(Measure.REL_ENT, e1[i], e2[j], e3[k]).view(np.int64))
 
 
 # p at both clamp edges, dep's complete-incoherence point, and anywhere between
