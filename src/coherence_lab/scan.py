@@ -18,16 +18,15 @@ selects.
 
 - l1 = max(|c1|, |c2|) ignores c3, so its initial and evolved values are
   formed once per row, and a frozen row keeps its whole run.
-- The evolved physicality gate of l1 and skew tests run ends, once per
-  scan. Each e3 is its c3 multiplied n times by one factor, and rounding is
+- The evolved physicality gate tests run ends, once per scan, for every
+  measure. Each e3 is its c3 multiplied n times by one factor, and rounding is
   monotone, so e3 is monotone along a run and so is each evolved parity
   q_i; the ends bound the run. Only if the gate fails are the points
   checked one by one, which names the first unphysical coherent point in
   lattice order, the one ``closed_measures`` would name.
 - rel-ent's dephased term [(1+c3) ln(1+c3) + (1-c3) ln(1-c3)] / 2 depends
   on c3 alone: it is tabulated once over the axis and once over e3 and
-  gathered by k. Each evolved rel-ent point's parities are formed once, by
-  its physicality check, and reused for the value.
+  gathered by k, and handed to rel-ent's kernel on both sides.
 
 Every value is formed by the scalar path's operations in its order, so each
 lattice point's rate is bit for bit its ``decay_rate``. The two coherence
@@ -53,7 +52,6 @@ from .coherence import (
     closed_measures,
     dephased_entropy,
     _KERNELS,
-    _rel_entropy,
 )
 from .decay import COHERENCE_FLOOR, require_coherent
 from .errors import ParameterRangeError, require_bound, require_count
@@ -204,7 +202,7 @@ def frozen_surface(
     work arrays stay plane-sized at any grid: l1 once per row of the plane,
     rel-ent and skew once per physical point. The evolved states' physicality
     is checked once per scan at the ends of each row's run of physical
-    points (per point for rel-ent, which needs the parities anyway).
+    points, for every measure.
 
     Parameters
     ----------
@@ -244,11 +242,10 @@ def frozen_surface(
     floor = max(np.nextafter(COHERENCE_FLOOR, np.inf), min_coherence)
     first, last = _row_runs(grid_res)
     rows = np.arange(grid_res)
+    runs_physical = _runs_physical(e1, e2, e3, first, last)
     if measure is Measure.REL_ENT:
         # the dephased term depends on c3 alone: one table per axis, gathered by k
         diagonal, evolved_diagonal = dephased_entropy(axis), dephased_entropy(e3)
-    else:
-        runs_physical = _runs_physical(e1, e2, e3, first, last)
     kept = np.zeros((grid_res, grid_res, grid_res), dtype=bool)
     for i, c1 in enumerate(axis):
         if measure is Measure.L1:
@@ -264,15 +261,12 @@ def frozen_surface(
         coherent = before >= floor
         if not coherent.all():
             j, start, stop, before = j[coherent], start[coherent], stop[coherent], before[coherent]
-        if measure is Measure.REL_ENT:
-            q = require_physical(e1[i], e2[j], e3[start])
-            after = clamped_array(_rel_entropy(q, evolved_diagonal[start]))
-        else:
-            if not runs_physical:  # per point, to name the first unphysical coherent point
-                j_all, k_all = _run_points(j, start, stop)
-                require_physical(e1[i], e2[j_all], e3[k_all])
-            # coherence's own kernel: the tracer wraps scan._KERNELS to time the initial side
-            after = clamped_array(coherence._KERNELS[measure](e1[i], e2[j], e3[start]))
+        if not runs_physical:  # per point, to name the first unphysical coherent point
+            j_all, k_all = _run_points(j, start, stop)
+            require_physical(e1[i], e2[j_all], e3[k_all])
+        given = (evolved_diagonal[start],) if measure is Measure.REL_ENT else ()
+        # coherence's own kernel: the tracer wraps scan._KERNELS to time the initial side
+        after = clamped_array(coherence._KERNELS[measure](e1[i], e2[j], e3[start], *given))
         frozen = np.abs(after / before - 1.0) <= tol
         if frozen.any():
             j_kept, k_kept = _run_points(j[frozen], start[frozen], stop[frozen])

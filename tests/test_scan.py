@@ -25,7 +25,6 @@ from coherence_lab import (
 from coherence_lab import scan
 from coherence_lab.channels import evolve_rows, per_iteration_factors
 from coherence_lab.coherence import (
-    _rel_entropy,
     clamped_array,
     closed_measures,
     dephased_entropy,
@@ -33,7 +32,7 @@ from coherence_lab.coherence import (
 )
 from coherence_lab.decay import COHERENCE_FLOOR
 from coherence_lab.scan import _row_runs, _run_points, _runs_physical, lattice_axis
-from coherence_lab.states import parities, physical_mask
+from coherence_lab.states import physical_mask
 from conftest import REFERENCE, physical_coefficients
 
 BF = ChannelKind.BIT_FLIP
@@ -285,7 +284,7 @@ def test_rel_ent_diagonal_tables_are_bit_exact(kind, p, n, mode):
     assert np.array_equal(clamped_array(table).view(np.int64),
                           closed_measures(Measure.REL_ENT, axis[i], axis[j], axis[k]).view(np.int64))
     e1, e2, e3 = _evolved_axes(grid, per_iteration_factors(kind, p, mode), n)
-    evolved = _rel_entropy(parities(e1[i], e2[j], e3[k]), dephased_entropy(e3)[k])
+    evolved = rel_entropy_kernel(e1[i], e2[j], e3[k], dephased_entropy(e3)[k])
     assert np.array_equal(clamped_array(evolved).view(np.int64),
                           closed_measures(Measure.REL_ENT, e1[i], e2[j], e3[k]).view(np.int64))
 
