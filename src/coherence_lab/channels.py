@@ -32,9 +32,7 @@ from .linalg import raise_for_first, row_value
 from .states import (
     BellCoefficients,
     IDENTITY_2,
-    SIGMA_X,
-    SIGMA_Y,
-    SIGMA_Z,
+    PAULI,
     coordinates,
     require_physical,
     validate_density_matrix,
@@ -54,6 +52,11 @@ class ChannelKind(Choice):
     BIT_PHASE_FLIP = "bpf"
     DEPOLARIZING = "dep"
     AMPLITUDE_DAMPING = "gad"
+
+
+# the flip channels: each flips with sigma_axis and keeps c_axis, whose
+# sigma_axis (x) sigma_axis commutes with the flip, while the other two shrink
+_FLIP_AXIS = {ChannelKind.BIT_FLIP: 0, ChannelKind.BIT_PHASE_FLIP: 1, ChannelKind.PHASE_FLIP: 2}
 
 
 class CoefficientMapMode(Choice):
@@ -88,8 +91,9 @@ class KrausSet:
 def kraus_set(kind: ChannelKind, p: float, gamma: float | None = None) -> KrausSet:
     """Build the single-qubit Kraus operators for ``kind``.
 
-    bf / pf / bpf use {sqrt(1 - p/2) I, sqrt(p/2) sigma} with sigma_x,
-    sigma_z, sigma_y respectively; dep uses {sqrt(1 - p) I, sqrt(p/3) sigma_i};
+    bf / bpf / pf use {sqrt(1 - p/2) I, sqrt(p/2) sigma} with sigma_x,
+    sigma_y, sigma_z respectively (``_FLIP_AXIS``); dep uses
+    {sqrt(1 - p) I, sqrt(p/3) sigma_i};
     gad mixes decay and excitation with weight p and damping gamma:
 
         E0 = sqrt(p) diag(1, sqrt(1 - gamma))    E1 = sqrt(p) gamma-decay
@@ -113,21 +117,11 @@ def kraus_set(kind: ChannelKind, p: float, gamma: float | None = None) -> KrausS
         if gamma is not None:
             raise ParameterRangeError("gamma only applies to the gad channel")
         if kind is ChannelKind.DEPOLARIZING:
-            operators = (
-                np.sqrt(1.0 - p) * IDENTITY_2,
-                np.sqrt(p / 3.0) * SIGMA_X,
-                np.sqrt(p / 3.0) * SIGMA_Y,
-                np.sqrt(p / 3.0) * SIGMA_Z,
-            )
+            operators = (np.sqrt(1.0 - p) * IDENTITY_2, *(np.sqrt(p / 3.0) * s for s in PAULI))
         else:
-            flip = {
-                ChannelKind.BIT_FLIP: SIGMA_X,
-                ChannelKind.PHASE_FLIP: SIGMA_Z,
-                ChannelKind.BIT_PHASE_FLIP: SIGMA_Y,
-            }[kind]
             operators = (
                 np.sqrt(1.0 - p / 2.0) * IDENTITY_2,
-                np.sqrt(p / 2.0) * flip,
+                np.sqrt(p / 2.0) * PAULI[_FLIP_AXIS[kind]],
             )
     completeness = sum(op.conj().T @ op for op in operators)
     defect = float(np.max(np.abs(completeness - IDENTITY_2)))
@@ -291,15 +285,9 @@ def per_iteration_factors(
     kind = ChannelKind(kind)
     mode = CoefficientMapMode(mode)
     p = require_probability("p", p)
-    if kind is ChannelKind.BIT_FLIP:
+    if kind in _FLIP_AXIS:
         shrink = (1.0 - p) * (1.0 - p)
-        return (1.0, shrink, shrink)
-    if kind is ChannelKind.PHASE_FLIP:
-        shrink = (1.0 - p) * (1.0 - p)
-        return (shrink, shrink, 1.0)
-    if kind is ChannelKind.BIT_PHASE_FLIP:
-        shrink = (1.0 - p) * (1.0 - p)
-        return (shrink, 1.0, shrink)
+        return tuple(1.0 if axis == _FLIP_AXIS[kind] else shrink for axis in range(3))
     if kind is ChannelKind.DEPOLARIZING:
         base = 1.0 - 4.0 * p / 3.0
         shrink = base if mode is CoefficientMapMode.PAPER else base * base

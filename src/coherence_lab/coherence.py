@@ -85,11 +85,20 @@ def rel_entropy_kernel(c1, c2, c3, diagonal=None):
     """Closed-form relative entropy of coherence; physical inputs assumed.
 
     ``diagonal`` is ``dephased_entropy(c3)``, for a caller that holds it in a
-    table; without it the kernel forms it.
+    table; without it the kernel forms it. The spectral sum over the parities
+    is summed in place in the order ((x1 + x2) + x3) + x4; multiplying by
+    1/4 rounds exactly as dividing by 4 does.
     """
     if diagonal is None:
         diagonal = dephased_entropy(c3)
-    return _rel_entropy(parities(c1, c2, c3), diagonal)
+    q1, q2, q3, q4 = parities(c1, c2, c3)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spectral = _xlnx(q1) + _xlnx(q2)
+        spectral += _xlnx(q3)
+        spectral += _xlnx(q4)
+    spectral *= 0.25
+    spectral -= diagonal
+    return spectral
 
 
 def dephased_entropy(c3):
@@ -102,22 +111,6 @@ def dephased_entropy(c3):
         diagonal = _xlnx(1.0 + c3) + _xlnx(1.0 - c3)
     diagonal *= 0.5
     return diagonal
-
-
-def _rel_entropy(q, diagonal):
-    """Relative entropy of coherence from the parities ``q`` and ``dephased_entropy(c3)``.
-
-    The spectral sum is summed in place in the order ((x1 + x2) + x3) + x4;
-    multiplying by 1/4 rounds exactly as dividing by 4 does.
-    """
-    q1, q2, q3, q4 = q
-    with np.errstate(divide="ignore", invalid="ignore"):
-        spectral = _xlnx(q1) + _xlnx(q2)
-        spectral += _xlnx(q3)
-        spectral += _xlnx(q4)
-    spectral *= 0.25
-    spectral -= diagonal
-    return spectral
 
 
 def skew_kernel(c1, c2, c3):
@@ -146,14 +139,10 @@ def closed_measures(measure: Measure, c1, c2, c3) -> np.ndarray:
     """Closed-form values of ``measure`` over broadcastable coefficient arrays.
 
     The one closed-measure path: it rejects the first unphysical state, then
-    evaluates the kernel and clamps round-off negatives. rel-ent reuses the
-    parities that the physicality test formed.
+    evaluates the measure's kernel and clamps round-off negatives.
     """
-    q = require_physical(c1, c2, c3)
-    measure = Measure(measure)
-    if measure is Measure.REL_ENT:
-        return clamped_array(_rel_entropy(q, dephased_entropy(c3)))
-    return clamped_array(_KERNELS[measure](c1, c2, c3))
+    require_physical(c1, c2, c3)
+    return clamped_array(_KERNELS[Measure(measure)](c1, c2, c3))
 
 
 def _l1_matrix(a: np.ndarray) -> np.ndarray:

@@ -15,16 +15,9 @@ from .channels import (
     per_iteration_factors,
 )
 from .coherence import Measure, closed_measures, matrix_measure
-from .errors import (
-    Choice,
-    IncoherentStateError,
-    ValidationError,
-    require_bound,
-    require_count,
-    require_real,
-)
+from .errors import Choice, IncoherentStateError, ValidationError, require_bound, require_count
 from .linalg import raise_for_first, row_value
-from .states import BellCoefficients, coordinates, to_density_matrix
+from .states import BellCoefficients, stack_states, to_density_matrix
 
 COHERENCE_FLOOR = 1e-12
 FROZEN_TOL = 1e-9
@@ -63,14 +56,17 @@ def decay_rate(query: DecayQuery) -> float:
 def decay_rates(queries: Sequence[DecayQuery]) -> np.ndarray:
     """``decay_rate`` of many queries of one engine, as stacks; no queries give no rates.
 
-    Rows may differ in state, measure, channel kind, p, n and mode. Each
-    step runs once over all rows (measures once per measure present), and
-    every row gets the bits ``decay_rate`` gives it alone. The oracle steps
-    its matrices through ``evolve_matrices``, which holds the per-row Kraus
-    products of one bounded block at a time. A check that fails raises for
-    the first row that fails it; the oracle's channel steps take their rows
-    kind by kind. ``mode`` is a closed-form convention, so the matrix-oracle
-    engine, whose Kraus route is 'derived', rejects 'paper'.
+    Rows may differ in state, measure, channel kind, p, n and mode. Both
+    engines go through ``_ratio``: each step runs once over all rows
+    (measures once per measure present), and every row gets the bits
+    ``decay_rate`` gives it alone. The closed-form engine measures with
+    ``closed_measures`` and evolves with ``evolve_rows``; the oracle measures
+    with ``matrix_measure`` and evolves through ``evolve_matrices``, which
+    holds the per-row Kraus products of one bounded block at a time. A check
+    that fails raises for the first row that fails it; the oracle's channel
+    steps take their rows kind by kind. ``mode`` is a closed-form
+    convention, so the matrix-oracle engine, whose Kraus route is 'derived',
+    rejects 'paper'.
     """
     engines = {Engine(q.engine) for q in queries}
     if not engines:  # an empty stack maps to an empty one
@@ -80,33 +76,42 @@ def decay_rates(queries: Sequence[DecayQuery]) -> np.ndarray:
     (engine,) = engines
     measures = [Measure(q.measure) for q in queries]
     modes = {CoefficientMapMode(q.mode) for q in queries}
-    states = [coordinates(q.state) for q in queries]
-    # checked before the conversion to float64 would parse strings and bools
-    require_real("coefficients", *(c for state in states for c in state))
-    try:
-        states = np.array(states, dtype=np.float64)
-    except ValueError:  # array coordinates of different lengths do not stack
-        states = np.empty(0)
-    if states.shape != (len(queries), 3):
-        raise ValidationError("every state of a stack needs three coordinates (c1, c2, c3)")
+    states = stack_states([q.state for q in queries])
     if engine is Engine.CLOSED_FORM:
-        def measure_rows(measure, coefficients):
-            return closed_measures(measure, *coefficients.T)
+        def evolve(rows):
+            counts = np.array([require_count("iteration count", q.n) for q in queries])
+            factors = np.array([per_iteration_factors(q.kind, q.p, q.mode) for q in queries])
+            return evolve_rows(rows, factors, counts)
 
-        before = _by_measure(measures, states, measure_rows)
-        require_coherent(before)
-        counts = np.array([require_count("iteration count", q.n) for q in queries])
-        factors = np.array([per_iteration_factors(q.kind, q.p, q.mode) for q in queries])
-        after = _by_measure(measures, evolve_rows(states, factors, counts), measure_rows)
-        return after / before
+        return _ratio(lambda rows: _by_measure(measures, rows, _closed_rows), states, evolve)
     if CoefficientMapMode.PAPER in modes:
         raise ValidationError("mode 'paper' is closed-form only; the Kraus route is 'derived'")
-    rho = to_density_matrix(BellCoefficients(*states.T))
-    before = _by_measure(measures, rho, matrix_measure)
-    require_coherent(before)
     kinds, ps, counts = zip(*((q.kind, q.p, q.n) for q in queries))
-    evolved = evolve_matrices(rho, kinds, ps, counts)
-    return _by_measure(measures, evolved, matrix_measure) / before
+    return _ratio(
+        lambda rho: _by_measure(measures, rho, matrix_measure),
+        to_density_matrix(BellCoefficients(*states.T)),
+        lambda rho: evolve_matrices(rho, kinds, ps, counts),
+    )
+
+
+def _ratio(measure, rows: np.ndarray, evolve) -> np.ndarray:
+    """R_n of each row: ``measure(evolve(rows)) / measure(rows)``.
+
+    The one place a decay rate is formed. The first initial coherence at or
+    below COHERENCE_FLOOR has no ratio and raises IncoherentStateError
+    before ``evolve`` runs, so before any channel step and before any
+    parameter that ``evolve`` reads.
+    """
+    before = measure(rows)
+    raise_for_first(before <= COHERENCE_FLOOR, lambda row: IncoherentStateError(
+        f"initial coherence {row_value(before, row)!r} is at or below {COHERENCE_FLOOR:.1e}"
+    ))
+    return measure(evolve(rows)) / before
+
+
+def _closed_rows(measure: Measure, coefficients: np.ndarray) -> np.ndarray:
+    """``closed_measures`` of the (N, 3) rows ``coefficients``."""
+    return closed_measures(measure, *coefficients.T)
 
 
 def _by_measure(measures: list[Measure], rows: np.ndarray, evaluate) -> np.ndarray:
@@ -116,13 +121,6 @@ def _by_measure(measures: list[Measure], rows: np.ndarray, evaluate) -> np.ndarr
         mask = np.array([m is measure for m in measures])
         values[mask] = evaluate(measure, rows[mask])
     return values
-
-
-def require_coherent(before: np.ndarray) -> None:
-    """Reject the first initial coherence at or below COHERENCE_FLOOR: no ratio exists."""
-    raise_for_first(before <= COHERENCE_FLOOR, lambda row: IncoherentStateError(
-        f"initial coherence {row_value(before, row)!r} is at or below {COHERENCE_FLOOR:.1e}"
-    ))
 
 
 def is_frozen(query: DecayQuery, tol: float = FROZEN_TOL) -> bool:

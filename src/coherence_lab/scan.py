@@ -1,12 +1,14 @@
 """Decay-rate curves over p and frozen-coherence point clouds over state space.
 
 Each scan is one exact array evaluation, run serially. It performs the
-scalar path's operations in the scalar path's order: ``closed_measure`` of
+scalar path's operations in the scalar path's order: the closed measure of
 the state, the per-iteration factor products of ``evolve_rows`` (never a
-power; a curve's (p, n) cells are the rows of one call), ``closed_measure``
-of the evolved state, and one division. Every curve cell and every lattice
-point's rate is therefore bit for bit the ``decay_rate`` of that state, and
-the output is deterministic by construction.
+power), the closed measure of the evolved state, and one division. A curve
+lays out its (p, n) cells as the rows of one ``decay._ratio`` call, the
+core ``decay_rates`` uses too; a lattice point's values come from the
+measure's kernel in ``_KERNELS`` on both sides. Every curve cell and every
+lattice point's rate is therefore bit for bit the ``decay_rate`` of that
+state, and the output is deterministic by construction.
 
 The frozen-surface scan evaluates each quantity only as often as it varies.
 Lattice point (i, j, k) evolves to (e1[i], e2[j], e3[k]), the three axes
@@ -44,18 +46,10 @@ import numpy as np
 from scipy import ndimage
 
 from .channels import ChannelKind, CoefficientMapMode, evolve_rows, per_iteration_factors
-from . import coherence
-from .coherence import (
-    Measure,
-    clamped_array,
-    closed_measure,
-    closed_measures,
-    dephased_entropy,
-    _KERNELS,
-)
-from .decay import COHERENCE_FLOOR, require_coherent
+from .coherence import Measure, clamped_array, closed_measures, dephased_entropy, _KERNELS
+from .decay import COHERENCE_FLOOR, _ratio
 from .errors import ParameterRangeError, require_bound, require_count
-from .states import BellCoefficients, physical_mask, require_physical
+from .states import BellCoefficients, physical_mask, require_physical, stack_states
 
 
 @dataclass(frozen=True)
@@ -79,9 +73,11 @@ def decay_curve(
 ) -> DecayCurve:
     """Decay rates on the interior grid p_k = k / (p_count + 1), k = 1..p_count.
 
-    Every (p, n) cell is one row of a single ``evolve_rows`` call: the state
-    multiplied by its p's factors n times (never a power), then measured by
-    ``closed_measures`` and divided by the state's own coherence.
+    The state is validated as three real coordinates and tiled into one row
+    per (p, n) cell, p-major; the rows go through ``decay._ratio`` with
+    ``closed_measures`` and one ``evolve_rows`` call, which multiplies each
+    row by its p's factors n times (never a power). An incoherent state
+    raises IncoherentStateError before any row is evolved.
     """
     kind = ChannelKind(kind)
     measure = Measure(measure)
@@ -95,15 +91,15 @@ def decay_curve(
     n_tuple = tuple(require_count("iteration count", n) for n in n_tuple)
     if not n_tuple:
         raise ParameterRangeError(f"n_list must be nonempty, got {n_list!r}")
-    before = closed_measure(measure, state)
-    require_coherent(before)
+    state_row = stack_states([state])
     p_values = np.array([k / (p_count + 1) for k in range(1, p_count + 1)])
-    factors = np.array([per_iteration_factors(kind, float(p), mode) for p in p_values])
-    evolved = evolve_rows(
-        np.tile(np.array(state, dtype=np.float64), (len(p_values) * len(n_tuple), 1)),
-        np.repeat(factors, len(n_tuple), axis=0), np.tile(n_tuple, len(p_values)),
-    )
-    rates = closed_measures(measure, *evolved.T.reshape(3, len(p_values), len(n_tuple))) / before
+    factors = np.repeat([per_iteration_factors(kind, float(p), mode) for p in p_values],
+                        len(n_tuple), axis=0)
+    rates = _ratio(
+        lambda rows: closed_measures(measure, *rows.T),
+        np.repeat(state_row, p_count * len(n_tuple), axis=0),
+        lambda rows: evolve_rows(rows, factors, np.tile(n_tuple, p_count)),
+    ).reshape(p_count, len(n_tuple))
     return DecayCurve(kind, measure, state, mode, n_tuple, p_values, rates)
 
 
@@ -265,8 +261,7 @@ def frozen_surface(
             j_all, k_all = _run_points(j, start, stop)
             require_physical(e1[i], e2[j_all], e3[k_all])
         given = (evolved_diagonal[start],) if measure is Measure.REL_ENT else ()
-        # coherence's own kernel: the tracer wraps scan._KERNELS to time the initial side
-        after = clamped_array(coherence._KERNELS[measure](e1[i], e2[j], e3[start], *given))
+        after = clamped_array(_KERNELS[measure](e1[i], e2[j], e3[start], *given))
         frozen = np.abs(after / before - 1.0) <= tol
         if frozen.any():
             j_kept, k_kept = _run_points(j[frozen], start[frozen], stop[frozen])

@@ -70,18 +70,13 @@ def parities(c1, c2, c3):
 
 
 def physical_mask(c1, c2, c3):
-    """Elementwise: every eigenvalue q_i / 4 is >= -PHYSICAL_TOL (NaN counts as unphysical)."""
-    return _nonnegative(parities(c1, c2, c3))
-
-
-def _nonnegative(q):
-    """Elementwise: every q_i / 4 of the parities ``q`` is >= -PHYSICAL_TOL.
+    """Elementwise: every eigenvalue q_i / 4 is >= -PHYSICAL_TOL (NaN counts as unphysical).
 
     Tested as q_i >= -4 PHYSICAL_TOL, with no division: division by 4 is
     exact on normal numbers, both tests hold on subnormals and NaN fails
     both, so the two agree on every input. A scalar state stays in floats.
     """
-    q1, q2, q3, q4 = q
+    q1, q2, q3, q4 = parities(c1, c2, c3)
     floor = -4.0 * PHYSICAL_TOL
     return (q1 >= floor) & (q2 >= floor) & (q3 >= floor) & (q4 >= floor)
 
@@ -105,21 +100,39 @@ def coordinates(c) -> tuple:
     return c1, c2, c3
 
 
+def stack_states(states) -> np.ndarray:
+    """The (N, 3) float64 stack of the N states ``states``, each three real coordinates.
+
+    A state that does not unpack into three values, a coordinate that is not
+    a real number (strings and bools included) and array coordinates that do
+    not stack into one row each raise ValidationError. Physicality is not
+    checked here.
+    """
+    states = [coordinates(c) for c in states]
+    # checked before the conversion to float64 would parse strings and bools
+    require_real("coefficients", *(c for state in states for c in state))
+    try:
+        stack = np.array(states, dtype=np.float64)
+    except ValueError:  # array coordinates of different lengths do not stack
+        stack = np.empty(0)
+    if stack.shape != (len(states), 3):
+        raise ValidationError("every state of a stack needs three coordinates (c1, c2, c3)")
+    return stack
+
+
 def is_physical(c: BellCoefficients) -> bool:
     """True when every eigenvalue is >= -PHYSICAL_TOL (state inside the tetrahedron)."""
     return bool(physical_mask(*c))
 
 
-def require_physical(c1, c2, c3) -> tuple:
+def require_physical(c1, c2, c3) -> None:
     """Reject the first (row-major) state of broadcastable coefficients outside the tetrahedron.
 
     Coordinates must be real numbers or real arrays; anything else raises
-    ValidationError before the tetrahedron test. Returns the parities
-    (q1, q2, q3, q4) it tested, so a caller that needs them forms them once.
+    ValidationError before the tetrahedron test.
     """
     require_real("coefficients", c1, c2, c3)
-    q = parities(c1, c2, c3)
-    inside = _nonnegative(q)
+    inside = physical_mask(c1, c2, c3)
     if not np.asarray(inside).all():
         outside = np.logical_not(inside)
         first = tuple(float(np.broadcast_to(c, outside.shape)[outside][0]) for c in (c1, c2, c3))
@@ -127,7 +140,6 @@ def require_physical(c1, c2, c3) -> tuple:
             f"coefficients {first} lie outside the physical tetrahedron "
             "with vertices (1,-1,1), (-1,1,1), (1,1,-1), (-1,-1,-1)"
         )
-    return q
 
 
 def to_density_matrix(c: BellCoefficients) -> np.ndarray:

@@ -28,6 +28,7 @@ from coherence_lab import (
     sample_states,
     to_density_matrix,
 )
+from coherence_lab import channels
 from coherence_lab.cli import VERIFY_ENGINE_TOL
 from conftest import REFERENCE
 
@@ -82,6 +83,21 @@ def test_incoherent_input_rejected():
             decay_rate(
                 DecayQuery(BellCoefficients(0, 0, 0.5), Measure.L1, BF, 0.5, 1, engine=engine)
             )
+
+
+@pytest.mark.parametrize("rates", [
+    lambda state: decay_rates([DecayQuery(state, Measure.L1, BF, 0.5, 1)]),
+    lambda state: decay_rates([DecayQuery(state, Measure.L1, BF, 0.5, 1,
+                                          engine=Engine.MATRIX_ORACLE)]),
+    lambda state: decay_curve(BF, Measure.L1, state, (1, 2), p_count=3),
+], ids=["closed-form", "matrix-oracle", "decay_curve"])
+def test_incoherence_is_rejected_before_any_step(monkeypatch, rates):
+    def no_steps(*args):
+        raise AssertionError("a channel step ran before the coherence check")
+
+    monkeypatch.setattr(channels, "_per_row_steps", no_steps)
+    with pytest.raises(IncoherentStateError):
+        rates(BellCoefficients(0.0, 0.0, 0.5))
 
 
 _QUERY = DecayQuery(REFERENCE, Measure.L1, BF, 0.5, 1)
@@ -153,6 +169,12 @@ BAD_INPUTS = {
     "decay_curve 4-tuple state": lambda: decay_curve(BF, Measure.L1, _LONG, (1,), p_count=3),
     "decay_curve string state": lambda: decay_curve(BF, Measure.L1, _TEXT, (1,), p_count=3),
     "decay_curve n_list int": lambda: decay_curve(BF, Measure.L1, REFERENCE, 5, p_count=3),
+    # real-number checks come before the state is tiled into float rows,
+    # which would parse the strings and read the bool as 1.0
+    "decay_curve string coordinates":
+        lambda: decay_curve(BF, Measure.L1, ("0.5", "0.1", "0.1"), (1,), p_count=3),
+    "decay_curve bool coordinate":
+        lambda: decay_curve(BF, Measure.L1, (True, 0.0, 0.0), (1,), p_count=3),
     # typed all along, but no test reached these branches
     "apply_n more counts than rows": lambda: apply_n(_PAIR, kraus_set(BF, 0.5), [1, 2, 3]),
     "apply_n fewer Kraus sets than rows": lambda: apply_n(_PAIR, [kraus_set(BF, 0.5)], 1),

@@ -49,5 +49,6 @@ def test_frozen_surface_calls_the_kernel_through_scan(monkeypatch, measure):
 
     monkeypatch.setattr(scan, "_KERNELS", {m: counting(m, k) for m, k in scan._KERNELS.items()})
     frozen_surface(ChannelKind.BIT_FLIP, measure, 0.5, 1, grid_res=5)
-    # one initial-side kernel call per c1 plane, and only for this measure
-    assert calls == {m: 5 if m is measure else 0 for m in Measure}
+    # per c1 plane one initial-side and one evolved-side kernel call, and only
+    # for this measure
+    assert calls == {m: 10 if m is measure else 0 for m in Measure}
