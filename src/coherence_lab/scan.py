@@ -93,12 +93,13 @@ def decay_curve(
         raise ParameterRangeError(f"n_list must be nonempty, got {n_list!r}")
     state_row = stack_states([state])
     p_values = np.array([k / (p_count + 1) for k in range(1, p_count + 1)])
-    factors = np.repeat([per_iteration_factors(kind, float(p), mode) for p in p_values],
-                        len(n_tuple), axis=0)
+    factors = np.array([per_iteration_factors(kind, float(p), mode) for p in p_values])
     rates = _ratio(
         lambda rows: closed_measures(measure, *rows.T),
         np.repeat(state_row, p_count * len(n_tuple), axis=0),
-        lambda rows: evolve_rows(rows, factors, np.tile(n_tuple, p_count)),
+        lambda rows: evolve_rows(
+            rows, np.repeat(factors, len(n_tuple), axis=0), np.tile(n_tuple, p_count)
+        ),
     ).reshape(p_count, len(n_tuple))
     return DecayCurve(kind, measure, state, mode, n_tuple, p_values, rates)
 
