@@ -33,8 +33,8 @@ from .states import (
     BellCoefficients,
     IDENTITY_2,
     PAULI,
-    coordinates,
     require_physical,
+    stack_states,
     validate_density_matrix,
 )
 
@@ -310,7 +310,7 @@ def coefficient_map(
     n1 bit for bit.
     """
     n = require_count("iteration count", n)
-    c = coordinates(c)
+    c = stack_states([c])[0].tolist()
     require_physical(*c)
     factors = per_iteration_factors(kind, p, mode)
     evolved = evolve_rows(np.array([c], dtype=np.float64), np.array([factors]), np.array([n]))

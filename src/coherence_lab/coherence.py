@@ -27,9 +27,9 @@ from .errors import Choice, InternalNumericalError
 from .linalg import psd_sqrt, raise_for_first, row_value, von_neumann_entropy
 from .states import (
     BellCoefficients,
-    coordinates,
     parities,
     require_physical,
+    stack_states,
     validate_density_matrix,
 )
 
@@ -76,21 +76,18 @@ def _xlnx(x):
     return out
 
 
-def l1_kernel(c1, c2, c3):
-    """Closed-form l1 coherence; accepts scalars or broadcastable arrays."""
+def l1_kernel(c1, c2):
+    """Closed-form l1 coherence max(|c1|, |c2|); it has no c3 term."""
     return np.maximum(np.abs(c1), np.abs(c2))
 
 
-def rel_entropy_kernel(c1, c2, c3, diagonal=None):
+def rel_entropy_kernel(c1, c2, c3, diagonal):
     """Closed-form relative entropy of coherence; physical inputs assumed.
 
-    ``diagonal`` is ``dephased_entropy(c3)``, for a caller that holds it in a
-    table; without it the kernel forms it. The spectral sum over the parities
-    is summed in place in the order ((x1 + x2) + x3) + x4; multiplying by
-    1/4 rounds exactly as dividing by 4 does.
+    ``diagonal`` is the c3 term ``dephased_entropy(c3)``. The spectral sum
+    over the parities is summed in place in the order ((x1 + x2) + x3) + x4;
+    multiplying by 1/4 rounds exactly as dividing by 4 does.
     """
-    if diagonal is None:
-        diagonal = dephased_entropy(c3)
     q1, q2, q3, q4 = parities(c1, c2, c3)
     with np.errstate(divide="ignore", invalid="ignore"):
         spectral = _xlnx(q1) + _xlnx(q2)
@@ -104,8 +101,7 @@ def rel_entropy_kernel(c1, c2, c3, diagonal=None):
 def dephased_entropy(c3):
     """The dephased-state term [(1+c3) ln(1+c3) + (1-c3) ln(1-c3)] / 2 of rel-ent.
 
-    It depends on c3 alone, so a scan forms it once per distinct c3 and
-    gathers it; multiplying by 1/2 rounds exactly as dividing by 2 does.
+    Multiplying by 1/2 rounds exactly as dividing by 2 does.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         diagonal = _xlnx(1.0 + c3) + _xlnx(1.0 - c3)
@@ -128,10 +124,19 @@ def skew_kernel(c1, c2, c3):
     return value
 
 
+# Each kernel is called as kernel(c1, c2, *terms), where terms are the
+# measure's _C3_TERMS of c3. A term depends on c3 alone, so a scan can form
+# it once per distinct c3 and gather it; a measure with no term does not
+# vary with c3 at all.
 _KERNELS = {
     Measure.L1: l1_kernel,
     Measure.REL_ENT: rel_entropy_kernel,
     Measure.SKEW: skew_kernel,
+}
+_C3_TERMS = {
+    Measure.L1: lambda c3: (),
+    Measure.REL_ENT: lambda c3: (c3, dephased_entropy(c3)),
+    Measure.SKEW: lambda c3: (c3,),
 }
 
 
@@ -139,10 +144,17 @@ def closed_measures(measure: Measure, c1, c2, c3) -> np.ndarray:
     """Closed-form values of ``measure`` over broadcastable coefficient arrays.
 
     The one closed-measure path: it rejects the first unphysical state, then
-    evaluates the measure's kernel and clamps round-off negatives.
+    evaluates the measure's kernel on its c3 terms and clamps round-off
+    negatives. The values take the broadcast shape of all three coordinates,
+    whether or not the measure has a c3 term.
     """
     require_physical(c1, c2, c3)
-    return clamped_array(_KERNELS[Measure(measure)](c1, c2, c3))
+    measure = Measure(measure)
+    values = _KERNELS[measure](c1, c2, *_C3_TERMS[measure](c3))
+    shape = np.broadcast(c1, c2, c3).shape
+    if np.shape(values) != shape:  # a measure with no c3 term broadcasts c1 and c2 alone
+        values = np.broadcast_to(values, shape).copy()
+    return clamped_array(values)
 
 
 def _l1_matrix(a: np.ndarray) -> np.ndarray:
@@ -174,7 +186,7 @@ _MATRIX = {
 
 def closed_measure(measure: Measure, c: BellCoefficients) -> float:
     """Closed-form value of ``measure`` at coefficients ``c``; one row of ``closed_measures``."""
-    return float(closed_measures(measure, *coordinates(c)))
+    return float(closed_measures(measure, *stack_states([c])[0].tolist()))
 
 
 def matrix_measure(measure: Measure, rho: np.ndarray) -> float | np.ndarray:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .coherence import l1_kernel
 from .errors import ParameterRangeError, require_bound, require_count, require_integer
-from .states import BellCoefficients, is_physical
+from .states import BellCoefficients, physical_mask
 
 _MULT = 6364136223846793005
 _INC = 1442695040888963407
@@ -50,7 +50,8 @@ def random_physical_state(rng: Lcg, min_l1: float = 0.0) -> BellCoefficients:
         c = BellCoefficients(
             rng.next_in(-1.0, 1.0), rng.next_in(-1.0, 1.0), rng.next_in(-1.0, 1.0)
         )
-        if is_physical(c) and float(l1_kernel(*c)) >= min_l1:
+        # the draws are floats by construction, so they skip the state intake
+        if physical_mask(*c) and float(l1_kernel(c.c1, c.c2)) >= min_l1:
             return c
 
 

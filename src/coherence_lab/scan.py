@@ -18,17 +18,18 @@ the one run |i - j| <= k <= s - |i + j - s| of physical points, so a
 (grid, grid) table of run ends gives exactly the points ``physical_mask``
 selects.
 
-- l1 = max(|c1|, |c2|) ignores c3, so its initial and evolved values are
-  formed once per row, and a frozen row keeps its whole run.
+- Each measure's terms in c3 alone, its ``_C3_TERMS``, are tabulated once
+  over the axis and once over e3 and gathered by k on both sides; the
+  kernel takes them after c1 and c2. A measure with no c3 term (l1 =
+  max(|c1|, |c2|)) has one value per row, so its initial and evolved values
+  are formed once per row and a frozen row keeps its whole run; any other
+  measure is evaluated per physical point.
 - The evolved physicality gate tests run ends, once per scan, for every
   measure. Each e3 is its c3 multiplied n times by one factor, and rounding is
   monotone, so e3 is monotone along a run and so is each evolved parity
   q_i; the ends bound the run. Only if the gate fails are the points
   checked one by one, which names the first unphysical coherent point in
   lattice order, the one ``closed_measures`` would name.
-- rel-ent's dephased term [(1+c3) ln(1+c3) + (1-c3) ln(1-c3)] / 2 depends
-  on c3 alone: it is tabulated once over the axis and once over e3 and
-  gathered by k, and handed to rel-ent's kernel on both sides.
 
 Every value is formed by the scalar path's operations in its order, so each
 lattice point's rate is bit for bit its ``decay_rate``. The two coherence
@@ -46,7 +47,7 @@ import numpy as np
 from scipy import ndimage
 
 from .channels import ChannelKind, CoefficientMapMode, evolve_rows, per_iteration_factors
-from .coherence import Measure, clamped_array, closed_measures, dephased_entropy, _KERNELS
+from .coherence import Measure, clamped_array, closed_measures, _C3_TERMS, _KERNELS
 from .decay import COHERENCE_FLOOR, _ratio
 from .errors import ParameterRangeError, require_bound, require_count
 from .states import BellCoefficients, physical_mask, require_physical, stack_states
@@ -196,10 +197,11 @@ def frozen_surface(
     decay rate satisfies |R_n - 1| <= tol. The component count in the
     metadata joins lattice points that differ by one step along one axis.
     The lattice is evaluated one c1 plane at a time, so the floating-point
-    work arrays stay plane-sized at any grid: l1 once per row of the plane,
-    rel-ent and skew once per physical point. The evolved states' physicality
-    is checked once per scan at the ends of each row's run of physical
-    points, for every measure.
+    work arrays stay plane-sized at any grid. The measure's c3 terms are
+    tabulated once per axis value and once per evolved value; a measure
+    with none is evaluated once per row of the plane, any other once per
+    physical point. The evolved states' physicality is checked once per
+    scan at the ends of each row's run of physical points, for every measure.
 
     Parameters
     ----------
@@ -240,29 +242,26 @@ def frozen_surface(
     first, last = _row_runs(grid_res)
     rows = np.arange(grid_res)
     runs_physical = _runs_physical(e1, e2, e3, first, last)
-    if measure is Measure.REL_ENT:
-        # the dephased term depends on c3 alone: one table per axis, gathered by k
-        diagonal, evolved_diagonal = dephased_entropy(axis), dephased_entropy(e3)
+    # the measure's terms in c3 alone: one table per axis, gathered by k
+    terms, evolved_terms = _C3_TERMS[measure](axis), _C3_TERMS[measure](e3)
     kept = np.zeros((grid_res, grid_res, grid_res), dtype=bool)
     for i, c1 in enumerate(axis):
-        if measure is Measure.L1:
-            # l1 ignores c3, so each row is one item, its run start..stop,
-            # and the run's first point stands for all of it
+        if not terms:
+            # the values do not vary with c3, so each row is one item, its
+            # run start..stop, and the run's first point stands for all of it
             j, start, stop = rows, first[i], last[i]
         else:  # each physical point is one item, a run of one
             j, start = _run_points(rows, first[i], last[i])
             stop = start
-        given = (diagonal[start],) if measure is Measure.REL_ENT else ()
         # physical by selection, so only the clamp of closed_measure applies
-        before = clamped_array(_KERNELS[measure](c1, axis[j], axis[start], *given))
+        before = clamped_array(_KERNELS[measure](c1, axis[j], *(t[start] for t in terms)))
         coherent = before >= floor
         if not coherent.all():
             j, start, stop, before = j[coherent], start[coherent], stop[coherent], before[coherent]
         if not runs_physical:  # per point, to name the first unphysical coherent point
             j_all, k_all = _run_points(j, start, stop)
             require_physical(e1[i], e2[j_all], e3[k_all])
-        given = (evolved_diagonal[start],) if measure is Measure.REL_ENT else ()
-        after = clamped_array(_KERNELS[measure](e1[i], e2[j], e3[start], *given))
+        after = clamped_array(_KERNELS[measure](e1[i], e2[j], *(t[start] for t in evolved_terms)))
         frozen = np.abs(after / before - 1.0) <= tol
         if frozen.any():
             j_kept, k_kept = _run_points(j[frozen], start[frozen], stop[frozen])

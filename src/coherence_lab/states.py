@@ -83,7 +83,7 @@ def physical_mask(c1, c2, c3):
 
 def bell_eigenvalues(c: BellCoefficients) -> np.ndarray:
     """The four eigenvalues q_i/4, sorted ascending."""
-    return np.sort(np.array(parities(*coordinates(c)))) / 4.0
+    return np.sort(np.array(parities(*stack_states([c])[0].tolist()))) / 4.0
 
 
 def coordinates(c) -> tuple:
@@ -122,7 +122,7 @@ def stack_states(states) -> np.ndarray:
 
 def is_physical(c: BellCoefficients) -> bool:
     """True when every eigenvalue is >= -PHYSICAL_TOL (state inside the tetrahedron)."""
-    return bool(physical_mask(*c))
+    return bool(physical_mask(*stack_states([c])[0].tolist()))
 
 
 def require_physical(c1, c2, c3) -> None:

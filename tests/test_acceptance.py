@@ -35,7 +35,7 @@ from coherence_lab import (
     single_parameter_kraus_set,
     to_density_matrix,
 )
-from coherence_lab.coherence import _KERNELS
+from coherence_lab.coherence import _C3_TERMS, _KERNELS
 from coherence_lab.cli import main
 from coherence_lab.scan import frozen_surface
 from conftest import REFERENCE
@@ -241,8 +241,8 @@ def _max_lattice_rate(kind, measure, n):
         np.minimum(1 - c1 - c2 - c3, 1 + c1 + c2 - c3),
         np.minimum(1 + c1 - c2 + c3, 1 - c1 + c2 + c3),
     )
-    kernel = _KERNELS[measure]
-    before = kernel(c1, c2, c3)
+    kernel, terms = _KERNELS[measure], _C3_TERMS[measure]
+    before = kernel(c1, c2, *terms(c3))
     mask = (q_min / 4.0 >= -1e-12) & (before >= 1e-4)
     f1, f2, f3 = per_iteration_factors(kind, 0.5)
     e1, e2, e3 = c1.copy(), c2.copy(), c3.copy()
@@ -250,7 +250,7 @@ def _max_lattice_rate(kind, measure, n):
         e1 *= f1
         e2 *= f2
         e3 *= f3
-    after = kernel(e1, e2, e3)
+    after = kernel(e1, e2, *terms(e3))
     rates = np.where(mask, after / np.where(mask, before, 1.0), -np.inf)
     index = np.unravel_index(np.argmax(rates), rates.shape)
     state = BellCoefficients(float(c1[index]), float(c2[index]), float(c3[index]))

@@ -14,7 +14,13 @@ from coherence_lab import (
     sample_states,
     to_density_matrix,
 )
-from coherence_lab.coherence import XLNX_FLOOR, clamped_array, closed_measures, rel_entropy_kernel
+from coherence_lab.coherence import (
+    XLNX_FLOOR,
+    clamped_array,
+    closed_measures,
+    dephased_entropy,
+    rel_entropy_kernel,
+)
 from coherence_lab.states import PHYSICAL_TOL, physical_mask
 from conftest import REFERENCE, VERTICES, physical_coefficients
 
@@ -117,6 +123,15 @@ def test_closed_measures_reject_unphysical():
             closed_measure(measure, bad)
 
 
+@pytest.mark.parametrize("measure", list(Measure))
+def test_closed_measures_take_the_broadcast_shape(measure):
+    # l1 has no c3 term, but its values still take c3's shape
+    one = closed_measures(measure, 0.1, 0.2, 0.0)
+    for c1, c2, c3 in ((0.1, 0.2, np.zeros(3)), (np.full((2, 1), 0.1), 0.2, np.zeros(3))):
+        values = closed_measures(measure, c1, c2, c3)
+        assert _same_bits(values, np.full(np.broadcast(c1, c2, c3).shape, one))
+
+
 def _clipped_rel_entropy(c1, c2, c3):
     """Reference rel-ent: clipped parities, then x ln x guarded by np.maximum and np.where.
 
@@ -175,7 +190,7 @@ def _rel_ent_inputs():
 def test_rel_entropy_bits_equal_the_clipped_form():
     for label, c1, c2, c3, physical in _rel_ent_inputs():
         reference = _clipped_rel_entropy(c1, c2, c3)
-        assert _same_bits(rel_entropy_kernel(c1, c2, c3), reference), label
+        assert _same_bits(rel_entropy_kernel(c1, c2, c3, dephased_entropy(c3)), reference), label
         if physical:
             assert _same_bits(closed_measures(Measure.REL_ENT, c1, c2, c3),
                               clamped_array(reference)), label

@@ -103,6 +103,8 @@ def test_incoherence_is_rejected_before_any_step(monkeypatch, rates):
 _QUERY = DecayQuery(REFERENCE, Measure.L1, BF, 0.5, 1)
 # states that are not exactly three coordinates
 _SHORT, _LONG, _TEXT = (0.6, 0.1), (0.6, 0.1, 0.2, 0.0), "0.6,0.1,0.2"
+# a state with an array coordinate, which is two states, not one
+_ARRAY = (np.array([0.1, 0.2]), 0.1, 0.0)
 # a stack of two density matrices
 _PAIR = to_density_matrix(BellCoefficients(np.array([0.6, 0.5]), 0.1, 0.2))
 
@@ -191,6 +193,18 @@ BAD_INPUTS = {
     "decay_rate oracle int state": lambda: decay_rate(DecayQuery(
         5, Measure.L1, BF, 0.5, 1, engine=Engine.MATRIX_ORACLE)),
     "bell_eigenvalues 2-tuple state": lambda: bell_eigenvalues(_SHORT),
+    # states that did not go through the state intake: a bare TypeError,
+    # OverflowError or numpy ValueError, or a (4, 2) array sorted per row
+    "is_physical 2-tuple state": lambda: is_physical(_SHORT),
+    "is_physical None state": lambda: is_physical(None),
+    "is_physical string coordinates": lambda: is_physical(("a", "b", "c")),
+    "is_physical huge int coordinate": lambda: is_physical((10**400, 0, 0)),
+    "is_physical array coordinate": lambda: is_physical(_ARRAY),
+    "bell_eigenvalues string coordinates": lambda: bell_eigenvalues(("a", "b", "c")),
+    "bell_eigenvalues huge int coordinate": lambda: bell_eigenvalues((10**400, 0, 0)),
+    "bell_eigenvalues array coordinate": lambda: bell_eigenvalues(_ARRAY),
+    "closed_measure array coordinate": lambda: closed_measure(Measure.L1, _ARRAY),
+    "coefficient_map array coordinate": lambda: coefficient_map(BF, 0.5, 1, _ARRAY),
 }
 
 

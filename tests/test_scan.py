@@ -24,12 +24,7 @@ from coherence_lab import (
 )
 from coherence_lab import scan
 from coherence_lab.channels import evolve_rows, per_iteration_factors
-from coherence_lab.coherence import (
-    clamped_array,
-    closed_measures,
-    dephased_entropy,
-    rel_entropy_kernel,
-)
+from coherence_lab.coherence import _C3_TERMS, _KERNELS, clamped_array, closed_measures
 from coherence_lab.decay import COHERENCE_FLOOR
 from coherence_lab.scan import _row_runs, _run_points, _runs_physical, lattice_axis
 from coherence_lab.states import physical_mask
@@ -268,6 +263,7 @@ def test_unphysical_evolution_names_the_first_coherent_point(monkeypatch, measur
         assert str(raised.value) == f"coefficients {first} {_OUTSIDE}"
 
 
+@pytest.mark.parametrize("measure", list(Measure))
 @pytest.mark.parametrize("kind, p, n, mode", [
     (BF, 0.5, 5, CoefficientMapMode.DERIVED),
     (ChannelKind.BIT_PHASE_FLIP, 0.3, 1, CoefficientMapMode.DERIVED),
@@ -276,17 +272,17 @@ def test_unphysical_evolution_names_the_first_coherent_point(monkeypatch, measur
     (DEP, 0.9, 3, CoefficientMapMode.PAPER),
     (GAD, 1.0 - 1e-12, 40, CoefficientMapMode.DERIVED),
 ])
-def test_rel_ent_diagonal_tables_are_bit_exact(kind, p, n, mode):
+def test_c3_term_tables_are_bit_exact(kind, p, n, mode, measure):
+    # the scan gathers each c3 term from a table over the axis or over e3
     grid = 21
     axis = lattice_axis(grid)
     i, j, k = _lattice_points(grid)
-    table = rel_entropy_kernel(axis[i], axis[j], axis[k], dephased_entropy(axis)[k])
-    assert np.array_equal(clamped_array(table).view(np.int64),
-                          closed_measures(Measure.REL_ENT, axis[i], axis[j], axis[k]).view(np.int64))
     e1, e2, e3 = _evolved_axes(grid, per_iteration_factors(kind, p, mode), n)
-    evolved = rel_entropy_kernel(e1[i], e2[j], e3[k], dephased_entropy(e3)[k])
-    assert np.array_equal(clamped_array(evolved).view(np.int64),
-                          closed_measures(Measure.REL_ENT, e1[i], e2[j], e3[k]).view(np.int64))
+    for c1, c2, c3 in ((axis, axis, axis), (e1, e2, e3)):
+        terms = (term[k] for term in _C3_TERMS[measure](c3))
+        table = clamped_array(_KERNELS[measure](c1[i], c2[j], *terms))
+        assert np.array_equal(table.view(np.int64),
+                              closed_measures(measure, c1[i], c2[j], c3[k]).view(np.int64))
 
 
 # p at both clamp edges, dep's complete-incoherence point, and anywhere between

@@ -35,6 +35,7 @@ def test_every_traced_function_exists_on_its_layer(layer, function):
 
 def test_scan_kernels_cover_every_measure():
     assert set(scan._KERNELS) == set(Measure)
+    assert set(scan._C3_TERMS) == set(scan._KERNELS)
 
 
 @pytest.mark.parametrize("measure", list(Measure))
