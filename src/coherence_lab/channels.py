@@ -10,12 +10,16 @@ half-mixing amplitude-damping channel, and each coefficient c_k is simply
 multiplied by a channel factor per iteration. ``coefficient_map`` applies
 those factors; ``apply_n`` is the literal Kraus-operator route used to
 cross-check it.
+
+Each kind's Kraus operators are stated once, in ``_operators``, for an
+array of p. ``_kraus_sets`` builds the sets of many p values together, and
+``kraus_set`` and ``single_parameter_kraus_set`` are its one-row cases.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -77,7 +81,8 @@ class KrausSet:
     """Single-qubit Kraus operators plus the parameters that produced them.
 
     ``products`` stacks the K^2 two-qubit operators E_i (x) E_j, i-major, and
-    ``adjoints`` their conjugate transposes; ``kraus_set`` builds both once.
+    ``adjoints`` their conjugate transposes. ``_kraus_sets`` builds the
+    operators, products and adjoints once, as read-only arrays.
     """
 
     kind: ChannelKind
@@ -89,7 +94,20 @@ class KrausSet:
 
 
 def kraus_set(kind: ChannelKind, p: float, gamma: float | None = None) -> KrausSet:
-    """Build the single-qubit Kraus operators for ``kind``.
+    """The Kraus set of ``kind`` at p (and, for gad, gamma): ``_kraus_sets``'s one-row case."""
+    kind = ChannelKind(kind)
+    p = require_probability("p", p)
+    if kind is ChannelKind.AMPLITUDE_DAMPING:
+        if gamma is None:
+            raise MissingGammaError("gad requires a damping parameter gamma")
+        gamma = [require_probability("gamma", gamma)]
+    elif gamma is not None:
+        raise ParameterRangeError("gamma only applies to the gad channel")
+    return _kraus_sets(kind, [p], gamma)[0]
+
+
+def _operators(kind: ChannelKind, p: np.ndarray, gamma: np.ndarray | None) -> np.ndarray:
+    """The (P, K, 2, 2) single-qubit Kraus operators of ``kind``, one row per entry of ``p``.
 
     bf / bpf / pf use {sqrt(1 - p/2) I, sqrt(p/2) sigma} with sigma_x,
     sigma_y, sigma_z respectively (``_FLIP_AXIS``); dep uses
@@ -98,85 +116,89 @@ def kraus_set(kind: ChannelKind, p: float, gamma: float | None = None) -> KrausS
 
         E0 = sqrt(p) diag(1, sqrt(1 - gamma))    E1 = sqrt(p) gamma-decay
         E2 = sqrt(1-p) diag(sqrt(1 - gamma), 1)  E3 = sqrt(1-p) gamma-excitation
+
+    Each operator is a real weight in p times a matrix free of p, one
+    product per entry, so every row has the bits it would get alone.
     """
-    kind = ChannelKind(kind)
-    p = require_probability("p", p)
     if kind is ChannelKind.AMPLITUDE_DAMPING:
-        if gamma is None:
-            raise MissingGammaError("gad requires a damping parameter gamma")
-        gamma = require_probability("gamma", gamma)
-        root_keep = np.sqrt(1.0 - gamma)
-        root_move = np.sqrt(gamma)
-        operators = (
-            np.sqrt(p) * np.array([[1.0, 0.0], [0.0, root_keep]], dtype=np.complex128),
-            np.sqrt(p) * np.array([[0.0, root_move], [0.0, 0.0]], dtype=np.complex128),
-            np.sqrt(1.0 - p) * np.array([[root_keep, 0.0], [0.0, 1.0]], dtype=np.complex128),
-            np.sqrt(1.0 - p) * np.array([[0.0, 0.0], [root_move, 0.0]], dtype=np.complex128),
-        )
+        bases = np.zeros((len(gamma), 4, 2, 2), dtype=np.complex128)
+        bases[:, 0, 0, 0] = bases[:, 2, 1, 1] = 1.0
+        bases[:, 0, 1, 1] = bases[:, 2, 0, 0] = np.sqrt(1.0 - gamma)
+        bases[:, 1, 0, 1] = bases[:, 3, 1, 0] = np.sqrt(gamma)
+        weights = (np.sqrt(p),) * 2 + (np.sqrt(1.0 - p),) * 2
+    elif kind is ChannelKind.DEPOLARIZING:
+        bases = np.stack((IDENTITY_2, *PAULI))
+        weights = (np.sqrt(1.0 - p),) + (np.sqrt(p / 3.0),) * 3
     else:
-        if gamma is not None:
-            raise ParameterRangeError("gamma only applies to the gad channel")
-        if kind is ChannelKind.DEPOLARIZING:
-            operators = (np.sqrt(1.0 - p) * IDENTITY_2, *(np.sqrt(p / 3.0) * s for s in PAULI))
-        else:
-            operators = (
-                np.sqrt(1.0 - p / 2.0) * IDENTITY_2,
-                np.sqrt(p / 2.0) * PAULI[_FLIP_AXIS[kind]],
-            )
-    completeness = sum(op.conj().T @ op for op in operators)
-    defect = float(np.max(np.abs(completeness - IDENTITY_2)))
-    if defect > COMPLETENESS_TOL:
-        raise InternalNumericalError(
-            f"Kraus completeness defect {defect:.3e} exceeds {COMPLETENESS_TOL:.1e}"
-        )
-    products, adjoints = _two_qubit_products(operators)
-    return KrausSet(
-        kind=kind, p=p, gamma=gamma, operators=operators, products=products, adjoints=adjoints
-    )
+        bases = np.stack((IDENTITY_2, PAULI[_FLIP_AXIS[kind]]))
+        weights = (np.sqrt(1.0 - p / 2.0), np.sqrt(p / 2.0))
+    return np.stack(weights, axis=-1)[..., None, None] * bases
 
 
-def _two_qubit_products(operators: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The stacked E_i (x) E_j in np.kron's order, and their conjugate transposes.
+def _kraus_sets(kind: ChannelKind, p, gamma) -> list[KrausSet]:
+    """One Kraus set per entry of the checked probabilities ``p`` (and ``gamma``, gad only).
 
-    One broadcast multiply forms every entry E_i[r, c] * E_j[s, t], the same
-    single product np.kron computes, so the stack equals the kron products
-    bit for bit.
+    ``p`` and ``gamma`` broadcast to one 1-D array. The operators, the
+    completeness check sum E^dag E = I and the two-qubit products are each
+    formed once for every entry. One broadcast multiply forms every entry
+    E_i[r, c] * E_j[s, t], the same single product np.kron computes, so the
+    products equal the kron products bit for bit. Entry k's set holds
+    read-only views of row k.
     """
-    ops = np.stack(operators)
-    count = len(operators)
-    products = (ops[:, None, :, None, :, None] * ops[None, :, None, :, None, :]).reshape(
-        count * count, 4, 4
+    p = np.asarray(p, dtype=np.float64)
+    if gamma is not None:
+        p, gamma = np.broadcast_arrays(p, np.asarray(gamma, dtype=np.float64))
+    ops = _operators(kind, p, gamma)
+    completeness = np.add.reduce(ops.conj().swapaxes(-1, -2) @ ops, axis=-3)
+    defect = np.max(np.abs(completeness - IDENTITY_2), axis=(-2, -1))
+    raise_for_first(defect > COMPLETENESS_TOL, lambda row: InternalNumericalError(
+        f"Kraus completeness defect {row_value(defect, row):.3e} exceeds {COMPLETENESS_TOL:.1e}"
+    ))
+    rows, count = ops.shape[:2]
+    products = (ops[:, :, None, :, None, :, None] * ops[:, None, :, None, :, None, :]).reshape(
+        rows, count * count, 4, 4
     )
-    adjoints = products.conj().transpose(0, 2, 1)
-    products.setflags(write=False)
-    adjoints.setflags(write=False)
-    return products, adjoints
+    adjoints = products.conj().swapaxes(-1, -2)
+    for array in (ops, products, adjoints):
+        array.setflags(write=False)
+    gammas = [None] * rows if gamma is None else gamma.tolist()
+    return [
+        KrausSet(kind=kind, p=p_row, gamma=gamma_row, operators=tuple(ops_row),
+                 products=products_row, adjoints=adjoints_row)
+        for p_row, gamma_row, ops_row, products_row, adjoints_row
+        in zip(p.tolist(), gammas, ops, products, adjoints)
+    ]
 
 
-def single_parameter_kraus_set(kind: ChannelKind, p: float) -> KrausSet:
-    """Kraus set matching ``coefficient_map``'s one-parameter convention.
+def _single_parameter_args(kind: ChannelKind, p):
+    """``kraus_set``'s (p, gamma) under ``coefficient_map``'s one-parameter convention.
 
     For gad the mixing weight is fixed at 1/2 and p plays the damping role;
     every other channel takes p directly.
     """
+    return (0.5, p) if kind is ChannelKind.AMPLITUDE_DAMPING else (p, None)
+
+
+def single_parameter_kraus_set(kind: ChannelKind, p: float) -> KrausSet:
+    """Kraus set matching ``coefficient_map``'s one-parameter convention."""
     kind = ChannelKind(kind)
-    if kind is ChannelKind.AMPLITUDE_DAMPING:
-        return kraus_set(kind, 0.5, gamma=p)
-    return kraus_set(kind, p)
+    return kraus_set(kind, *_single_parameter_args(kind, p))
 
 
 def _step(a: np.ndarray, products: np.ndarray, adjoints: np.ndarray) -> np.ndarray:
     """One application of E (x) E to checked density matrices; checks its output.
 
     ``a`` is an (N, 4, 4) stack, and ``products``/``adjoints`` are the
-    (N, K^2, 4, 4) stacks of its rows' Kraus sets. The terms P_k a P_k^dag
-    are summed from zero in the order of the products. Each output is
+    (N, K^2, 4, 4) stacks of its rows' Kraus sets. Every P_k a of a row is
+    one matmul, the row's products stacked into a (4 K^2, 4) matrix times
+    a; each P_k a P_k^dag is then its own matmul, and the terms are summed
+    from zero in the order of the products. Each output is
     checked once, by ``validate_density_matrix`` and for trace drift, so it
     can be the next input unchecked. A check that fails here is the
     channel's fault, not the caller's, so it raises InternalNumericalError.
     """
-    terms = products @ a[..., None, :, :] @ adjoints
-    out = np.add.reduce(terms, axis=-3, initial=0.0)
+    left = (products.reshape(len(a), -1, 4) @ a).reshape(products.shape)
+    out = np.add.reduce(left @ adjoints, axis=-3, initial=0.0)
     try:
         validate_density_matrix(out)
     except ValidationError as exc:
@@ -209,6 +231,11 @@ def apply_n(
     counts = np.array([
         require_count("iteration count", k) for k in np.ravel(np.array(n, dtype=object))
     ])
+    if not (isinstance(kset, KrausSet)
+            or isinstance(kset, Sequence) and all(isinstance(k, KrausSet) for k in kset)):
+        raise ValidationError(
+            f"expected a KrausSet or a sequence of them, got {type(kset).__name__}"
+        )
     a = validate_density_matrix(rho)
     stack = a.reshape(-1, 4, 4)
     if np.ndim(n) == 0:
@@ -231,9 +258,10 @@ def evolve_matrices(rho: np.ndarray, kinds, ps, counts) -> np.ndarray:
 
     Row k's channel is ``single_parameter_kraus_set(kinds[k], ps[k])``. The
     rows go through ``apply_n`` one channel kind at a time, since a stack
-    needs one operator count, in blocks of at most ``_ROWS_PER_STACK`` rows,
-    and each block builds one Kraus set per distinct p. Every row gets the
-    bits ``apply_n`` gives it alone.
+    needs one operator count, in blocks of at most ``_ROWS_PER_STACK`` rows.
+    Each block makes one ``_kraus_sets`` call on its distinct p values and
+    hands each row its set. Every row gets the bits ``apply_n`` gives it
+    alone.
     """
     stack = np.asarray(rho)
     kinds = [ChannelKind(kind) for kind in kinds]
@@ -246,8 +274,9 @@ def evolve_matrices(rho: np.ndarray, kinds, ps, counts) -> np.ndarray:
         for start in range(0, len(same_kind), _ROWS_PER_STACK):
             rows = same_kind[start:start + _ROWS_PER_STACK]
             row_ps = [require_probability("p", ps[row]) for row in rows]
-            kset = {p: single_parameter_kraus_set(kind, p) for p in dict.fromkeys(row_ps)}
-            out[rows] = apply_n(stack[rows], [kset[p] for p in row_ps], [counts[k] for k in rows])
+            distinct = list(dict.fromkeys(row_ps))
+            built = dict(zip(distinct, _kraus_sets(kind, *_single_parameter_args(kind, distinct))))
+            out[rows] = apply_n(stack[rows], [built[p] for p in row_ps], [counts[k] for k in rows])
     return out
 
 

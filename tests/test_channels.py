@@ -16,6 +16,7 @@ from coherence_lab import (
     ParameterRangeError,
     TraceNotOneError,
     UnphysicalStateError,
+    ValidationError,
     apply_n,
     apply_product_channel,
     coefficient_map,
@@ -25,6 +26,7 @@ from coherence_lab import (
     single_parameter_kraus_set,
     to_density_matrix,
 )
+from coherence_lab import channels
 from coherence_lab.states import IDENTITY_2, SIGMA_X
 from conftest import REFERENCE, physical_coefficients
 
@@ -228,6 +230,56 @@ def test_apply_n_matches_kron_loop_bitwise_property(c, case, n):
     assert apply_n(rho, kset, n).tobytes() == _kron_loop_apply_n(rho, kset, n).tobytes()
 
 
+STACK_STATES = (
+    REFERENCE,
+    BellCoefficients(-0.5, 0.25, 0.25),
+    BellCoefficients(1.0, -1.0, 1.0),
+    BellCoefficients(0.1, -0.3, 0.2),
+)
+STACK_CASES = [(kind, None) for kind in ALL_KINDS] + [(ChannelKind.AMPLITUDE_DAMPING, 0.6)]
+
+
+@pytest.mark.parametrize("kind, gamma", STACK_CASES)
+def test_stacked_apply_n_matches_kron_loop_bitwise(kind, gamma):
+    # one p per row, so every row of the merged P_k rho product has its own
+    # operators; each row is judged by independent 2-D matmuls
+    ps = (1e-12, 0.37, 0.75, 1.0 - 1e-12)
+    ksets = [_case_kraus_set(kind, p, gamma) for p in ps]
+    rho = np.stack([to_density_matrix(c) for c in STACK_STATES])
+    for n in (1, 2, 7, [1, 2, 7, 20]):
+        counts = np.broadcast_to(n, len(ps))
+        out = apply_n(rho, ksets, n)
+        for row, kset, count, got in zip(rho, ksets, counts, out):
+            assert got.tobytes() == _kron_loop_apply_n(row, kset, int(count)).tobytes()
+
+
+BUILDER_P = (1e-12, 0.37, 1.0 - 1e-12, 5e-324)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_kraus_set_builder_equals_the_per_p_sets(kind):
+    ps = BUILDER_P + ((0.75,) if kind is ChannelKind.DEPOLARIZING else ())
+    built = channels._kraus_sets(kind, *channels._single_parameter_args(kind, list(ps)))
+    _assert_same_sets(built, [single_parameter_kraus_set(kind, p) for p in ps])
+
+
+def test_kraus_set_builder_equals_the_per_p_sets_with_a_general_gamma():
+    weights, gammas = zip(*[(w, g) for w in BUILDER_P + (0.3,) for g in BUILDER_P + (0.6,)])
+    built = channels._kraus_sets(ChannelKind.AMPLITUDE_DAMPING, list(weights), list(gammas))
+    _assert_same_sets(built, [
+        kraus_set(ChannelKind.AMPLITUDE_DAMPING, w, gamma=g) for w, g in zip(weights, gammas)
+    ])
+
+
+def _assert_same_sets(built, singles):
+    assert len(built) == len(singles)
+    for got, want in zip(built, singles):
+        assert (got.kind, got.p, got.gamma) == (want.kind, want.p, want.gamma)
+        assert np.stack(got.operators).tobytes() == np.stack(want.operators).tobytes()
+        assert got.products.tobytes() == want.products.tobytes()
+        assert got.adjoints.tobytes() == want.adjoints.tobytes()
+
+
 def test_products_are_the_kron_products():
     for kind, p, gamma in ORACLE_CASES:
         kset = _case_kraus_set(kind, p, gamma)
@@ -261,6 +313,17 @@ def test_bad_inputs_are_rejected_by_both_entry_points():
             apply_product_channel(rho, kset)
         with pytest.raises(error):
             apply_n(rho, kset, 3)
+
+
+def test_apply_n_rejects_what_is_not_a_kraus_set():
+    # a string is a sequence too, of strings, so the check looks at every item
+    rho = to_density_matrix(REFERENCE)
+    kset = kraus_set(ChannelKind.DEPOLARIZING, 0.2)
+    for bad, shown in (("dep", "str"), ((k for k in [kset]), "generator"), ([kset, "dep"], "list")):
+        with pytest.raises(ValidationError, match=f"KrausSet.*got {shown}"):
+            apply_n(rho, bad, 2)
+        with pytest.raises(ValidationError, match=f"KrausSet.*got {shown}"):
+            apply_product_channel(rho, bad)
 
 
 class _Untouchable:

@@ -250,17 +250,19 @@ def test_evolve_matrices_equals_apply_n_per_row(rows_per_stack, rows):
 
 def test_evolve_matrices_builds_one_kraus_set_per_p_and_block(monkeypatch):
     built = []
+    builder = channels._kraus_sets
 
-    def counting(kind, p):
-        built.append((kind, p))
-        return single_parameter_kraus_set(kind, p)
+    def recording(kind, p, gamma):
+        built.append(list(p))
+        return builder(kind, p, gamma)
 
-    monkeypatch.setattr(channels, "single_parameter_kraus_set", counting)
+    monkeypatch.setattr(channels, "_kraus_sets", recording)
     count = 2 * channels._ROWS_PER_STACK + 1
     rho = to_density_matrix(BellCoefficients(*np.array(sample_states(1, count)).T))
     ps = [(0.1, 0.3, 0.5)[row % 3] for row in range(count)]
     evolve_matrices(rho, [ChannelKind.DEPOLARIZING] * count, ps, [2] * count)
-    assert len(built) == 3 + 3 + 1  # two full blocks of three p values, then one row
+    # one builder call per block: two full blocks of three p values, then one row
+    assert [len(block) for block in built] == [3, 3, 1]
 
 
 _PAIR_PARTS = (_bell_stack(2), [ChannelKind.BIT_FLIP] * 2, [0.3, 0.4], [1, 2])
