@@ -8,12 +8,13 @@ operators {E_i}, so the two-qubit map is
 Bell-diagonal states stay Bell diagonal under bf, pf, bpf, dep, and the
 half-mixing amplitude-damping channel, and each coefficient c_k is simply
 multiplied by a channel factor per iteration. ``coefficient_map`` applies
-those factors; ``apply_n`` is the literal Kraus-operator route used to
-cross-check it.
+those factors; ``apply_n`` (one Kraus set) and ``evolve_matrices`` (a
+channel per row) are the literal Kraus-operator route used to check them.
 
 Each kind's Kraus operators are stated once, in ``_operators``, for an
-array of p. ``_kraus_sets`` builds the sets of many p values together, and
-``kraus_set`` and ``single_parameter_kraus_set`` are its one-row cases.
+array of p. ``_kraus_sets`` builds the operator, product and adjoint
+arrays of many p values together; ``kraus_set`` and
+``single_parameter_kraus_set`` wrap its one-row case in a ``KrausSet``.
 """
 
 from __future__ import annotations
@@ -81,8 +82,8 @@ class KrausSet:
     """Single-qubit Kraus operators plus the parameters that produced them.
 
     ``products`` stacks the K^2 two-qubit operators E_i (x) E_j, i-major, and
-    ``adjoints`` their conjugate transposes. ``_kraus_sets`` builds the
-    operators, products and adjoints once, as read-only arrays.
+    ``adjoints`` their conjugate transposes: row 0 of ``_kraus_sets``'
+    read-only arrays.
     """
 
     kind: ChannelKind
@@ -100,10 +101,12 @@ def kraus_set(kind: ChannelKind, p: float, gamma: float | None = None) -> KrausS
     if kind is ChannelKind.AMPLITUDE_DAMPING:
         if gamma is None:
             raise MissingGammaError("gad requires a damping parameter gamma")
-        gamma = [require_probability("gamma", gamma)]
+        gamma = require_probability("gamma", gamma)
     elif gamma is not None:
         raise ParameterRangeError("gamma only applies to the gad channel")
-    return _kraus_sets(kind, [p], gamma)[0]
+    ops, products, adjoints = _kraus_sets(kind, [p], gamma)
+    return KrausSet(kind=kind, p=p, gamma=gamma, operators=tuple(ops[0]),
+                    products=products[0], adjoints=adjoints[0])
 
 
 def _operators(kind: ChannelKind, p: np.ndarray, gamma: np.ndarray | None) -> np.ndarray:
@@ -135,15 +138,16 @@ def _operators(kind: ChannelKind, p: np.ndarray, gamma: np.ndarray | None) -> np
     return np.stack(weights, axis=-1)[..., None, None] * bases
 
 
-def _kraus_sets(kind: ChannelKind, p, gamma) -> list[KrausSet]:
-    """One Kraus set per entry of the checked probabilities ``p`` (and ``gamma``, gad only).
+def _kraus_sets(kind: ChannelKind, p, gamma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The Kraus sets of the checked probabilities ``p`` (and ``gamma``, gad only), as arrays.
 
-    ``p`` and ``gamma`` broadcast to one 1-D array. The operators, the
-    completeness check sum E^dag E = I and the two-qubit products are each
-    formed once for every entry. One broadcast multiply forms every entry
+    ``p`` and ``gamma`` broadcast to one 1-D array of P entries. Returns the
+    read-only (P, K, 2, 2) operators and the (P, K^2, 4, 4) two-qubit
+    products and their adjoints, row k for entry k. The operators, the
+    completeness check sum E^dag E = I and the products are each formed
+    once for every entry. One broadcast multiply forms every entry
     E_i[r, c] * E_j[s, t], the same single product np.kron computes, so the
-    products equal the kron products bit for bit. Entry k's set holds
-    read-only views of row k.
+    products equal the kron products bit for bit.
     """
     p = np.asarray(p, dtype=np.float64)
     if gamma is not None:
@@ -154,20 +158,13 @@ def _kraus_sets(kind: ChannelKind, p, gamma) -> list[KrausSet]:
     raise_for_first(defect > COMPLETENESS_TOL, lambda row: InternalNumericalError(
         f"Kraus completeness defect {row_value(defect, row):.3e} exceeds {COMPLETENESS_TOL:.1e}"
     ))
-    rows, count = ops.shape[:2]
     products = (ops[:, :, None, :, None, :, None] * ops[:, None, :, None, :, None, :]).reshape(
-        rows, count * count, 4, 4
+        len(ops), -1, 4, 4
     )
     adjoints = products.conj().swapaxes(-1, -2)
     for array in (ops, products, adjoints):
         array.setflags(write=False)
-    gammas = [None] * rows if gamma is None else gamma.tolist()
-    return [
-        KrausSet(kind=kind, p=p_row, gamma=gamma_row, operators=tuple(ops_row),
-                 products=products_row, adjoints=adjoints_row)
-        for p_row, gamma_row, ops_row, products_row, adjoints_row
-        in zip(p.tolist(), gammas, ops, products, adjoints)
-    ]
+    return ops, products, adjoints
 
 
 def _single_parameter_args(kind: ChannelKind, p):
@@ -189,13 +186,14 @@ def _step(a: np.ndarray, products: np.ndarray, adjoints: np.ndarray) -> np.ndarr
     """One application of E (x) E to checked density matrices; checks its output.
 
     ``a`` is an (N, 4, 4) stack, and ``products``/``adjoints`` are the
-    (N, K^2, 4, 4) stacks of its rows' Kraus sets. Every P_k a of a row is
-    one matmul, the row's products stacked into a (4 K^2, 4) matrix times
-    a; each P_k a P_k^dag is then its own matmul, and the terms are summed
-    from zero in the order of the products. Each output is
-    checked once, by ``validate_density_matrix`` and for trace drift, so it
-    can be the next input unchecked. A check that fails here is the
-    channel's fault, not the caller's, so it raises InternalNumericalError.
+    (N, K^2, 4, 4) products and adjoints of its rows' Kraus sets. Every
+    P_k a of a row is one matmul, the row's products stacked into a
+    (4 K^2, 4) matrix times a; each P_k a P_k^dag is then its own matmul,
+    and the terms are summed from zero in the order of the products. Each
+    output is checked once, by ``validate_density_matrix`` and for trace
+    drift, so it can be the next input unchecked. A check that fails here
+    is the channel's fault, not the caller's, so it raises
+    InternalNumericalError.
     """
     left = (products.reshape(len(a), -1, 4) @ a).reshape(products.shape)
     out = np.add.reduce(left @ adjoints, axis=-3, initial=0.0)
@@ -216,67 +214,62 @@ def apply_product_channel(rho: np.ndarray, kset: KrausSet) -> np.ndarray:
     return apply_n(rho, kset, 1)
 
 
-def apply_n(
-    rho: np.ndarray, kset: KrausSet | Sequence[KrausSet], n: int | Sequence[int]
-) -> np.ndarray:
-    """n successive applications of the product channel.
+def apply_n(rho: np.ndarray, kset: KrausSet, n: int | Sequence[int]) -> np.ndarray:
+    """n successive applications of the product channel of ``kset``.
 
     ``rho`` is one density matrix or an (N, 4, 4) stack; one matrix runs as
-    a stack of one. For a stack, ``kset`` may be N Kraus sets (one per row,
-    all with the same number of operators) or one, which stands for itself
-    repeated per row, and ``n`` one count or N of them; a row stops once it
-    has had its own n steps. ``rho`` is validated once; every later input
-    is a step's checked output.
+    a stack of one, and every row is stepped through ``kset``. ``n`` is one
+    count or, for a stack, N of them; a row stops once it has had its own n
+    steps. ``rho`` is validated once; every later input is a step's
+    checked output. Rows with channels of their own go through
+    ``evolve_matrices``.
     """
     counts = np.array([
         require_count("iteration count", k) for k in np.ravel(np.array(n, dtype=object))
     ])
-    if not (isinstance(kset, KrausSet)
-            or isinstance(kset, Sequence) and all(isinstance(k, KrausSet) for k in kset)):
-        raise ValidationError(
-            f"expected a KrausSet or a sequence of them, got {type(kset).__name__}"
-        )
+    if not isinstance(kset, KrausSet):
+        raise ValidationError(f"expected a KrausSet, got {type(kset).__name__}")
     a = validate_density_matrix(rho)
     stack = a.reshape(-1, 4, 4)
     if np.ndim(n) == 0:
         counts = np.full(len(stack), counts[0])
     elif counts.size != len(stack):
         raise ValidationError(f"{counts.size} iteration counts for a stack of shape {a.shape}")
-    ksets = [kset] * len(stack) if isinstance(kset, KrausSet) else kset
-    if len(ksets) != len(stack):
-        raise ValidationError(f"{len(ksets)} Kraus sets for a stack of shape {a.shape}")
-    if len({k.products.shape for k in ksets}) > 1:
-        raise ValidationError("the Kraus sets of one stack must have equal operator counts")
-    out = _per_row_steps(stack, counts, _step, (
-        np.array([k.products for k in ksets]), np.array([k.adjoints for k in ksets]),
-    ))
-    return out.reshape(a.shape)
+    args = [np.broadcast_to(x, (len(stack),) + x.shape) for x in (kset.products, kset.adjoints)]
+    return _per_row_steps(stack, counts, _step, args).reshape(a.shape)
 
 
 def evolve_matrices(rho: np.ndarray, kinds, ps, counts) -> np.ndarray:
     """The (N, 4, 4) stack ``rho`` with row k after ``counts[k]`` steps of its own channel.
 
     Row k's channel is ``single_parameter_kraus_set(kinds[k], ps[k])``. The
-    rows go through ``apply_n`` one channel kind at a time, since a stack
-    needs one operator count, in blocks of at most ``_ROWS_PER_STACK`` rows.
-    Each block makes one ``_kraus_sets`` call on its distinct p values and
-    hands each row its set. Every row gets the bits ``apply_n`` gives it
-    alone.
+    counts and the whole stack are checked once. The rows are then stepped
+    one channel kind at a time, since a stack of Kraus products needs one
+    operator count, in blocks of at most ``_ROWS_PER_STACK`` rows. Each
+    block makes one ``_kraus_sets`` call on its distinct p values and
+    steps its rows through ``_per_row_steps`` with each row's products.
+    Every row gets the bits ``apply_n`` gives it alone.
     """
     stack = np.asarray(rho)
     kinds = [ChannelKind(kind) for kind in kinds]
     if stack.ndim != 3 or not len(kinds) == len(ps) == len(counts) == len(stack):
         raise ValidationError(f"{len(kinds)} kinds, {len(ps)} p values and {len(counts)} "
                               f"iteration counts for a stack of shape {stack.shape}")
+    counts = np.array([require_count("iteration count", k) for k in counts])
+    stack = validate_density_matrix(stack)
     out = np.empty(stack.shape, dtype=np.complex128)
     for kind in dict.fromkeys(kinds):
         same_kind = [row for row, k in enumerate(kinds) if k is kind]
         for start in range(0, len(same_kind), _ROWS_PER_STACK):
             rows = same_kind[start:start + _ROWS_PER_STACK]
-            row_ps = [require_probability("p", ps[row]) for row in rows]
-            distinct = list(dict.fromkeys(row_ps))
-            built = dict(zip(distinct, _kraus_sets(kind, *_single_parameter_args(kind, distinct))))
-            out[rows] = apply_n(stack[rows], [built[p] for p in row_ps], [counts[k] for k in rows])
+            # each distinct p of the block, numbered in the order first seen
+            seen = {}
+            inverse = [seen.setdefault(require_probability("p", ps[r]), len(seen)) for r in rows]
+            _, products, adjoints = _kraus_sets(kind, *_single_parameter_args(kind, list(seen)))
+            # passed inline, so each block's per-row products are freed once it has stepped
+            out[rows] = _per_row_steps(
+                stack[rows], counts[rows], _step, (products[inverse], adjoints[inverse])
+            )
     return out
 
 

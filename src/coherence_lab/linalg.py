@@ -47,10 +47,10 @@ def row_value(values: np.ndarray, row: int) -> float:
 
 
 def _as_square_complex(m: np.ndarray) -> np.ndarray:
-    """A (d, d) matrix or a (..., d, d) stack of them, as finite complex128."""
+    """A nonempty (d, d) matrix or a (..., d, d) stack of them, as finite complex128."""
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValidationError(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
+        raise ValidationError(f"expected a nonempty square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValidationError("matrix contains non-finite entries")
     return a

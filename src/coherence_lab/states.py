@@ -128,11 +128,14 @@ def is_physical(c: BellCoefficients) -> bool:
 def require_physical(c1, c2, c3) -> None:
     """Reject the first (row-major) state of broadcastable coefficients outside the tetrahedron.
 
-    Coordinates must be real numbers or real arrays; anything else raises
-    ValidationError before the tetrahedron test.
+    Coordinates must be real numbers or real arrays that broadcast together;
+    anything else raises ValidationError before the tetrahedron test.
     """
     require_real("coefficients", c1, c2, c3)
-    inside = physical_mask(c1, c2, c3)
+    try:
+        inside = physical_mask(c1, c2, c3)
+    except ValueError as exc:
+        raise ValidationError(f"coefficient arrays do not broadcast together: {exc}") from None
     if not np.asarray(inside).all():
         outside = np.logical_not(inside)
         first = tuple(float(np.broadcast_to(c, outside.shape)[outside][0]) for c in (c1, c2, c3))

@@ -241,16 +241,22 @@ STACK_CASES = [(kind, None) for kind in ALL_KINDS] + [(ChannelKind.AMPLITUDE_DAM
 
 @pytest.mark.parametrize("kind, gamma", STACK_CASES)
 def test_stacked_apply_n_matches_kron_loop_bitwise(kind, gamma):
-    # one p per row, so every row of the merged P_k rho product has its own
-    # operators; each row is judged by independent 2-D matmuls
+    # the single-parameter kinds go through evolve_matrices with one p per
+    # row, so every row of the merged P_k rho product has its own operators;
+    # the two-parameter gad set steps the whole stack through apply_n. Each
+    # row is judged by independent 2-D matmuls
     ps = (1e-12, 0.37, 0.75, 1.0 - 1e-12)
-    ksets = [_case_kraus_set(kind, p, gamma) for p in ps]
     rho = np.stack([to_density_matrix(c) for c in STACK_STATES])
     for n in (1, 2, 7, [1, 2, 7, 20]):
-        counts = np.broadcast_to(n, len(ps))
-        out = apply_n(rho, ksets, n)
+        counts = np.broadcast_to(n, len(ps)).tolist()
+        if gamma is None:
+            ksets = [single_parameter_kraus_set(kind, p) for p in ps]
+            out = channels.evolve_matrices(rho, [kind] * len(ps), ps, counts)
+        else:
+            ksets = [kraus_set(kind, 0.37, gamma=gamma)] * len(ps)
+            out = apply_n(rho, ksets[0], n)
         for row, kset, count, got in zip(rho, ksets, counts, out):
-            assert got.tobytes() == _kron_loop_apply_n(row, kset, int(count)).tobytes()
+            assert got.tobytes() == _kron_loop_apply_n(row, kset, count).tobytes()
 
 
 BUILDER_P = (1e-12, 0.37, 1.0 - 1e-12, 5e-324)
@@ -272,12 +278,13 @@ def test_kraus_set_builder_equals_the_per_p_sets_with_a_general_gamma():
 
 
 def _assert_same_sets(built, singles):
-    assert len(built) == len(singles)
-    for got, want in zip(built, singles):
-        assert (got.kind, got.p, got.gamma) == (want.kind, want.p, want.gamma)
-        assert np.stack(got.operators).tobytes() == np.stack(want.operators).tobytes()
-        assert got.products.tobytes() == want.products.tobytes()
-        assert got.adjoints.tobytes() == want.adjoints.tobytes()
+    ops, products, adjoints = built
+    assert len(ops) == len(products) == len(adjoints) == len(singles)
+    assert not any(array.flags.writeable for array in built)
+    for row, want in enumerate(singles):
+        assert ops[row].tobytes() == np.stack(want.operators).tobytes()
+        assert products[row].tobytes() == want.products.tobytes()
+        assert adjoints[row].tobytes() == want.adjoints.tobytes()
 
 
 def test_products_are_the_kron_products():
@@ -316,10 +323,12 @@ def test_bad_inputs_are_rejected_by_both_entry_points():
 
 
 def test_apply_n_rejects_what_is_not_a_kraus_set():
-    # a string is a sequence too, of strings, so the check looks at every item
+    # apply_n steps one Kraus set; rows with sets of their own go through
+    # evolve_matrices, so a list or tuple of sets is rejected like a string
     rho = to_density_matrix(REFERENCE)
     kset = kraus_set(ChannelKind.DEPOLARIZING, 0.2)
-    for bad, shown in (("dep", "str"), ((k for k in [kset]), "generator"), ([kset, "dep"], "list")):
+    for bad, shown in (("dep", "str"), ((k for k in [kset]), "generator"), ([kset, "dep"], "list"),
+                       ([kset], "list"), ((kset, kset), "tuple")):
         with pytest.raises(ValidationError, match=f"KrausSet.*got {shown}"):
             apply_n(rho, bad, 2)
         with pytest.raises(ValidationError, match=f"KrausSet.*got {shown}"):

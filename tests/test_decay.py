@@ -29,6 +29,7 @@ from coherence_lab import (
     to_density_matrix,
 )
 from coherence_lab import channels
+from coherence_lab.coherence import closed_measures
 from coherence_lab.cli import VERIFY_ENGINE_TOL
 from conftest import REFERENCE
 
@@ -179,9 +180,7 @@ BAD_INPUTS = {
         lambda: decay_curve(BF, Measure.L1, (True, 0.0, 0.0), (1,), p_count=3),
     # typed all along, but no test reached these branches
     "apply_n more counts than rows": lambda: apply_n(_PAIR, kraus_set(BF, 0.5), [1, 2, 3]),
-    "apply_n fewer Kraus sets than rows": lambda: apply_n(_PAIR, [kraus_set(BF, 0.5)], 1),
-    "apply_n unequal operator counts":
-        lambda: apply_n(_PAIR, [kraus_set(BF, 0.5), kraus_set(DEP, 0.5)], 1),
+    "apply_n list of Kraus sets": lambda: apply_n(_PAIR, [kraus_set(BF, 0.5)] * 2, 1),
     "decay_rates mixed engines": lambda: decay_rates([_QUERY, DecayQuery(
         REFERENCE, Measure.L1, BF, 0.5, 1, engine=Engine.MATRIX_ORACLE)]),
     "decay_curve empty n_list": lambda: decay_curve(BF, Measure.L1, REFERENCE, (), p_count=3),
@@ -205,6 +204,12 @@ BAD_INPUTS = {
     "bell_eigenvalues array coordinate": lambda: bell_eigenvalues(_ARRAY),
     "closed_measure array coordinate": lambda: closed_measure(Measure.L1, _ARRAY),
     "coefficient_map array coordinate": lambda: coefficient_map(BF, 0.5, 1, _ARRAY),
+    # array coordinates that do not broadcast together, a numpy ValueError
+    # from inside the physicality test
+    "to_density_matrix unbroadcastable arrays":
+        lambda: to_density_matrix((np.zeros(2), np.zeros(3), 0.0)),
+    "closed_measures unbroadcastable arrays":
+        lambda: closed_measures(Measure.L1, np.zeros(2), np.zeros(3), 0.0),
 }
 
 

@@ -6,11 +6,16 @@ from coherence_lab import (
     NotPSDError,
     TraceNotOneError,
     ValidationError,
+    apply_n,
+    from_density_matrix,
     hermitian_eigensystem,
+    kraus_set,
+    matrix_measure,
     psd_sqrt,
     to_density_matrix,
     von_neumann_entropy,
 )
+from coherence_lab.states import validate_density_matrix
 from conftest import REFERENCE
 
 LN4 = float(np.log(4.0))
@@ -122,3 +127,27 @@ def test_entropy_rejects_bad_trace_and_negativity():
         von_neumann_entropy(np.eye(4, dtype=complex) / 2.0)
     with pytest.raises(NotPSDError):
         von_neumann_entropy(np.diag([1.5, -0.5, 0.0, 0.0]).astype(complex))
+
+
+MATRIX_ENTRY_POINTS = {
+    "hermitian_eigensystem": hermitian_eigensystem,
+    "psd_sqrt": psd_sqrt,
+    "von_neumann_entropy": von_neumann_entropy,
+    "validate_density_matrix": validate_density_matrix,
+    "matrix_measure": lambda m: matrix_measure("l1", m),
+    "from_density_matrix": from_density_matrix,
+    "apply_n": lambda m: apply_n(m, kraus_set("bf", 0.3), 1),
+}
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (3, 0, 0), (0, 0, 0)],
+                         ids=["matrix", "stack", "empty-stack"])
+@pytest.mark.parametrize("routine", MATRIX_ENTRY_POINTS.values(), ids=list(MATRIX_ENTRY_POINTS))
+def test_an_empty_matrix_is_rejected(routine, shape):
+    # a matrix with no entries has no maximum Hermitian defect to test
+    with pytest.raises(ValidationError, match="nonempty square matrix"):
+        routine(np.zeros(shape, dtype=complex))
+
+
+def test_a_stack_of_no_matrices_stays_valid():
+    assert validate_density_matrix(np.zeros((0, 4, 4), dtype=complex)).shape == (0, 4, 4)

@@ -81,20 +81,6 @@ def test_matrix_routines_stack_bitwise(states, leave_family):
     _same_bits(np.column_stack([*coefficients, residual]), [(*c, r) for c, r in singles])
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    st.sampled_from(list(ChannelKind)),
-    st.lists(st.tuples(physical_coefficients(on_boundary=True) | physical_coefficients(),
-                       P_VALUES, st.integers(1, 8)), min_size=1, max_size=10),
-)
-def test_apply_n_with_per_row_p_and_n_stack_bitwise(kind, rows):
-    rho = np.stack([to_density_matrix(c) for c, _, _ in rows])
-    ksets = [single_parameter_kraus_set(kind, p) for _, p, _ in rows]
-    counts = [n for _, _, n in rows]
-    _same_bits(apply_n(rho, ksets, counts),
-               [apply_n(m, kset, n) for m, kset, n in zip(rho, ksets, counts)])
-
-
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from(list(ChannelKind)),
@@ -162,11 +148,14 @@ def test_a_leaky_row_fails_its_step(row):
                                 adjoints=good.adjoints * 1.01)
     stack = _bell_stack()
     ksets = [leaky if k == row else good for k in range(len(stack))]
-    counts = [1 + k for k in range(len(stack))]
+    counts = np.arange(1, len(stack) + 1)
     with pytest.raises(InternalNumericalError) as alone:
-        apply_n(stack[row], leaky, counts[row])
+        apply_n(stack[row], leaky, int(counts[row]))
+    # the stepping loop as evolve_matrices drives it, with one leaky row
+    products = np.stack([k.products for k in ksets])
+    adjoints = np.stack([k.adjoints for k in ksets])
     with pytest.raises(InternalNumericalError) as stacked:
-        apply_n(stack, ksets, counts)
+        channels._per_row_steps(stack, counts, channels._step, (products, adjoints))
     assert "trace" in str(stacked.value)
     assert str(stacked.value) == str(alone.value)
 
@@ -175,7 +164,7 @@ def test_an_empty_stack_steps_to_an_empty_stack():
     empty = np.empty((0, 4, 4), dtype=complex)
     kset = single_parameter_kraus_set(ChannelKind.BIT_FLIP, 0.3)
     assert apply_n(empty, kset, 3).shape == (0, 4, 4)
-    assert apply_n(empty, [], []).shape == (0, 4, 4)
+    assert evolve_matrices(empty, [], [], []).shape == (0, 4, 4)
 
 
 @pytest.mark.parametrize("counts", [[3, 3, 3, 3], [2, 5, 1, 5, 2], [4]],
@@ -184,7 +173,7 @@ def test_the_stepping_loop_never_writes_its_inputs(counts):
     ps = [0.1 + 0.15 * k for k in range(len(counts))]
     coefficients = np.array([BellCoefficients(0.6 - 0.1 * k, 0.1, 0.2) for k in range(len(counts))])
     factors = np.array([per_iteration_factors(ChannelKind.DEPOLARIZING, p) for p in ps])
-    ksets = [single_parameter_kraus_set(ChannelKind.DEPOLARIZING, p) for p in ps]
+    kinds = [ChannelKind.DEPOLARIZING] * len(ps)
     rho = np.stack([to_density_matrix(BellCoefficients(*c)) for c in coefficients])
     counts = np.array(counts)
     inputs = (rho, coefficients, factors, counts)
@@ -192,13 +181,14 @@ def test_the_stepping_loop_never_writes_its_inputs(counts):
     for x in inputs:
         x.setflags(write=False)
     evolved = evolve_rows(coefficients, factors, counts)
-    stepped = apply_n(rho, ksets, counts)
+    stepped = evolve_matrices(rho, kinds, ps, counts)
     for x, before in zip(inputs, saved):
         assert x.tobytes() == before.tobytes()
     rows = range(len(counts))
     _same_bits(evolved, [evolve_rows(coefficients[k:k + 1], factors[k:k + 1], counts[k:k + 1])[0]
                          for k in rows])
-    _same_bits(stepped, [apply_n(rho[k], ksets[k], int(counts[k])) for k in rows])
+    _same_bits(stepped, [apply_n(rho[k], single_parameter_kraus_set(kinds[k], ps[k]),
+                                 int(counts[k])) for k in rows])
 
 
 def _mixed_queries(seed, crowded, engine):
@@ -233,13 +223,17 @@ def test_mixed_kind_decay_rates_stack_bitwise(seed, crowded, engine, rows):
 
 @settings(max_examples=60, deadline=None)
 @given(
-    st.integers(1, 4),
+    st.integers(1, 4) | st.just(channels._ROWS_PER_STACK),
+    st.none() | st.sampled_from(list(ChannelKind)),
     st.lists(st.tuples(physical_coefficients(on_boundary=True) | physical_coefficients(),
                        st.sampled_from(list(ChannelKind)), st.sampled_from([0.2, 0.7]) | P_VALUES,
                        st.integers(1, 8)), min_size=1, max_size=12),
 )
-def test_evolve_matrices_equals_apply_n_per_row(rows_per_stack, rows):
-    # small blocks, so a short stack crosses block boundaries in every kind
+def test_evolve_matrices_equals_apply_n_per_row(rows_per_stack, one_kind, rows):
+    # small blocks, so a short stack crosses block boundaries in every kind;
+    # with one kind, rows of their own p and n share every block
+    if one_kind is not None:
+        rows = [(c, one_kind, p, n) for c, _, p, n in rows]
     rho = np.stack([to_density_matrix(c) for c, _, _, _ in rows])
     _, kinds, ps, counts = zip(*rows)
     with mock.patch.object(channels, "_ROWS_PER_STACK", rows_per_stack):
