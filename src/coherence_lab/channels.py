@@ -15,6 +15,10 @@ Each kind's Kraus operators are stated once, in ``_operators``, for an
 array of p. ``_kraus_sets`` builds the operator, product and adjoint
 arrays of many p values together; ``kraus_set`` and
 ``single_parameter_kraus_set`` wrap its one-row case in a ``KrausSet``.
+Every two-qubit product of the five kinds has at most one nonzero per row,
+so a channel step (``_step``) gathers each entry of P_k rho P_k^dag from
+rho instead of multiplying 4x4 matrices; ``_supports`` turns the products
+into the indices and values it gathers with, and refuses any other product.
 """
 
 from __future__ import annotations
@@ -46,8 +50,8 @@ from .states import (
 COMPLETENESS_TOL = 1e-12
 # largest trace change one channel step may make before it is an internal error
 TRACE_DRIFT_TOL = 1e-12
-# most rows ``evolve_matrices`` steps in one stack, which keeps the stack's
-# per-row Kraus products and their adjoints under 1 MB
+# most rows ``evolve_matrices`` steps in one stack; a row's gather indices and
+# values (``_supports``) take about 3 KB and its step's terms 4 KB
 _ROWS_PER_STACK = 100
 
 
@@ -182,21 +186,50 @@ def single_parameter_kraus_set(kind: ChannelKind, p: float) -> KrausSet:
     return kraus_set(kind, *_single_parameter_args(kind, p))
 
 
-def _step(a: np.ndarray, products: np.ndarray, adjoints: np.ndarray) -> np.ndarray:
+def _supports(products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gather form of the (..., K^2, 4, 4) two-qubit Kraus products ``products``.
+
+    Every product of the five kinds has at most one nonzero per row, so
+    row r of P_k is v[r] times unit row pi(r). Returns the flat indices
+    ``4 pi(r) + pi(s)`` of each product's 16 entries, shape (..., K^2, 16),
+    and the row values v, shape (..., K^2, 4); a row of zeros has pi(r) = 0
+    and v[r] = 0. A product with two nonzeros in a row has no such form and
+    raises InternalNumericalError for the first such row.
+    """
+    nonzero = products != 0
+    spread = np.count_nonzero(nonzero, axis=-1)
+    raise_for_first(spread > 1, lambda row: InternalNumericalError(
+        f"Kraus product {row // 4} has {row_value(spread, row):.0f} nonzeros in row {row % 4}; "
+        "a channel step takes at most one per row"
+    ))
+    columns = np.argmax(nonzero, axis=-1)
+    values = np.take_along_axis(products, columns[..., None], axis=-1)[..., 0]
+    flat = 4 * columns[..., :, None] + columns[..., None, :]
+    return flat.reshape(columns.shape[:-1] + (16,)), values
+
+
+def _step(a: np.ndarray, flat: np.ndarray, values: np.ndarray) -> np.ndarray:
     """One application of E (x) E to checked density matrices; checks its output.
 
-    ``a`` is an (N, 4, 4) stack, and ``products``/``adjoints`` are the
-    (N, K^2, 4, 4) products and adjoints of its rows' Kraus sets. Every
-    P_k a of a row is one matmul, the row's products stacked into a
-    (4 K^2, 4) matrix times a; each P_k a P_k^dag is then its own matmul,
-    and the terms are summed from zero in the order of the products. Each
-    output is checked once, by ``validate_density_matrix`` and for trace
-    drift, so it can be the next input unchecked. A check that fails here
-    is the channel's fault, not the caller's, so it raises
-    InternalNumericalError.
+    ``a`` is an (N, 4, 4) stack, and ``flat``/``values`` are ``_supports``
+    of its rows' (N, K^2, 4, 4) Kraus products. Entry (r, s) of
+    P_k a P_k^dag is the single product v[r] a[pi r, pi s] conj(v[s]): one
+    gather forms every a[pi r, pi s] of a row, and two elementwise
+    multiplies weight them in the order the two matmuls would. Every entry
+    of a product of the five kinds is purely real or purely imaginary, so
+    the matmuls' other terms are exact zeros and these are their bits; the
+    terms are summed from +0.0, in the order of the products, which erases
+    any difference in the sign of a zero. Each output is checked once, by
+    ``validate_density_matrix`` and for trace drift, so it can be the next
+    input unchecked. A check that fails here is the channel's fault, not
+    the caller's, so it raises InternalNumericalError.
     """
-    left = (products.reshape(len(a), -1, 4) @ a).reshape(products.shape)
-    out = np.add.reduce(left @ adjoints, axis=-3, initial=0.0)
+    terms = np.take_along_axis(a.reshape(len(a), 1, 16), flat, axis=-1).reshape(
+        flat.shape[:-1] + (4, 4)
+    )
+    np.multiply(values[..., :, None], terms, out=terms)
+    terms *= values.conj()[..., None, :]
+    out = np.add.reduce(terms, axis=-3, initial=0.0)
     try:
         validate_density_matrix(out)
     except ValidationError as exc:
@@ -218,11 +251,11 @@ def apply_n(rho: np.ndarray, kset: KrausSet, n: int | Sequence[int]) -> np.ndarr
     """n successive applications of the product channel of ``kset``.
 
     ``rho`` is one density matrix or an (N, 4, 4) stack; one matrix runs as
-    a stack of one, and every row is stepped through ``kset``. ``n`` is one
-    count or, for a stack, N of them; a row stops once it has had its own n
-    steps. ``rho`` is validated once; every later input is a step's
-    checked output. Rows with channels of their own go through
-    ``evolve_matrices``.
+    a stack of one, and every row is stepped through ``kset``, whose
+    products go through ``_supports`` once. ``n`` is one count or, for a
+    stack, N of them; a row stops once it has had its own n steps. ``rho``
+    is validated once; every later input is a step's checked output. Rows
+    with channels of their own go through ``evolve_matrices``.
     """
     counts = np.array([
         require_count("iteration count", k) for k in np.ravel(np.array(n, dtype=object))
@@ -235,7 +268,7 @@ def apply_n(rho: np.ndarray, kset: KrausSet, n: int | Sequence[int]) -> np.ndarr
         counts = np.full(len(stack), counts[0])
     elif counts.size != len(stack):
         raise ValidationError(f"{counts.size} iteration counts for a stack of shape {a.shape}")
-    args = [np.broadcast_to(x, (len(stack),) + x.shape) for x in (kset.products, kset.adjoints)]
+    args = [np.broadcast_to(x, (len(stack),) + x.shape) for x in _supports(kset.products)]
     return _per_row_steps(stack, counts, _step, args).reshape(a.shape)
 
 
@@ -246,9 +279,10 @@ def evolve_matrices(rho: np.ndarray, kinds, ps, counts) -> np.ndarray:
     counts and the whole stack are checked once. The rows are then stepped
     one channel kind at a time, since a stack of Kraus products needs one
     operator count, in blocks of at most ``_ROWS_PER_STACK`` rows. Each
-    block makes one ``_kraus_sets`` call on its distinct p values and
-    steps its rows through ``_per_row_steps`` with each row's products.
-    Every row gets the bits ``apply_n`` gives it alone.
+    block makes one ``_kraus_sets`` and one ``_supports`` call on its
+    distinct p values and steps its rows through ``_per_row_steps`` with
+    each row's gather indices and values. Every row gets the bits
+    ``apply_n`` gives it alone.
     """
     stack = np.asarray(rho)
     kinds = [ChannelKind(kind) for kind in kinds]
@@ -265,10 +299,11 @@ def evolve_matrices(rho: np.ndarray, kinds, ps, counts) -> np.ndarray:
             # each distinct p of the block, numbered in the order first seen
             seen = {}
             inverse = [seen.setdefault(require_probability("p", ps[r]), len(seen)) for r in rows]
-            _, products, adjoints = _kraus_sets(kind, *_single_parameter_args(kind, list(seen)))
-            # passed inline, so each block's per-row products are freed once it has stepped
+            _, products, _ = _kraus_sets(kind, *_single_parameter_args(kind, list(seen)))
+            flat, values = _supports(products)
+            # passed inline, so each block's per-row arrays are freed once it has stepped
             out[rows] = _per_row_steps(
-                stack[rows], counts[rows], _step, (products[inverse], adjoints[inverse])
+                stack[rows], counts[rows], _step, (flat[inverse], values[inverse])
             )
     return out
 

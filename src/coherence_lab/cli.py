@@ -20,7 +20,7 @@ import shutil
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -40,7 +40,7 @@ from . import __version__
 from .coherence import Measure, closed_measure, closed_measures, matrix_measure
 from .decay import DecayQuery, Engine, decay_rates
 from .errors import CoherenceLabError, ParameterRangeError, ValidationError, require_count
-from .sampling import Lcg, random_physical_state, sample_states
+from .sampling import Lcg, _draw_states
 from .scan import DecayCurve, SurfacePointCloud, decay_curve, frozen_surface, lattice_axis
 from .states import BellCoefficients, from_density_matrix, require_physical, to_density_matrix
 
@@ -295,7 +295,7 @@ def _witness(state, channel=None, p=None, n=None, measure=None) -> dict:
 
 def _verify_measures(seed: int, trials: int) -> list[tuple[_Deviation, str]]:
     """Closed forms against the matrix measures, on one (trials, 4, 4) stack."""
-    states = np.array(sample_states(seed, trials))
+    states, _ = _draw_states(Lcg(seed), trials, 0.0, 0)
     rho = to_density_matrix(BellCoefficients(*states.T))
     return [
         _worst(
@@ -314,11 +314,11 @@ def _verify_coefficient_maps(seed: int, trials: int) -> list[tuple[_Deviation, s
     ``trials`` is unused: the draws are fixed, 60 per channel kind, drawn
     kind by kind in the order listed.
     """
-    rng = Lcg(seed + 1)
-    rows = [(random_physical_state(rng), kind, p, n) for kind in ChannelKind
-            for p in (0.1, 0.3, 0.5, 0.7, 0.9) for n in (1, 2, 5, 9) for _ in range(3)]
-    states, kinds, ps, counts = zip(*rows)
-    states, counts = np.array(states), np.array(counts)
+    cells = [(kind, p, n) for kind in ChannelKind
+             for p in (0.1, 0.3, 0.5, 0.7, 0.9) for n in (1, 2, 5, 9) for _ in range(3)]
+    states, _ = _draw_states(Lcg(seed + 1), len(cells), 0.0, 0)
+    kinds, ps, counts = zip(*cells)
+    counts = np.array(counts)
     evolved = evolve_matrices(to_density_matrix(BellCoefficients(*states.T)), kinds, ps, counts)
     coefficients, residual = from_density_matrix(evolved)
     extracted = np.column_stack(coefficients)
@@ -328,35 +328,37 @@ def _verify_coefficient_maps(seed: int, trials: int) -> list[tuple[_Deviation, s
         mapped = evolve_rows(states[picked], factors, counts[picked])
         return np.max(np.abs(mapped - extracted[picked]), axis=1)
 
+    def witness(row):
+        return _witness(states[row], *cells[row])
+
     dep = [row for row, kind in enumerate(kinds) if kind is ChannelKind.DEPOLARIZING]
     return [
-        _worst("coefficient map vs Kraus route", gap(range(len(rows)), CoefficientMapMode.DERIVED),
-               VERIFY_MAP_TOL, lambda row: _witness(*rows[row])),
-        _worst("Bell-diagonal extraction residual", residual,
-               VERIFY_RESIDUAL_TOL, lambda row: _witness(*rows[row]),
+        _worst("coefficient map vs Kraus route", gap(range(len(cells)), CoefficientMapMode.DERIVED),
+               VERIFY_MAP_TOL, witness),
+        _worst("Bell-diagonal extraction residual", residual, VERIFY_RESIDUAL_TOL, witness,
                "{check}: max {worst:.3e} (tol {tol:.0e})"),
         _worst("dep paper-mode gap vs Kraus route", gap(dep, CoefficientMapMode.PAPER), None,
-               lambda row: _witness(*rows[dep[row]]),
+               lambda row: witness(dep[row]),
                "info: {check}: {worst:.3e} (single- vs squared-contraction; not scored)"),
     ]
 
 
 def _verify_engines(seed: int, trials: int) -> list[tuple[_Deviation, str]]:
     """Both decay engines on the same queries, each engine in one ``decay_rates`` call."""
-    rng = Lcg(seed + 2)
     kinds = list(ChannelKind)
     measures = list(Measure)
-    queries = []
-    for index in range(trials):
-        # l1 floor keeps the ratio denominator well conditioned
-        state = random_physical_state(rng, min_l1=1e-2)
-        p = rng.next_in(0.05, 0.95)
-        queries.append(DecayQuery(
-            state, measures[index % len(measures)], kinds[index % len(kinds)], p,
-            1 + (index % 12),
-        ))
+    # l1 floor keeps the ratio denominator well conditioned; one float after
+    # each state gives its p
+    states, extras = _draw_states(Lcg(seed + 2), trials, 1e-2, 1)
+    ps = 0.05 + (0.95 - 0.05) * extras[:, 0]
+    queries, oracle_queries = [], []
+    for index, (state, p) in enumerate(zip(states.tolist(), ps.tolist())):
+        args = (BellCoefficients(*state), measures[index % len(measures)],
+                kinds[index % len(kinds)], p, 1 + (index % 12))
+        queries.append(DecayQuery(*args))
+        oracle_queries.append(DecayQuery(*args, engine=Engine.MATRIX_ORACLE))
     closed = decay_rates(queries)
-    oracle = decay_rates([replace(q, engine=Engine.MATRIX_ORACLE) for q in queries])
+    oracle = decay_rates(oracle_queries)
 
     def witness(row):
         q = queries[row]

@@ -305,6 +305,25 @@ def test_non_trace_preserving_products_fail_on_first_step():
         apply_product_channel(rho, leaky)
 
 
+def test_a_product_with_two_nonzeros_in_a_row_is_refused(monkeypatch):
+    # {H}: H (x) H is unitary, so the set is complete and trace preserving,
+    # but every row of its one product has four nonzeros, which a channel
+    # step cannot gather; there is no fallback to a matmul
+    hadamard = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
+    product = np.kron(hadamard, hadamard)[None]
+    kset = dataclasses.replace(kraus_set(ChannelKind.BIT_FLIP, 0.3), operators=(hadamard,),
+                               products=product, adjoints=product.conj().swapaxes(-1, -2))
+    rho = to_density_matrix(REFERENCE)
+    with pytest.raises(InternalNumericalError, match="Kraus product 0 has 4 nonzeros in row 0"):
+        apply_n(rho, kset, 1)
+    # evolve_matrices builds its blocks' sets itself, so the Hadamard products go in there
+    monkeypatch.setattr(channels, "_kraus_sets", lambda kind, p, gamma: (
+        None, np.broadcast_to(product, (len(p),) + product.shape), None
+    ))
+    with pytest.raises(InternalNumericalError, match="Kraus product 0 has 4 nonzeros in row 0"):
+        channels.evolve_matrices(rho[None], [ChannelKind.BIT_FLIP], [0.3], [1])
+
+
 def test_bad_inputs_are_rejected_by_both_entry_points():
     kset = kraus_set(ChannelKind.DEPOLARIZING, 0.2)
     good = to_density_matrix(REFERENCE)

@@ -153,9 +153,8 @@ def test_a_leaky_row_fails_its_step(row):
         apply_n(stack[row], leaky, int(counts[row]))
     # the stepping loop as evolve_matrices drives it, with one leaky row
     products = np.stack([k.products for k in ksets])
-    adjoints = np.stack([k.adjoints for k in ksets])
     with pytest.raises(InternalNumericalError) as stacked:
-        channels._per_row_steps(stack, counts, channels._step, (products, adjoints))
+        channels._per_row_steps(stack, counts, channels._step, channels._supports(products))
     assert "trace" in str(stacked.value)
     assert str(stacked.value) == str(alone.value)
 
