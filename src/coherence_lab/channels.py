@@ -11,6 +11,11 @@ multiplied by a channel factor per iteration. ``coefficient_map`` applies
 those factors; ``apply_n`` (one Kraus set) and ``evolve_matrices`` (a
 channel per row) are the literal Kraus-operator route used to check them.
 
+Each kind's per-iteration factors are stated once, in
+``per_iteration_factor_rows``, for an array of p; ``per_iteration_factors``
+is its one-row case, and ``factors_by_row`` makes one call per (kind, mode)
+group of rows that each have a channel of their own.
+
 Each kind's Kraus operators are stated once, in ``_operators``, for an
 array of p. ``_kraus_sets`` builds the operator, product and adjoint
 arrays of many p values together; ``kraus_set`` and
@@ -268,8 +273,9 @@ def apply_n(rho: np.ndarray, kset: KrausSet, n: int | Sequence[int]) -> np.ndarr
         counts = np.full(len(stack), counts[0])
     elif counts.size != len(stack):
         raise ValidationError(f"{counts.size} iteration counts for a stack of shape {a.shape}")
+    # every row has the same products, so the broadcast needs no reordering
     args = [np.broadcast_to(x, (len(stack),) + x.shape) for x in _supports(kset.products)]
-    return _per_row_steps(stack, counts, _step, args).reshape(a.shape)
+    return _per_row_steps(stack, counts, _longest_first(counts), _step, args).reshape(a.shape)
 
 
 def evolve_matrices(rho: np.ndarray, kinds, ps, counts) -> np.ndarray:
@@ -281,8 +287,8 @@ def evolve_matrices(rho: np.ndarray, kinds, ps, counts) -> np.ndarray:
     operator count, in blocks of at most ``_ROWS_PER_STACK`` rows. Each
     block makes one ``_kraus_sets`` and one ``_supports`` call on its
     distinct p values and steps its rows through ``_per_row_steps`` with
-    each row's gather indices and values. Every row gets the bits
-    ``apply_n`` gives it alone.
+    each row's gather indices and values, gathered once, straight into the
+    block's step order. Every row gets the bits ``apply_n`` gives it alone.
     """
     stack = np.asarray(rho)
     kinds = [ChannelKind(kind) for kind in kinds]
@@ -298,30 +304,42 @@ def evolve_matrices(rho: np.ndarray, kinds, ps, counts) -> np.ndarray:
             rows = same_kind[start:start + _ROWS_PER_STACK]
             # each distinct p of the block, numbered in the order first seen
             seen = {}
-            inverse = [seen.setdefault(require_probability("p", ps[r]), len(seen)) for r in rows]
+            inverse = np.array([
+                seen.setdefault(require_probability("p", ps[r]), len(seen)) for r in rows
+            ])
             _, products, _ = _kraus_sets(kind, *_single_parameter_args(kind, list(seen)))
             flat, values = _supports(products)
+            order = _longest_first(counts[rows])
+            picked = inverse[order]
             # passed inline, so each block's per-row arrays are freed once it has stepped
             out[rows] = _per_row_steps(
-                stack[rows], counts[rows], _step, (flat[inverse], values[inverse])
+                stack[rows], counts[rows], order, _step, (flat[picked], values[picked])
             )
     return out
 
 
-def _per_row_steps(rows: np.ndarray, counts: np.ndarray, step, args: tuple) -> np.ndarray:
+def _longest_first(counts: np.ndarray) -> np.ndarray:
+    """The order in which ``_per_row_steps`` runs rows: by descending count.
+
+    The sort is stable, so the order is the identity when every count is equal.
+    """
+    return np.argsort(-counts, kind="stable")
+
+
+def _per_row_steps(rows: np.ndarray, counts: np.ndarray, order: np.ndarray, step,
+                   args) -> np.ndarray:
     """``rows`` with row k replaced by ``counts[k]`` applications of ``step``.
 
-    ``step(rows, *args)`` maps a stack of rows to the next one, with
-    ``args`` the per-row arrays in row order, cut to the same rows. The rows
-    and ``args`` are sorted once by descending count (a stable sort, so the
-    identity when every count is equal) and run longest first, in phases
-    between distinct counts: the rows still going in a phase are a leading
-    slice of the sorted stack, so no phase copies them, and a row stops once
-    it has had its own count of steps. The inputs are never written.
+    ``order`` is ``_longest_first(counts)``, and ``step(rows, *args)`` maps
+    a stack of rows to the next one, with ``args`` the per-row arrays
+    already in that order, cut to the same rows: the caller gathers them,
+    so each is indexed once. The rows are sorted once into ``order`` and run
+    longest first, in phases between distinct counts: the rows still going
+    in a phase are a leading slice of the sorted stack, so no phase copies
+    them, and a row stops once it has had its own count of steps. The
+    inputs are never written.
     """
-    order = np.argsort(-counts, kind="stable")
     stack, counts = rows[order], counts[order]
-    args = [arg[order] for arg in args]
     done = 0
     for count in sorted(set(counts.tolist())):
         going = int(np.count_nonzero(counts >= count))
@@ -335,22 +353,59 @@ def _per_row_steps(rows: np.ndarray, counts: np.ndarray, step, args: tuple) -> n
     return out
 
 
-def per_iteration_factors(
-    kind: ChannelKind, p: float, mode: CoefficientMapMode = CoefficientMapMode.DERIVED
-) -> tuple[float, float, float]:
-    """Multiplicative factors (f1, f2, f3) applied to (c1, c2, c3) per iteration."""
+def per_iteration_factor_rows(
+    kind: ChannelKind, p: Sequence[float], mode: CoefficientMapMode = CoefficientMapMode.DERIVED
+) -> np.ndarray:
+    """The (P, 3) factors (f1, f2, f3) applied to (c1, c2, c3) per iteration, row k for ``p[k]``.
+
+    Each kind's factors are stated once, for an array of p: a flip keeps
+    its axis (1.0) and shrinks the other two by (1 - p)(1 - p); dep shrinks
+    all three by 1 - 4p/3 ('paper') or its square ('derived'); gad keeps
+    1 - p on c1 and c2 and (1 - p)(1 - p) on c3. Every entry of ``p`` is
+    checked by ``require_probability`` in order, so the first bad one is
+    named; the factors are elementwise expressions, so every row has the
+    bits it would get alone.
+    """
     kind = ChannelKind(kind)
     mode = CoefficientMapMode(mode)
-    p = require_probability("p", p)
+    p = np.array([require_probability("p", x) for x in p], dtype=np.float64)
     if kind in _FLIP_AXIS:
         shrink = (1.0 - p) * (1.0 - p)
-        return tuple(1.0 if axis == _FLIP_AXIS[kind] else shrink for axis in range(3))
+        return np.where(np.arange(3) == _FLIP_AXIS[kind], 1.0, shrink[:, None])
     if kind is ChannelKind.DEPOLARIZING:
         base = 1.0 - 4.0 * p / 3.0
         shrink = base if mode is CoefficientMapMode.PAPER else base * base
-        return (shrink, shrink, shrink)
+        return np.stack((shrink,) * 3, axis=-1)
     keep = 1.0 - p
-    return (keep, keep, keep * keep)
+    return np.stack((keep, keep, keep * keep), axis=-1)
+
+
+def per_iteration_factors(
+    kind: ChannelKind, p: float, mode: CoefficientMapMode = CoefficientMapMode.DERIVED
+) -> tuple[float, float, float]:
+    """Multiplicative factors (f1, f2, f3) applied to (c1, c2, c3) per iteration.
+
+    The one-row case of ``per_iteration_factor_rows``.
+    """
+    return tuple(per_iteration_factor_rows(kind, [p], mode)[0].tolist())
+
+
+def factors_by_row(kinds, ps, modes) -> np.ndarray:
+    """The (N, 3) per-iteration factors of row k's channel ``kinds[k]``, ``ps[k]``, ``modes[k]``.
+
+    Each row's kind, mode and p are checked in row order, so an error names
+    the first failing row. The rows of each (kind, mode) pair then take one
+    ``per_iteration_factor_rows`` call, scattered back by row.
+    """
+    groups = {}
+    for row, (kind, p, mode) in enumerate(zip(kinds, ps, modes)):
+        key = (ChannelKind(kind), CoefficientMapMode(mode))
+        require_probability("p", p)
+        groups.setdefault(key, []).append(row)
+    factors = np.empty((len(ps), 3))
+    for (kind, mode), rows in groups.items():
+        factors[rows] = per_iteration_factor_rows(kind, [ps[row] for row in rows], mode)
+    return factors
 
 
 def coefficient_map(
@@ -369,8 +424,8 @@ def coefficient_map(
     n = require_count("iteration count", n)
     c = stack_states([c])[0].tolist()
     require_physical(*c)
-    factors = per_iteration_factors(kind, p, mode)
-    evolved = evolve_rows(np.array([c], dtype=np.float64), np.array([factors]), np.array([n]))
+    factors = per_iteration_factor_rows(kind, [p], mode)
+    evolved = evolve_rows(np.array([c], dtype=np.float64), factors, np.array([n]))
     return BellCoefficients(*(float(x) for x in evolved[0]))
 
 
@@ -380,7 +435,9 @@ def evolve_rows(coefficients: np.ndarray, factors: np.ndarray, counts: np.ndarra
     Row k is multiplied by its factors ``counts[k]`` times (never a power)
     and then left alone, the same per-row stop ``apply_n`` uses.
     """
+    counts = np.asarray(counts)
+    order = _longest_first(counts)
     return _per_row_steps(
-        np.asarray(coefficients, dtype=np.float64), np.asarray(counts), np.multiply,
-        (np.asarray(factors, dtype=np.float64),),
+        np.asarray(coefficients, dtype=np.float64), counts, order, np.multiply,
+        (np.asarray(factors, dtype=np.float64)[order],),
     )

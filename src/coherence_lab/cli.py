@@ -32,8 +32,8 @@ from .channels import (
     coefficient_map,
     evolve_matrices,
     evolve_rows,
+    factors_by_row,
     kraus_set,
-    per_iteration_factors,
     single_parameter_kraus_set,
 )
 from . import __version__
@@ -135,11 +135,15 @@ def _cannot_write(path: str):
 
 
 def _curve_csv(curve: DecayCurve) -> str:
+    """One line per p: p and its rates, each as ``{:.9g}``, by one ``%`` format per line.
+
+    ``"%.9g" % x`` and ``f"{x:.9g}"`` give the same text for every float.
+    """
     header = "p," + ",".join(f"n={n}" for n in curve.n_list)
-    lines = [header]
-    for p, row in zip(curve.p_values, curve.rates):
-        lines.append(",".join(f"{v:.9g}" for v in (p, *row)))
-    return "\n".join(lines) + "\n"
+    row = ",".join(["%.9g"] * (1 + len(curve.n_list)))
+    lines = [row % tuple(values)
+             for values in np.column_stack([curve.p_values, curve.rates]).tolist()]
+    return "\n".join([header, *lines]) + "\n"
 
 
 def _metadata_comment(cloud: SurfacePointCloud) -> str:
@@ -324,7 +328,8 @@ def _verify_coefficient_maps(seed: int, trials: int) -> list[tuple[_Deviation, s
     extracted = np.column_stack(coefficients)
 
     def gap(picked, mode):
-        factors = [per_iteration_factors(kinds[row], ps[row], mode) for row in picked]
+        factors = factors_by_row([kinds[row] for row in picked], [ps[row] for row in picked],
+                                 [mode] * len(picked))
         mapped = evolve_rows(states[picked], factors, counts[picked])
         return np.max(np.abs(mapped - extracted[picked]), axis=1)
 

@@ -12,7 +12,7 @@ from .channels import (
     CoefficientMapMode,
     evolve_matrices,
     evolve_rows,
-    per_iteration_factors,
+    factors_by_row,
 )
 from .coherence import Measure, closed_measures, matrix_measure
 from .errors import Choice, IncoherentStateError, ValidationError, require_bound, require_count
@@ -60,9 +60,10 @@ def decay_rates(queries: Sequence[DecayQuery]) -> np.ndarray:
     engines go through ``_ratio``: each step runs once over all rows
     (measures once per measure present), and every row gets the bits
     ``decay_rate`` gives it alone. The closed-form engine measures with
-    ``closed_measures`` and evolves with ``evolve_rows``; the oracle measures
-    with ``matrix_measure`` and evolves through ``evolve_matrices``, which
-    holds the per-row Kraus products of one bounded block at a time. A check
+    ``closed_measures`` and evolves with ``evolve_rows``, taking the factors
+    of each (kind, mode) group in one call (``factors_by_row``); the oracle
+    measures with ``matrix_measure`` and evolves through ``evolve_matrices``,
+    which holds the per-row Kraus products of one bounded block at a time. A check
     that fails raises for the first row that fails it; the oracle's channel
     steps take their rows kind by kind. ``mode`` is a closed-form
     convention, so the matrix-oracle engine, whose Kraus route is 'derived',
@@ -80,7 +81,7 @@ def decay_rates(queries: Sequence[DecayQuery]) -> np.ndarray:
     if engine is Engine.CLOSED_FORM:
         def evolve(rows):
             counts = np.array([require_count("iteration count", q.n) for q in queries])
-            factors = np.array([per_iteration_factors(q.kind, q.p, q.mode) for q in queries])
+            factors = factors_by_row(*zip(*((q.kind, q.p, q.mode) for q in queries)))
             return evolve_rows(rows, factors, counts)
 
         return _ratio(lambda rows: _by_measure(measures, rows, _closed_rows), states, evolve)

@@ -46,7 +46,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .channels import ChannelKind, CoefficientMapMode, evolve_rows, per_iteration_factors
+from .channels import (
+    ChannelKind,
+    CoefficientMapMode,
+    evolve_rows,
+    per_iteration_factor_rows,
+    per_iteration_factors,
+)
 from .coherence import Measure, clamped_array, closed_measures, _C3_TERMS, _KERNELS
 from .decay import COHERENCE_FLOOR, _ratio
 from .errors import ParameterRangeError, require_bound, require_count
@@ -75,9 +81,10 @@ def decay_curve(
     """Decay rates on the interior grid p_k = k / (p_count + 1), k = 1..p_count.
 
     The state is validated as three real coordinates and tiled into one row
-    per (p, n) cell, p-major; the rows go through ``decay._ratio`` with
-    ``closed_measures`` and one ``evolve_rows`` call, which multiplies each
-    row by its p's factors n times (never a power). An incoherent state
+    per (p, n) cell, p-major. Every p's factors come from one
+    ``per_iteration_factor_rows`` call; the rows go through ``decay._ratio``
+    with ``closed_measures`` and one ``evolve_rows`` call, which multiplies
+    each row by its p's factors n times (never a power). An incoherent state
     raises IncoherentStateError before any row is evolved.
     """
     kind = ChannelKind(kind)
@@ -94,7 +101,7 @@ def decay_curve(
         raise ParameterRangeError(f"n_list must be nonempty, got {n_list!r}")
     state_row = stack_states([state])
     p_values = np.array([k / (p_count + 1) for k in range(1, p_count + 1)])
-    factors = np.array([per_iteration_factors(kind, float(p), mode) for p in p_values])
+    factors = per_iteration_factor_rows(kind, p_values.tolist(), mode)
     rates = _ratio(
         lambda rows: closed_measures(measure, *rows.T),
         np.repeat(state_row, p_count * len(n_tuple), axis=0),

@@ -27,6 +27,7 @@ from coherence_lab import (
     to_density_matrix,
 )
 from coherence_lab import channels
+from coherence_lab.channels import per_iteration_factor_rows
 from coherence_lab.states import IDENTITY_2, SIGMA_X
 from conftest import REFERENCE, physical_coefficients
 
@@ -132,6 +133,59 @@ def test_per_iteration_factor_table():
     assert derived == pytest.approx((0.36, 0.36, 0.36), abs=1e-15)
     keep = 1.0 - 0.3
     assert per_iteration_factors(ChannelKind.AMPLITUDE_DAMPING, 0.3) == (keep, keep, keep * keep)
+
+
+def _reference_factors(kind, p, mode):
+    """The per-iteration factors of one p, in plain Python float arithmetic."""
+    if kind is ChannelKind.DEPOLARIZING:
+        base = 1.0 - 4.0 * p / 3.0
+        shrink = base if mode is CoefficientMapMode.PAPER else base * base
+        return (shrink, shrink, shrink)
+    if kind is ChannelKind.AMPLITUDE_DAMPING:
+        keep = 1.0 - p
+        return (keep, keep, keep * keep)
+    shrink = (1.0 - p) * (1.0 - p)
+    axis = [ChannelKind.BIT_FLIP, ChannelKind.BIT_PHASE_FLIP, ChannelKind.PHASE_FLIP].index(kind)
+    return tuple(1.0 if k == axis else shrink for k in range(3))
+
+
+# the least subnormal, a p near the clamp, dep's zero factor and the largest p below 1
+_EDGE_PS = [5e-324, 1e-12, 0.75, 1.0 - 2.0**-53]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    kind=st.sampled_from(ALL_KINDS),
+    mode=st.sampled_from(list(CoefficientMapMode)),
+    drawn=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), max_size=20),
+)
+def test_factor_rows_have_the_bits_of_each_p_alone(kind, mode, drawn):
+    ps = _EDGE_PS + drawn
+    rows = per_iteration_factor_rows(kind, ps, mode)
+    assert rows.shape == (len(ps), 3) and rows.dtype == np.float64
+    for p, row in zip(ps, rows.tolist()):
+        alone = per_iteration_factors(kind, p, mode)
+        assert all(type(x) is float for x in alone)
+        assert [x.hex() for x in row] == [x.hex() for x in alone]
+        assert [x.hex() for x in alone] == [x.hex() for x in _reference_factors(kind, p, mode)]
+
+
+def test_no_p_gives_no_factor_rows():
+    assert per_iteration_factor_rows(ChannelKind.DEPOLARIZING, []).shape == (0, 3)
+
+
+@pytest.mark.parametrize("container", [list, lambda ps: np.array(ps, dtype=object)],
+                         ids=["list", "object array"])
+@pytest.mark.parametrize("bad", [0, 1, float("nan"), True, "0.5", 1.5], ids=repr)
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_factor_rows_name_the_first_bad_p(kind, bad, container):
+    message = f"p must lie strictly between 0 and 1, got {bad!r}"
+    with pytest.raises(ParameterRangeError) as alone:
+        per_iteration_factors(kind, bad)
+    assert str(alone.value) == message
+    with pytest.raises(ParameterRangeError) as rows:
+        per_iteration_factor_rows(kind, container([0.3, bad, 0.5, 2.0]))
+    assert str(rows.value) == message
 
 
 def test_coefficient_map_examples():

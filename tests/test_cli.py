@@ -5,12 +5,15 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import coherence_lab
 from coherence_lab import (
     BellCoefficients,
     ChannelKind,
     CoefficientMapMode,
+    DecayCurve,
     DecayQuery,
     Engine,
     InternalNumericalError,
@@ -172,6 +175,41 @@ def test_decay_curve_csv_file(tmp_path, capsys):
     assert len(lines) == 10
     assert lines[1] == "0.1,1,1"
     assert "\r" not in text
+
+
+def _per_value_curve_csv(curve):
+    """The curve CSV with each value formatted by its own f-string."""
+    lines = ["p," + ",".join(f"n={n}" for n in curve.n_list)]
+    for p, row in zip(curve.p_values, curve.rates):
+        lines.append(",".join(f"{v:.9g}" for v in (p, *row)))
+    return "\n".join(lines) + "\n"
+
+
+def _hand_built_curve(p_values, rates):
+    """A DecayCurve with row k of ``rates`` at ``p_values[k]``."""
+    rates = np.array(rates, dtype=np.float64)
+    return DecayCurve(ChannelKind.BIT_FLIP, Measure.L1, BellCoefficients(0.6, 0.1, 0.2),
+                      CoefficientMapMode.DERIVED, tuple(range(1, rates.shape[1] + 1)),
+                      np.array(p_values, dtype=np.float64), rates)
+
+
+def test_curve_csv_formats_each_value_as_its_f_string():
+    # a signed zero, the least subnormal, a value just below a 9-digit tie and an exact tie
+    values = [-0.0, 5e-324, 1.0, 1e-300, 0.9999999995, 123456789.5]
+    curve = _hand_built_curve(values, list(zip(values[::-1], values[1:] + values[:1])))
+    text = cli._curve_csv(curve)
+    assert text.encode() == _per_value_curve_csv(curve).encode()
+    assert text.splitlines()[1] == "-0,123456790,4.94065646e-324"
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda width: st.lists(
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=width, max_size=width),
+    min_size=1, max_size=8,
+)))
+def test_curve_csv_equals_the_per_value_reference(rows):
+    curve = _hand_built_curve([row[0] for row in rows], [row[1:] + [0.5] for row in rows])
+    assert cli._curve_csv(curve).encode() == _per_value_curve_csv(curve).encode()
 
 
 def test_decay_curve_stdout_when_no_out(capsys):

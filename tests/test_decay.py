@@ -101,6 +101,36 @@ def test_incoherence_is_rejected_before_any_step(monkeypatch, rates):
         rates(BellCoefficients(0.0, 0.0, 0.5))
 
 
+def _closed_queries(*channels_and_ps):
+    return [DecayQuery(REFERENCE, Measure.L1, kind, p, 1) for kind, p in channels_and_ps]
+
+
+# the first bad query sits in the second (kind, mode) group, or ahead of a bad kind
+@pytest.mark.parametrize("queries, message", [
+    (_closed_queries((BF, 0.5), (DEP, 0.5), (DEP, 1.5), (BF, 0)), "got 1.5"),
+    (_closed_queries((BF, 0.5), (BF, 0), (DEP, 1.5)), "got 0"),
+    (_closed_queries((BF, 1.5), ("xx", 0.5)), "got 1.5"),
+    (_closed_queries((BF, 0.5), ("xx", 0.5), (BF, 1.5)), "'xx' is not a valid ChannelKind"),
+], ids=["later group", "same group", "bad p then bad kind", "bad kind then bad p"])
+def test_decay_rates_name_the_first_invalid_query(queries, message):
+    with pytest.raises(ValidationError, match=message) as stacked:
+        decay_rates(queries)
+    alone = []
+    for query in queries:
+        try:
+            decay_rate(query)
+        except ValidationError as exc:
+            alone.append(str(exc))
+    assert str(stacked.value) == alone[0]
+
+
+def test_a_bad_p_is_read_after_the_coherence_check():
+    queries = [DecayQuery(BellCoefficients(0.0, 0.0, 0.5), Measure.L1, BF, 0.5, 1),
+               DecayQuery(REFERENCE, Measure.L1, BF, 1.5, 1)]
+    with pytest.raises(IncoherentStateError):
+        decay_rates(queries)
+
+
 _QUERY = DecayQuery(REFERENCE, Measure.L1, BF, 0.5, 1)
 # states that are not exactly three coordinates
 _SHORT, _LONG, _TEXT = (0.6, 0.1), (0.6, 0.1, 0.2, 0.0), "0.6,0.1,0.2"

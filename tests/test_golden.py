@@ -39,6 +39,9 @@ CURVE_CASES = (
     ("dep", "0.6,0.1,0.2", "1,2,12", "99", ()),
     ("dep", "-0.3,0.2,0.4", "1,4", "31", ("--coeff-map", "paper")),
     ("gad", "0.25,-0.25,0.5", "1,2,5,10,50", "19", ()),
+    # the curve-sweep benchmark's size
+    ("dep", "0.3,-0.2,0.1", "1,2,5,10,20", "199", ()),
+    ("gad", "0.3,-0.2,0.1", "1,2,5,10,20", "199", ()),
 )
 
 
@@ -178,6 +181,14 @@ GOLDEN = {
         'c88994d3501cfba90a4eb4a8f645e659d0f8021e5754571765d7b28400d46689',
     'decay-curve --channel gad --measure skew --state=0.25,-0.25,0.5 --n-list 1,2,5,10,50 --grid 19':
         '6075e815657a5bc227c07eb7ed7987f1c87fd9e486946a4e2a93d3d6f940936f',
+    'decay-curve --channel dep --measure l1 --state=0.3,-0.2,0.1 --n-list 1,2,5,10,20 --grid 199':
+        '16546a91673a815b9085217766a1e47b15fd2b3da602c7c915ad0dd9895e8bf1',
+    'decay-curve --channel dep --measure skew --state=0.3,-0.2,0.1 --n-list 1,2,5,10,20 --grid 199':
+        '586d11b7c8dd81492aebc4b786b9135456ef4bee219db69d84ce8f1c8b3b0ea8',
+    'decay-curve --channel gad --measure l1 --state=0.3,-0.2,0.1 --n-list 1,2,5,10,20 --grid 199':
+        '9ed55912c7c11506e8ae40d4e55d79ca839aa1e3610a8e2e89627efb30faf19c',
+    'decay-curve --channel gad --measure skew --state=0.3,-0.2,0.1 --n-list 1,2,5,10,20 --grid 199':
+        'a4ec673011d84736c204273b5cee71b69208e9fc87bad66ed2f9b2041330f0e7',
 }
 
 
