@@ -17,8 +17,8 @@ is its one-row case, and ``factors_by_row`` makes one call per (kind, mode)
 group of rows that each have a channel of their own.
 
 Each kind's Kraus operators are stated once, in ``_operators``, for an
-array of p. ``_kraus_sets`` builds the operator, product and adjoint
-arrays of many p values together; ``kraus_set`` and
+array of p. ``_kraus_sets`` builds the operator and product arrays of
+many p values together; ``kraus_set`` and
 ``single_parameter_kraus_set`` wrap its one-row case in a ``KrausSet``.
 Every two-qubit product of the five kinds has at most one nonzero per row,
 so a channel step (``_step``) gathers each entry of P_k rho P_k^dag from
@@ -90,9 +90,8 @@ class CoefficientMapMode(Choice):
 class KrausSet:
     """Single-qubit Kraus operators plus the parameters that produced them.
 
-    ``products`` stacks the K^2 two-qubit operators E_i (x) E_j, i-major, and
-    ``adjoints`` their conjugate transposes: row 0 of ``_kraus_sets``'
-    read-only arrays.
+    ``products`` stacks the K^2 two-qubit operators E_i (x) E_j, i-major:
+    row 0 of ``_kraus_sets``' read-only arrays.
     """
 
     kind: ChannelKind
@@ -100,7 +99,6 @@ class KrausSet:
     gamma: float | None
     operators: tuple[np.ndarray, ...]
     products: np.ndarray = field(repr=False)
-    adjoints: np.ndarray = field(repr=False)
 
 
 def kraus_set(kind: ChannelKind, p: float, gamma: float | None = None) -> KrausSet:
@@ -113,9 +111,8 @@ def kraus_set(kind: ChannelKind, p: float, gamma: float | None = None) -> KrausS
         gamma = require_probability("gamma", gamma)
     elif gamma is not None:
         raise ParameterRangeError("gamma only applies to the gad channel")
-    ops, products, adjoints = _kraus_sets(kind, [p], gamma)
-    return KrausSet(kind=kind, p=p, gamma=gamma, operators=tuple(ops[0]),
-                    products=products[0], adjoints=adjoints[0])
+    ops, products = _kraus_sets(kind, [p], gamma)
+    return KrausSet(kind=kind, p=p, gamma=gamma, operators=tuple(ops[0]), products=products[0])
 
 
 def _operators(kind: ChannelKind, p: np.ndarray, gamma: np.ndarray | None) -> np.ndarray:
@@ -147,14 +144,14 @@ def _operators(kind: ChannelKind, p: np.ndarray, gamma: np.ndarray | None) -> np
     return np.stack(weights, axis=-1)[..., None, None] * bases
 
 
-def _kraus_sets(kind: ChannelKind, p, gamma) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _kraus_sets(kind: ChannelKind, p, gamma) -> tuple[np.ndarray, np.ndarray]:
     """The Kraus sets of the checked probabilities ``p`` (and ``gamma``, gad only), as arrays.
 
     ``p`` and ``gamma`` broadcast to one 1-D array of P entries. Returns the
-    read-only (P, K, 2, 2) operators and the (P, K^2, 4, 4) two-qubit
-    products and their adjoints, row k for entry k. The operators, the
-    completeness check sum E^dag E = I and the products are each formed
-    once for every entry. One broadcast multiply forms every entry
+    read-only (P, K, 2, 2) operators and (P, K^2, 4, 4) two-qubit
+    products, row k for entry k. The operators, the completeness check
+    sum E^dag E = I and the products are each formed once for every
+    entry. One broadcast multiply forms every entry
     E_i[r, c] * E_j[s, t], the same single product np.kron computes, so the
     products equal the kron products bit for bit.
     """
@@ -170,10 +167,9 @@ def _kraus_sets(kind: ChannelKind, p, gamma) -> tuple[np.ndarray, np.ndarray, np
     products = (ops[:, :, None, :, None, :, None] * ops[:, None, :, None, :, None, :]).reshape(
         len(ops), -1, 4, 4
     )
-    adjoints = products.conj().swapaxes(-1, -2)
-    for array in (ops, products, adjoints):
+    for array in (ops, products):
         array.setflags(write=False)
-    return ops, products, adjoints
+    return ops, products
 
 
 def _single_parameter_args(kind: ChannelKind, p):
@@ -282,20 +278,23 @@ def evolve_matrices(rho: np.ndarray, kinds, ps, counts) -> np.ndarray:
     """The (N, 4, 4) stack ``rho`` with row k after ``counts[k]`` steps of its own channel.
 
     Row k's channel is ``single_parameter_kraus_set(kinds[k], ps[k])``. The
-    counts and the whole stack are checked once. The rows are then stepped
-    one channel kind at a time, since a stack of Kraus products needs one
-    operator count, in blocks of at most ``_ROWS_PER_STACK`` rows. Each
-    block makes one ``_kraus_sets`` and one ``_supports`` call on its
-    distinct p values and steps its rows through ``_per_row_steps`` with
-    each row's gather indices and values, gathered once, straight into the
-    block's step order. Every row gets the bits ``apply_n`` gives it alone.
+    counts, then each row's kind and p, in row order as ``factors_by_row``
+    checks them, and the whole stack are checked once, before any step, so
+    an error names the row the closed-form route names. The rows are then stepped one channel kind at a
+    time, since a stack of Kraus products needs one operator count, in
+    blocks of at most ``_ROWS_PER_STACK`` rows. Each block makes one
+    ``_kraus_sets`` and one ``_supports`` call on its distinct p values and
+    steps its rows through ``_per_row_steps`` with each row's gather
+    indices and values, gathered once, straight into the block's step
+    order. Every row gets the bits ``apply_n`` gives it alone.
     """
     stack = np.asarray(rho)
-    kinds = [ChannelKind(kind) for kind in kinds]
     if stack.ndim != 3 or not len(kinds) == len(ps) == len(counts) == len(stack):
         raise ValidationError(f"{len(kinds)} kinds, {len(ps)} p values and {len(counts)} "
                               f"iteration counts for a stack of shape {stack.shape}")
     counts = np.array([require_count("iteration count", k) for k in counts])
+    checked = [(ChannelKind(kind), require_probability("p", p)) for kind, p in zip(kinds, ps)]
+    kinds, ps = [kind for kind, _ in checked], [p for _, p in checked]
     stack = validate_density_matrix(stack)
     out = np.empty(stack.shape, dtype=np.complex128)
     for kind in dict.fromkeys(kinds):
@@ -304,10 +303,8 @@ def evolve_matrices(rho: np.ndarray, kinds, ps, counts) -> np.ndarray:
             rows = same_kind[start:start + _ROWS_PER_STACK]
             # each distinct p of the block, numbered in the order first seen
             seen = {}
-            inverse = np.array([
-                seen.setdefault(require_probability("p", ps[r]), len(seen)) for r in rows
-            ])
-            _, products, _ = _kraus_sets(kind, *_single_parameter_args(kind, list(seen)))
+            inverse = np.array([seen.setdefault(ps[r], len(seen)) for r in rows])
+            _, products = _kraus_sets(kind, *_single_parameter_args(kind, list(seen)))
             flat, values = _supports(products)
             order = _longest_first(counts[rows])
             picked = inverse[order]

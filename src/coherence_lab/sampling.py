@@ -4,10 +4,10 @@ A fixed 64-bit linear congruential generator (Knuth's MMIX multiplier)
 keeps the draws reproducible across platforms and numpy versions; numpy's
 own bit generators are deliberately not used here so that a seed printed
 in a report always regenerates the identical sweep. ``Lcg.next_float``
-states the stream one float at a time; ``Lcg.floats`` and the rejection
-sampler ``_draw_states`` form many floats at once by jump-ahead, in numpy
+states the stream one float at a time; the rejection sampler
+``_draw_states`` forms many floats at once by jump-ahead, in numpy
 ``uint64`` arithmetic, which wraps modulo 2**64 exactly as the stated
-recurrence does, so they give the same floats bit for bit.
+recurrence does, so it gives the same floats bit for bit.
 """
 
 from __future__ import annotations
@@ -45,14 +45,6 @@ class Lcg:
     def next_in(self, low: float, high: float) -> float:
         return low + (high - low) * self.next_float()
 
-    def floats(self, count: int) -> np.ndarray:
-        """The next ``count`` values of ``next_float``, as one array; ``state`` moves past them."""
-        count = require_count("float count", count, minimum=0)
-        states = _jump(self.state, count)
-        if count:
-            self.state = int(states[-1])
-        return _unit(states)
-
 
 def _jump(state: int, count: int) -> np.ndarray:
     """The ``count`` states after ``state``, as ``uint64``: state k is
@@ -82,11 +74,11 @@ def _draw_states(rng: Lcg, count: int, min_l1: float, extra: int) -> tuple[np.nd
     states and the (count, extra) floats, and leaves ``rng.state`` just past
     the last float used. ``min_l1`` is checked before any draw.
 
-    Each batch of floats is tested at every start offset at once; a
-    per-phase table then gives, for each offset, the next accepted triple
-    of the same phase, so one index jump per state walks the stream. A
-    batch that runs out resumes at the first triple that did not fit in it,
-    with the triples it tested and rejected consumed.
+    Each batch of floats is tested at every start offset at once, then
+    walked as the scalar loop walks the stream: past a rejected triple, or
+    past an accepted triple and its extras. An accepted triple whose extras
+    do not fit in the batch, or a triple that does not fit, ends the walk,
+    and the next batch starts at that triple.
     """
     min_l1 = require_bound("min_l1", min_l1, strict=False)
     if min_l1 >= 1.0:
@@ -96,29 +88,23 @@ def _draw_states(rng: Lcg, count: int, min_l1: float, extra: int) -> tuple[np.nd
     while done < count:
         wanted = count - done
         size = max(3 + extra, min(_MAX_BATCH, max((_TRIPLE_FLOATS + extra) * wanted, 2 * size)))
-        start = rng.state
-        batch = _jump(start, size)
+        batch = _jump(rng.state, size)
         u = _unit(batch)
         # as next_in(-1.0, 1.0) forms each coordinate
         c = -1.0 + (1.0 - -1.0) * u
-        # the start offsets whose triple and extras fit in the batch
-        fits = size - 2 - extra
-        c1, c2, c3 = c[:fits], c[1:fits + 1], c[2:fits + 2]
-        accepted = np.flatnonzero(physical_mask(c1, c2, c3) & (l1_kernel(c1, c2) >= min_l1))
-        # following[j]: the first accepted offset >= j of j's phase, or size if none
-        phases = -(-fits // 3)
-        table = np.full(3 * phases, size)
-        table[accepted] = accepted
-        following = np.minimum.accumulate(table.reshape(phases, 3)[::-1], axis=0)[::-1]
-        following = following.ravel().tolist()
+        c1, c2, c3 = c[:-2], c[1:-1], c[2:]
+        ok = (physical_mask(c1, c2, c3) & (l1_kernel(c1, c2) >= min_l1)).tolist()
         offset, picked = 0, []
-        while len(picked) < wanted and offset < fits and following[offset] < size:
-            picked.append(following[offset])
-            offset = picked[-1] + 3 + extra
-        if len(picked) < wanted and offset < fits:
-            # every triple left in this phase was rejected: resume past the last of them
-            offset += 3 * -(-(fits - offset) // 3)
-        rng.state = start if offset == 0 else int(batch[offset - 1])
+        while len(picked) < wanted and offset + 3 <= size:
+            if not ok[offset]:
+                offset += 3
+            elif offset + 3 + extra <= size:
+                picked.append(offset)
+                offset += 3 + extra
+            else:
+                break
+        # a batch holds at least one triple and its extras, so the walk never stays at 0
+        rng.state = int(batch[offset - 1])
         picked = np.array(picked, dtype=np.intp)[:, None]
         states[done:done + len(picked)] = c[picked + np.arange(3)]
         extras[done:done + len(picked)] = u[picked + np.arange(3, 3 + extra)]

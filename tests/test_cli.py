@@ -473,6 +473,16 @@ def test_stacked_verify_equals_per_state_loops_bitwise(capsys, tmp_path, seed):
     assert [x.hex() for x in stacked] == [x.hex() for x in _reference_verify(seed, 200)]
 
 
+# 1 and 7 trials start the sampler from batches of 12 to 13 floats, so its
+# walk crosses batch ends inside verify's own draws
+@pytest.mark.parametrize("trials", [1, 7])
+def test_a_verify_of_few_trials_passes_and_equals_per_state_loops(capsys, tmp_path, trials):
+    code, out, report = _verify_report(capsys, tmp_path, "--seed", "42", "--trials", str(trials))
+    assert code == 0 and "verify: PASS" in out
+    stacked = [check["worst"] for suite in report["suites"] for check in suite["checks"]]
+    assert [x.hex() for x in stacked] == [x.hex() for x in _reference_verify(42, trials)]
+
+
 def test_verify_json_report(capsys, tmp_path):
     argv = ("--seed", "7", "--trials", "30")
     code, plain, _ = run(capsys, "verify", *argv)

@@ -124,6 +124,28 @@ def test_decay_rates_name_the_first_invalid_query(queries, message):
     assert str(stacked.value) == alone[0]
 
 
+# the oracle steps its rows kind by kind, bf then gad then dep in the first
+# stack, so it must check every row's kind and p in row order before the
+# first step: 1.5, not the gad row's -0.5 after it or the bad kind after it
+@pytest.mark.parametrize("rows", [
+    ((BF, 0.3), (ChannelKind.AMPLITUDE_DAMPING, 0.4), (DEP, 1.5),
+     (ChannelKind.AMPLITUDE_DAMPING, -0.5)),
+    ((BF, 0.3), (DEP, 1.5), ("xx", 0.5)),
+], ids=["bad p in a later kind", "bad p then bad kind"])
+def test_both_engines_name_the_first_bad_p_before_any_step(monkeypatch, rows):
+    def no_steps(*args):
+        raise AssertionError("a channel step ran before every p was checked")
+
+    monkeypatch.setattr(channels, "_step", no_steps)
+    messages = []
+    for engine in Engine:
+        with pytest.raises(ValidationError, match="got 1.5") as raised:
+            decay_rates([DecayQuery(REFERENCE, Measure.L1, kind, p, 1, engine=engine)
+                         for kind, p in rows])
+        messages.append(str(raised.value))
+    assert messages[0] == messages[1]
+
+
 def test_a_bad_p_is_read_after_the_coherence_check():
     queries = [DecayQuery(BellCoefficients(0.0, 0.0, 0.5), Measure.L1, BF, 0.5, 1),
                DecayQuery(REFERENCE, Measure.L1, BF, 1.5, 1)]

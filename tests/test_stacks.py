@@ -144,8 +144,7 @@ def test_the_first_bad_row_is_reported():
 @pytest.mark.parametrize("row", [0, 4, 6])
 def test_a_leaky_row_fails_its_step(row):
     good = single_parameter_kraus_set(ChannelKind.BIT_FLIP, 0.3)
-    leaky = dataclasses.replace(good, products=good.products * 1.01,
-                                adjoints=good.adjoints * 1.01)
+    leaky = dataclasses.replace(good, products=good.products * 1.01)
     stack = _bell_stack()
     ksets = [leaky if k == row else good for k in range(len(stack))]
     counts = np.arange(1, len(stack) + 1)
