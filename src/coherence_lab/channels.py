@@ -55,8 +55,9 @@ from .states import (
 COMPLETENESS_TOL = 1e-12
 # largest trace change one channel step may make before it is an internal error
 TRACE_DRIFT_TOL = 1e-12
-# most rows ``evolve_matrices`` steps in one stack; a row's gather indices and
-# values (``_supports``) take about 3 KB and its step's terms 4 KB
+# most rows ``evolve_matrices`` steps in one stack; a block holds per row its
+# Kraus products (about 4 KB), their gather form (``_supports``, about 3 KB)
+# and its step's terms (about 4 KB)
 _ROWS_PER_STACK = 100
 
 
@@ -253,10 +254,11 @@ def apply_n(rho: np.ndarray, kset: KrausSet, n: int | Sequence[int]) -> np.ndarr
 
     ``rho`` is one density matrix or an (N, 4, 4) stack; one matrix runs as
     a stack of one, and every row is stepped through ``kset``, whose
-    products go through ``_supports`` once. ``n`` is one count or, for a
-    stack, N of them; a row stops once it has had its own n steps. ``rho``
-    is validated once; every later input is a step's checked output. Rows
-    with channels of their own go through ``evolve_matrices``.
+    products go through ``_supports`` once and are broadcast to every row
+    for ``_per_row_steps``. ``n`` is one count or, for a stack, N of them; a
+    row stops once it has had its own n steps. ``rho`` is validated once;
+    every later input is a step's checked output. Rows with channels of
+    their own go through ``evolve_matrices``.
     """
     counts = np.array([
         require_count("iteration count", k) for k in np.ravel(np.array(n, dtype=object))
@@ -269,9 +271,8 @@ def apply_n(rho: np.ndarray, kset: KrausSet, n: int | Sequence[int]) -> np.ndarr
         counts = np.full(len(stack), counts[0])
     elif counts.size != len(stack):
         raise ValidationError(f"{counts.size} iteration counts for a stack of shape {a.shape}")
-    # every row has the same products, so the broadcast needs no reordering
     args = [np.broadcast_to(x, (len(stack),) + x.shape) for x in _supports(kset.products)]
-    return _per_row_steps(stack, counts, _longest_first(counts), _step, args).reshape(a.shape)
+    return _per_row_steps(stack, counts, _step, args).reshape(a.shape)
 
 
 def evolve_matrices(rho: np.ndarray, kinds, ps, counts) -> np.ndarray:
@@ -280,13 +281,14 @@ def evolve_matrices(rho: np.ndarray, kinds, ps, counts) -> np.ndarray:
     Row k's channel is ``single_parameter_kraus_set(kinds[k], ps[k])``. The
     counts, then each row's kind and p, in row order as ``factors_by_row``
     checks them, and the whole stack are checked once, before any step, so
-    an error names the row the closed-form route names. The rows are then stepped one channel kind at a
-    time, since a stack of Kraus products needs one operator count, in
-    blocks of at most ``_ROWS_PER_STACK`` rows. Each block makes one
-    ``_kraus_sets`` and one ``_supports`` call on its distinct p values and
-    steps its rows through ``_per_row_steps`` with each row's gather
-    indices and values, gathered once, straight into the block's step
-    order. Every row gets the bits ``apply_n`` gives it alone.
+    an error names the row the closed-form route names. The rows are then
+    stepped one channel kind at a time, since a stack of Kraus products
+    needs one operator count, in blocks of at most ``_ROWS_PER_STACK`` rows.
+    Each block makes one ``_kraus_sets`` and one ``_supports`` call on its
+    rows' p values, in row order, and hands its rows and their gather
+    indices and values to ``_per_row_steps``. ``_kraus_sets`` gives every
+    row the bits it would get alone, so every row gets the bits
+    ``apply_n`` gives it alone.
     """
     stack = np.asarray(rho)
     if stack.ndim != 3 or not len(kinds) == len(ps) == len(counts) == len(stack):
@@ -301,42 +303,26 @@ def evolve_matrices(rho: np.ndarray, kinds, ps, counts) -> np.ndarray:
         same_kind = [row for row, k in enumerate(kinds) if k is kind]
         for start in range(0, len(same_kind), _ROWS_PER_STACK):
             rows = same_kind[start:start + _ROWS_PER_STACK]
-            # each distinct p of the block, numbered in the order first seen
-            seen = {}
-            inverse = np.array([seen.setdefault(ps[r], len(seen)) for r in rows])
-            _, products = _kraus_sets(kind, *_single_parameter_args(kind, list(seen)))
-            flat, values = _supports(products)
-            order = _longest_first(counts[rows])
-            picked = inverse[order]
-            # passed inline, so each block's per-row arrays are freed once it has stepped
-            out[rows] = _per_row_steps(
-                stack[rows], counts[rows], order, _step, (flat[picked], values[picked])
-            )
+            _, products = _kraus_sets(kind, *_single_parameter_args(kind, [ps[r] for r in rows]))
+            out[rows] = _per_row_steps(stack[rows], counts[rows], _step, _supports(products))
     return out
 
 
-def _longest_first(counts: np.ndarray) -> np.ndarray:
-    """The order in which ``_per_row_steps`` runs rows: by descending count.
-
-    The sort is stable, so the order is the identity when every count is equal.
-    """
-    return np.argsort(-counts, kind="stable")
-
-
-def _per_row_steps(rows: np.ndarray, counts: np.ndarray, order: np.ndarray, step,
-                   args) -> np.ndarray:
+def _per_row_steps(rows: np.ndarray, counts: np.ndarray, step, args) -> np.ndarray:
     """``rows`` with row k replaced by ``counts[k]`` applications of ``step``.
 
-    ``order`` is ``_longest_first(counts)``, and ``step(rows, *args)`` maps
-    a stack of rows to the next one, with ``args`` the per-row arrays
-    already in that order, cut to the same rows: the caller gathers them,
-    so each is indexed once. The rows are sorted once into ``order`` and run
-    longest first, in phases between distinct counts: the rows still going
-    in a phase are a leading slice of the sorted stack, so no phase copies
-    them, and a row stops once it has had its own count of steps. The
-    inputs are never written.
+    ``step(rows, *args)`` maps a stack of rows to the next one, with
+    ``args`` per-row arrays in the order of ``rows``. This is the one place
+    that orders rows for stepping: ``rows`` and every array of ``args`` are
+    gathered once, by a stable sort on descending count, and run longest
+    first, in phases between distinct counts. The rows still going in a
+    phase are a leading slice of the sorted stack, so no phase copies them,
+    and a row stops once it has had its own count of steps. The inputs are
+    never written.
     """
+    order = np.argsort(-counts, kind="stable")
     stack, counts = rows[order], counts[order]
+    args = [arg[order] for arg in args]
     done = 0
     for count in sorted(set(counts.tolist())):
         going = int(np.count_nonzero(counts >= count))
@@ -432,9 +418,7 @@ def evolve_rows(coefficients: np.ndarray, factors: np.ndarray, counts: np.ndarra
     Row k is multiplied by its factors ``counts[k]`` times (never a power)
     and then left alone, the same per-row stop ``apply_n`` uses.
     """
-    counts = np.asarray(counts)
-    order = _longest_first(counts)
     return _per_row_steps(
-        np.asarray(coefficients, dtype=np.float64), counts, order, np.multiply,
-        (np.asarray(factors, dtype=np.float64)[order],),
+        np.asarray(coefficients, dtype=np.float64), np.asarray(counts), np.multiply,
+        (np.asarray(factors, dtype=np.float64),),
     )

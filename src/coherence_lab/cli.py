@@ -200,16 +200,17 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     state = _parse_state(args.state)
     kind = ChannelKind(args.channel)
     mode = CoefficientMapMode(args.coeff_map)
+    # option conflicts first, so an invocation that fails prints no clamp warning
+    if args.method == "closed-form" and args.gamma is not None:
+        raise ValidationError("--gamma requires --method kraus (two-parameter gad)")
+    if args.method != "closed-form" and mode is CoefficientMapMode.PAPER:
+        raise ValidationError("--coeff-map paper requires --method closed-form")
     p = _clamped_probability("p", args.p)
     if args.method == "closed-form":
-        if args.gamma is not None:
-            raise ValidationError("--gamma requires --method kraus (two-parameter gad)")
         evolved = coefficient_map(kind, p, args.n, state, mode)
         residual = "0"
         value_of = lambda m: closed_measure(m, evolved)
     else:
-        if mode is CoefficientMapMode.PAPER:
-            raise ValidationError("--coeff-map paper requires --method closed-form")
         if args.gamma is not None:
             kset = kraus_set(kind, p, _clamped_probability("gamma", args.gamma))
         else:

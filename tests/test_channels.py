@@ -298,10 +298,11 @@ def test_stacked_apply_n_matches_kron_loop_bitwise(kind, gamma):
     # the single-parameter kinds go through evolve_matrices with one p per
     # row, so every row of the merged P_k rho product has its own operators;
     # the two-parameter gad set steps the whole stack through apply_n. Each
-    # row is judged by independent 2-D matmuls
+    # row is judged by independent 2-D matmuls; the counts [7, 1, 20, 2]
+    # give a step order that is neither the identity nor a reversal
     ps = (1e-12, 0.37, 0.75, 1.0 - 1e-12)
     rho = np.stack([to_density_matrix(c) for c in STACK_STATES])
-    for n in (1, 2, 7, [1, 2, 7, 20]):
+    for n in (1, 2, 7, [1, 2, 7, 20], [7, 1, 20, 2]):
         counts = np.broadcast_to(n, len(ps)).tolist()
         if gamma is None:
             ksets = [single_parameter_kraus_set(kind, p) for p in ps]

@@ -146,6 +146,18 @@ def test_evolve_paper_map_requires_closed_form(capsys):
     assert err == "error: --coeff-map paper requires --method closed-form\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--channel", "bf", "--p", "0", "--gamma", "0.3"),
+     "--gamma requires --method kraus (two-parameter gad)"),
+    (("--channel", "dep", "--p", "1", "--method", "kraus", "--coeff-map", "paper"),
+     "--coeff-map paper requires --method closed-form"),
+], ids=["gamma", "coeff-map"])
+def test_evolve_option_conflict_is_reported_before_any_clamp(capsys, argv, message):
+    code, out, err = run(capsys, "evolve", *argv, "--n", "1", "--state", "0.3,0.2,0.1")
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_probability_endpoints_clamped_with_warning(capsys):
     code, out, err = run(
         capsys, "evolve", "--channel", "bf", "--p", "0", "--n", "5", "--state", "0.6,0.1,0.2"

@@ -152,10 +152,8 @@ def test_a_leaky_row_fails_its_step(row):
         apply_n(stack[row], leaky, int(counts[row]))
     # the stepping loop as evolve_matrices drives it, with one leaky row
     products = np.stack([k.products for k in ksets])
-    order = channels._longest_first(counts)
-    args = [arg[order] for arg in channels._supports(products)]
     with pytest.raises(InternalNumericalError) as stacked:
-        channels._per_row_steps(stack, counts, order, channels._step, args)
+        channels._per_row_steps(stack, counts, channels._step, channels._supports(products))
     assert "trace" in str(stacked.value)
     assert str(stacked.value) == str(alone.value)
 
@@ -242,7 +240,7 @@ def test_evolve_matrices_equals_apply_n_per_row(rows_per_stack, one_kind, rows):
                          for m, (_, kind, p, n) in zip(rho, rows)])
 
 
-def test_evolve_matrices_builds_one_kraus_set_per_p_and_block(monkeypatch):
+def test_evolve_matrices_builds_one_kraus_set_per_block_on_its_rows(monkeypatch):
     built = []
     builder = channels._kraus_sets
 
@@ -255,8 +253,8 @@ def test_evolve_matrices_builds_one_kraus_set_per_p_and_block(monkeypatch):
     rho = to_density_matrix(BellCoefficients(*np.array(sample_states(1, count)).T))
     ps = [(0.1, 0.3, 0.5)[row % 3] for row in range(count)]
     evolve_matrices(rho, [ChannelKind.DEPOLARIZING] * count, ps, [2] * count)
-    # one builder call per block: two full blocks of three p values, then one row
-    assert [len(block) for block in built] == [3, 3, 1]
+    # one builder call per block on that block's p values, in row order
+    assert built == [ps[:100], ps[100:200], ps[200:]]
 
 
 _PAIR_PARTS = (_bell_stack(2), [ChannelKind.BIT_FLIP] * 2, [0.3, 0.4], [1, 2])
