@@ -7,14 +7,15 @@ operators {E_i}, so the two-qubit map is
 
 Bell-diagonal states stay Bell diagonal under bf, pf, bpf, dep, and the
 half-mixing amplitude-damping channel, and each coefficient c_k is simply
-multiplied by a channel factor per iteration. ``coefficient_map`` applies
-those factors; ``apply_n`` (one Kraus set) and ``evolve_matrices`` (a
-channel per row) are the literal Kraus-operator route used to check them.
+multiplied by a channel factor per iteration. ``evolve_coefficients`` (a
+channel per row) applies those factors; ``apply_n`` (one Kraus set) and
+its twin ``evolve_matrices`` are the literal Kraus-operator route used to
+check them. Both twins check their rows in ``_checked_rows``.
 
-Each kind's per-iteration factors are stated once, in
-``per_iteration_factor_rows``, for an array of p; ``per_iteration_factors``
-is its one-row case, and ``factors_by_row`` makes one call per (kind, mode)
-group of rows that each have a channel of their own.
+Each kind's per-iteration factors are stated once, unchecked, in
+``_factor_rows``, for an array of p; ``per_iteration_factors`` (one
+channel) and ``evolve_coefficients`` (one call per (kind, mode) group)
+check what they pass it.
 
 Each kind's Kraus operators are stated once, in ``_operators``, for an
 array of p. ``_kraus_sets`` builds the operator and product arrays of
@@ -255,10 +256,11 @@ def apply_n(rho: np.ndarray, kset: KrausSet, n: int | Sequence[int]) -> np.ndarr
     ``rho`` is one density matrix or an (N, 4, 4) stack; one matrix runs as
     a stack of one, and every row is stepped through ``kset``, whose
     products go through ``_supports`` once and are broadcast to every row
-    for ``_per_row_steps``. ``n`` is one count or, for a stack, N of them; a
-    row stops once it has had its own n steps. ``rho`` is validated once;
-    every later input is a step's checked output. Rows with channels of
-    their own go through ``evolve_matrices``.
+    for ``_per_row_steps``. ``n`` is one count or, for a stack, N of them
+    (``_per_row_steps`` rejects any other number); a row stops once it has
+    had its own n steps. ``rho`` is validated once; every later input is a
+    step's checked output. Rows with channels of their own go through
+    ``evolve_matrices``.
     """
     counts = np.array([
         require_count("iteration count", k) for k in np.ravel(np.array(n, dtype=object))
@@ -269,34 +271,41 @@ def apply_n(rho: np.ndarray, kset: KrausSet, n: int | Sequence[int]) -> np.ndarr
     stack = a.reshape(-1, 4, 4)
     if np.ndim(n) == 0:
         counts = np.full(len(stack), counts[0])
-    elif counts.size != len(stack):
-        raise ValidationError(f"{counts.size} iteration counts for a stack of shape {a.shape}")
     args = [np.broadcast_to(x, (len(stack),) + x.shape) for x in _supports(kset.products)]
     return _per_row_steps(stack, counts, _step, args).reshape(a.shape)
+
+
+def _checked_rows(stack: np.ndarray, row_shape: tuple[int, ...], kinds, ps, counts):
+    """The checked (kinds, ps, counts) of ``stack``, whose rows each have a channel of their own.
+
+    Both per-row twins check in this order: the lengths (rows of shape
+    ``row_shape``, one kind, p and count each), every count, then each
+    row's kind and p in row order, so both name the same first bad row.
+    """
+    if stack.shape[1:] != row_shape or not len(kinds) == len(ps) == len(counts) == len(stack):
+        raise ValidationError(f"{len(kinds)} kinds, {len(ps)} p values and {len(counts)} "
+                              f"iteration counts for a stack of shape {stack.shape}")
+    counts = np.array([require_count("iteration count", k) for k in counts])
+    checked = [(ChannelKind(kind), require_probability("p", p)) for kind, p in zip(kinds, ps)]
+    return [kind for kind, _ in checked], [p for _, p in checked], counts
 
 
 def evolve_matrices(rho: np.ndarray, kinds, ps, counts) -> np.ndarray:
     """The (N, 4, 4) stack ``rho`` with row k after ``counts[k]`` steps of its own channel.
 
     Row k's channel is ``single_parameter_kraus_set(kinds[k], ps[k])``. The
-    counts, then each row's kind and p, in row order as ``factors_by_row``
-    checks them, and the whole stack are checked once, before any step, so
-    an error names the row the closed-form route names. The rows are then
-    stepped one channel kind at a time, since a stack of Kraus products
-    needs one operator count, in blocks of at most ``_ROWS_PER_STACK`` rows.
-    Each block makes one ``_kraus_sets`` and one ``_supports`` call on its
-    rows' p values, in row order, and hands its rows and their gather
-    indices and values to ``_per_row_steps``. ``_kraus_sets`` gives every
-    row the bits it would get alone, so every row gets the bits
-    ``apply_n`` gives it alone.
+    rows are checked by ``_checked_rows`` and the whole stack once, before
+    any step, so an error names the row ``evolve_coefficients`` names. The
+    rows are then stepped one channel kind at a time, since a stack of
+    Kraus products needs one operator count, in blocks of at most
+    ``_ROWS_PER_STACK`` rows. Each block makes one ``_kraus_sets`` and one
+    ``_supports`` call on its rows' p values, in row order, and hands its
+    rows and their gather indices and values to ``_per_row_steps``.
+    ``_kraus_sets`` gives every row the bits it would get alone, so every
+    row gets the bits ``apply_n`` gives it alone.
     """
     stack = np.asarray(rho)
-    if stack.ndim != 3 or not len(kinds) == len(ps) == len(counts) == len(stack):
-        raise ValidationError(f"{len(kinds)} kinds, {len(ps)} p values and {len(counts)} "
-                              f"iteration counts for a stack of shape {stack.shape}")
-    counts = np.array([require_count("iteration count", k) for k in counts])
-    checked = [(ChannelKind(kind), require_probability("p", p)) for kind, p in zip(kinds, ps)]
-    kinds, ps = [kind for kind, _ in checked], [p for _, p in checked]
+    kinds, ps, counts = _checked_rows(stack, (4, 4), kinds, ps, counts)
     stack = validate_density_matrix(stack)
     out = np.empty(stack.shape, dtype=np.complex128)
     for kind in dict.fromkeys(kinds):
@@ -312,14 +321,19 @@ def _per_row_steps(rows: np.ndarray, counts: np.ndarray, step, args) -> np.ndarr
     """``rows`` with row k replaced by ``counts[k]`` applications of ``step``.
 
     ``step(rows, *args)`` maps a stack of rows to the next one, with
-    ``args`` per-row arrays in the order of ``rows``. This is the one place
-    that orders rows for stepping: ``rows`` and every array of ``args`` are
-    gathered once, by a stable sort on descending count, and run longest
-    first, in phases between distinct counts. The rows still going in a
-    phase are a leading slice of the sorted stack, so no phase copies them,
-    and a row stops once it has had its own count of steps. The inputs are
-    never written.
+    ``args`` per-row arrays in the order of ``rows``; ``counts`` and every
+    array of ``args`` must have one entry per row, or ValidationError is
+    raised before any step. This is the one place that orders rows for
+    stepping: ``rows`` and every array of ``args`` are gathered once, by a
+    stable sort on descending count, and run longest first, in phases
+    between distinct counts. The rows still going in a phase are a leading
+    slice of the sorted stack, so no phase copies them, and a row stops
+    once it has had its own count of steps. The inputs are never written.
     """
+    inputs = (counts, *args)
+    if any(np.shape(x)[:1] != (len(rows),) for x in inputs):
+        shapes = [np.shape(x) for x in inputs]
+        raise ValidationError(f"per-row inputs of shapes {shapes} for {len(rows)} rows")
     order = np.argsort(-counts, kind="stable")
     stack, counts = rows[order], counts[order]
     args = [arg[order] for arg in args]
@@ -336,22 +350,18 @@ def _per_row_steps(rows: np.ndarray, counts: np.ndarray, step, args) -> np.ndarr
     return out
 
 
-def per_iteration_factor_rows(
-    kind: ChannelKind, p: Sequence[float], mode: CoefficientMapMode = CoefficientMapMode.DERIVED
-) -> np.ndarray:
+def _factor_rows(kind: ChannelKind, p, mode: CoefficientMapMode) -> np.ndarray:
     """The (P, 3) factors (f1, f2, f3) applied to (c1, c2, c3) per iteration, row k for ``p[k]``.
 
-    Each kind's factors are stated once, for an array of p: a flip keeps
-    its axis (1.0) and shrinks the other two by (1 - p)(1 - p); dep shrinks
-    all three by 1 - 4p/3 ('paper') or its square ('derived'); gad keeps
-    1 - p on c1 and c2 and (1 - p)(1 - p) on c3. Every entry of ``p`` is
-    checked by ``require_probability`` in order, so the first bad one is
-    named; the factors are elementwise expressions, so every row has the
-    bits it would get alone.
+    Each kind's factors are stated once, for an array of checked p: a flip
+    keeps its axis (1.0) and shrinks the other two by (1 - p)(1 - p); dep
+    shrinks all three by 1 - 4p/3 ('paper') or its square ('derived'); gad
+    keeps 1 - p on c1 and c2 and (1 - p)(1 - p) on c3. Like ``_kraus_sets``
+    it checks nothing: ``per_iteration_factors`` and ``evolve_coefficients``
+    check its inputs. The factors are elementwise expressions, so every
+    row has the bits it would get alone.
     """
-    kind = ChannelKind(kind)
-    mode = CoefficientMapMode(mode)
-    p = np.array([require_probability("p", x) for x in p], dtype=np.float64)
+    p = np.asarray(p, dtype=np.float64)
     if kind in _FLIP_AXIS:
         shrink = (1.0 - p) * (1.0 - p)
         return np.where(np.arange(3) == _FLIP_AXIS[kind], 1.0, shrink[:, None])
@@ -368,27 +378,34 @@ def per_iteration_factors(
 ) -> tuple[float, float, float]:
     """Multiplicative factors (f1, f2, f3) applied to (c1, c2, c3) per iteration.
 
-    The one-row case of ``per_iteration_factor_rows``.
+    Checks the kind, the mode and p, then takes the one-row case of ``_factor_rows``.
     """
-    return tuple(per_iteration_factor_rows(kind, [p], mode)[0].tolist())
+    kind, mode = ChannelKind(kind), CoefficientMapMode(mode)
+    return tuple(_factor_rows(kind, [require_probability("p", p)], mode)[0].tolist())
 
 
-def factors_by_row(kinds, ps, modes) -> np.ndarray:
-    """The (N, 3) per-iteration factors of row k's channel ``kinds[k]``, ``ps[k]``, ``modes[k]``.
+def evolve_coefficients(coefficients: np.ndarray, kinds, ps, counts, modes) -> np.ndarray:
+    """The (N, 3) rows ``coefficients`` with row k after ``counts[k]`` steps of its own channel.
 
-    Each row's kind, mode and p are checked in row order, so an error names
-    the first failing row. The rows of each (kind, mode) pair then take one
-    ``per_iteration_factor_rows`` call, scattered back by row.
+    The closed-form twin of ``evolve_matrices``, with row k's channel
+    ``kinds[k]`` at ``ps[k]`` in mode ``modes[k]``. ``_checked_rows``, each
+    mode, the number of modes and the rows' physicality are checked before
+    any step. Each (kind, mode) group takes one ``_factor_rows`` call, and
+    ``evolve_rows`` steps the rows, so each row gets its bits alone.
     """
+    stack = np.asarray(coefficients)
+    kinds, ps, counts = _checked_rows(stack, (3,), kinds, ps, counts)
+    modes = [CoefficientMapMode(mode) for mode in modes]
+    if len(modes) != len(stack):
+        raise ValidationError(f"{len(modes)} modes for a stack of shape {stack.shape}")
+    require_physical(*stack.T)
     groups = {}
-    for row, (kind, p, mode) in enumerate(zip(kinds, ps, modes)):
-        key = (ChannelKind(kind), CoefficientMapMode(mode))
-        require_probability("p", p)
+    for row, key in enumerate(zip(kinds, modes)):
         groups.setdefault(key, []).append(row)
-    factors = np.empty((len(ps), 3))
+    factors = np.empty((len(stack), 3))
     for (kind, mode), rows in groups.items():
-        factors[rows] = per_iteration_factor_rows(kind, [ps[row] for row in rows], mode)
-    return factors
+        factors[rows] = _factor_rows(kind, [ps[row] for row in rows], mode)
+    return evolve_rows(stack, factors, counts)
 
 
 def coefficient_map(
@@ -398,18 +415,14 @@ def coefficient_map(
     c: BellCoefficients,
     mode: CoefficientMapMode = CoefficientMapMode.DERIVED,
 ) -> BellCoefficients:
-    """Coefficients after n iterations, by repeated factor multiplication.
+    """Coefficients after n iterations: the one-row case of ``evolve_coefficients``.
 
     The factors are applied once per iteration (rather than raised to the
     n-th power) so that mapping n1 + n2 iterations equals mapping n2 after
     n1 bit for bit.
     """
-    n = require_count("iteration count", n)
-    c = stack_states([c])[0].tolist()
-    require_physical(*c)
-    factors = per_iteration_factor_rows(kind, [p], mode)
-    evolved = evolve_rows(np.array([c], dtype=np.float64), factors, np.array([n]))
-    return BellCoefficients(*(float(x) for x in evolved[0]))
+    evolved = evolve_coefficients(stack_states([c]), [kind], [p], [n], [mode])
+    return BellCoefficients(*evolved[0].tolist())
 
 
 def evolve_rows(coefficients: np.ndarray, factors: np.ndarray, counts: np.ndarray) -> np.ndarray:

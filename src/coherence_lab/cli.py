@@ -30,9 +30,8 @@ from .channels import (
     CoefficientMapMode,
     apply_n,
     coefficient_map,
+    evolve_coefficients,
     evolve_matrices,
-    evolve_rows,
-    factors_by_row,
     kraus_set,
     single_parameter_kraus_set,
 )
@@ -67,14 +66,20 @@ def _parse_state(text: str) -> BellCoefficients:
     return c
 
 
-def _clamped_probability(name: str, value: float) -> float:
+def _clamped_probability(args: argparse.Namespace, name: str) -> float:
+    """The option ``args.<name>`` in [0, 1], with 0 and 1 clamped into the open interval.
+
+    A clamp's warning goes on ``args.warnings``, which ``main`` prints only
+    once the command returns, so an invocation that fails prints no warning.
+    """
+    value = getattr(args, name)
     if not 0.0 <= value <= 1.0:  # NaN fails too
         raise ParameterRangeError(f"{name} must lie in [0, 1], got {value!r}")
     if value == 0.0:
-        print(f"warning: {name}=0 clamped to {P_CLAMP:g}", file=sys.stderr)
+        args.warnings.append(f"warning: {name}=0 clamped to {P_CLAMP:g}")
         return P_CLAMP
     if value == 1.0:
-        print(f"warning: {name}=1 clamped to 1-{P_CLAMP:g}", file=sys.stderr)
+        args.warnings.append(f"warning: {name}=1 clamped to 1-{P_CLAMP:g}")
         return 1.0 - P_CLAMP
     return value
 
@@ -200,19 +205,18 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
     state = _parse_state(args.state)
     kind = ChannelKind(args.channel)
     mode = CoefficientMapMode(args.coeff_map)
-    # option conflicts first, so an invocation that fails prints no clamp warning
     if args.method == "closed-form" and args.gamma is not None:
         raise ValidationError("--gamma requires --method kraus (two-parameter gad)")
     if args.method != "closed-form" and mode is CoefficientMapMode.PAPER:
         raise ValidationError("--coeff-map paper requires --method closed-form")
-    p = _clamped_probability("p", args.p)
+    p = _clamped_probability(args, "p")
     if args.method == "closed-form":
         evolved = coefficient_map(kind, p, args.n, state, mode)
         residual = "0"
         value_of = lambda m: closed_measure(m, evolved)
     else:
         if args.gamma is not None:
-            kset = kraus_set(kind, p, _clamped_probability("gamma", args.gamma))
+            kset = kraus_set(kind, p, _clamped_probability(args, "gamma"))
         else:
             kset = single_parameter_kraus_set(kind, p)
         rho = apply_n(to_density_matrix(state), kset, args.n)
@@ -246,7 +250,7 @@ def _cmd_frozen_surface(args: argparse.Namespace) -> int:
         cloud = frozen_surface(
             ChannelKind(args.channel),
             Measure(args.measure),
-            _clamped_probability("p", args.p),
+            _clamped_probability(args, "p"),
             args.n,
             grid_res=args.grid,
             tol=args.tol,
@@ -329,9 +333,9 @@ def _verify_coefficient_maps(seed: int, trials: int) -> list[tuple[_Deviation, s
     extracted = np.column_stack(coefficients)
 
     def gap(picked, mode):
-        factors = factors_by_row([kinds[row] for row in picked], [ps[row] for row in picked],
-                                 [mode] * len(picked))
-        mapped = evolve_rows(states[picked], factors, counts[picked])
+        mapped = evolve_coefficients(states[picked], [kinds[row] for row in picked],
+                                     [ps[row] for row in picked], counts[picked],
+                                     [mode] * len(picked))
         return np.max(np.abs(mapped - extracted[picked]), axis=1)
 
     def witness(row):
@@ -489,14 +493,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    args.warnings = []
     try:
-        return args.func(args)
+        code = args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except CoherenceLabError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
+    for warning in args.warnings:
+        print(warning, file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

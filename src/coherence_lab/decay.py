@@ -7,15 +7,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import (
-    ChannelKind,
-    CoefficientMapMode,
-    evolve_matrices,
-    evolve_rows,
-    factors_by_row,
-)
+from .channels import ChannelKind, CoefficientMapMode, evolve_coefficients, evolve_matrices
 from .coherence import Measure, closed_measures, matrix_measure
-from .errors import Choice, IncoherentStateError, ValidationError, require_bound, require_count
+from .errors import Choice, IncoherentStateError, ValidationError, require_bound
 from .linalg import raise_for_first, row_value
 from .states import BellCoefficients, stack_states, to_density_matrix
 
@@ -60,14 +54,14 @@ def decay_rates(queries: Sequence[DecayQuery]) -> np.ndarray:
     engines go through ``_ratio``: each step runs once over all rows
     (measures once per measure present), and every row gets the bits
     ``decay_rate`` gives it alone. The closed-form engine measures with
-    ``closed_measures`` and evolves with ``evolve_rows``, taking the factors
-    of each (kind, mode) group in one call (``factors_by_row``); the oracle
-    measures with ``matrix_measure`` and evolves through ``evolve_matrices``,
-    which holds the per-row Kraus products of one bounded block at a time. A check
-    that fails raises for the first row that fails it; the oracle's channel
-    steps take their rows kind by kind. ``mode`` is a closed-form
-    convention, so the matrix-oracle engine, whose Kraus route is 'derived',
-    rejects 'paper'.
+    ``closed_measures`` and evolves through ``evolve_coefficients``; the
+    oracle measures with ``matrix_measure`` and evolves through its twin
+    ``evolve_matrices``, which holds the per-row Kraus products of one
+    bounded block at a time. Both twins check their rows in one order, so
+    a check that fails raises for the first row that fails it on either
+    engine; the oracle's channel steps take their rows kind by kind.
+    ``mode`` is a closed-form convention, so the matrix-oracle engine,
+    whose Kraus route is 'derived', rejects 'paper'.
     """
     engines = {Engine(q.engine) for q in queries}
     if not engines:  # an empty stack maps to an empty one
@@ -76,18 +70,14 @@ def decay_rates(queries: Sequence[DecayQuery]) -> np.ndarray:
         raise ValidationError("a stack of decay queries needs exactly one engine")
     (engine,) = engines
     measures = [Measure(q.measure) for q in queries]
-    modes = {CoefficientMapMode(q.mode) for q in queries}
+    kinds, ps, counts, modes = zip(*((q.kind, q.p, q.n, CoefficientMapMode(q.mode))
+                                     for q in queries))
     states = stack_states([q.state for q in queries])
     if engine is Engine.CLOSED_FORM:
-        def evolve(rows):
-            counts = np.array([require_count("iteration count", q.n) for q in queries])
-            factors = factors_by_row(*zip(*((q.kind, q.p, q.mode) for q in queries)))
-            return evolve_rows(rows, factors, counts)
-
-        return _ratio(lambda rows: _by_measure(measures, rows, _closed_rows), states, evolve)
+        return _ratio(lambda rows: _by_measure(measures, rows, _closed_rows), states,
+                      lambda rows: evolve_coefficients(rows, kinds, ps, counts, modes))
     if CoefficientMapMode.PAPER in modes:
         raise ValidationError("mode 'paper' is closed-form only; the Kraus route is 'derived'")
-    kinds, ps, counts = zip(*((q.kind, q.p, q.n) for q in queries))
     return _ratio(
         lambda rho: _by_measure(measures, rho, matrix_measure),
         to_density_matrix(BellCoefficients(*states.T)),

@@ -49,8 +49,8 @@ from scipy import ndimage
 from .channels import (
     ChannelKind,
     CoefficientMapMode,
+    _factor_rows,
     evolve_rows,
-    per_iteration_factor_rows,
     per_iteration_factors,
 )
 from .coherence import Measure, clamped_array, closed_measures, _C3_TERMS, _KERNELS
@@ -81,11 +81,12 @@ def decay_curve(
     """Decay rates on the interior grid p_k = k / (p_count + 1), k = 1..p_count.
 
     The state is validated as three real coordinates and tiled into one row
-    per (p, n) cell, p-major. Every p's factors come from one
-    ``per_iteration_factor_rows`` call; the rows go through ``decay._ratio``
-    with ``closed_measures`` and one ``evolve_rows`` call, which multiplies
-    each row by its p's factors n times (never a power). An incoherent state
-    raises IncoherentStateError before any row is evolved.
+    per (p, n) cell, p-major. Every p's factors come from one unchecked
+    ``_factor_rows`` call, as every grid p lies in (0, 1); the rows go
+    through ``decay._ratio`` with ``closed_measures`` and one
+    ``evolve_rows`` call, which multiplies each row by its p's factors n
+    times (never a power). An incoherent state raises
+    IncoherentStateError before any row is evolved.
     """
     kind = ChannelKind(kind)
     measure = Measure(measure)
@@ -101,7 +102,7 @@ def decay_curve(
         raise ParameterRangeError(f"n_list must be nonempty, got {n_list!r}")
     state_row = stack_states([state])
     p_values = np.array([k / (p_count + 1) for k in range(1, p_count + 1)])
-    factors = per_iteration_factor_rows(kind, p_values.tolist(), mode)
+    factors = _factor_rows(kind, p_values, mode)
     rates = _ratio(
         lambda rows: closed_measures(measure, *rows.T),
         np.repeat(state_row, p_count * len(n_tuple), axis=0),

@@ -27,7 +27,7 @@ from coherence_lab import (
     to_density_matrix,
 )
 from coherence_lab import channels
-from coherence_lab.channels import per_iteration_factor_rows
+from coherence_lab.channels import _factor_rows, evolve_coefficients
 from coherence_lab.states import IDENTITY_2, SIGMA_X
 from conftest import REFERENCE, physical_coefficients
 
@@ -161,7 +161,7 @@ _EDGE_PS = [5e-324, 1e-12, 0.75, 1.0 - 2.0**-53]
 )
 def test_factor_rows_have_the_bits_of_each_p_alone(kind, mode, drawn):
     ps = _EDGE_PS + drawn
-    rows = per_iteration_factor_rows(kind, ps, mode)
+    rows = _factor_rows(kind, ps, mode)
     assert rows.shape == (len(ps), 3) and rows.dtype == np.float64
     for p, row in zip(ps, rows.tolist()):
         alone = per_iteration_factors(kind, p, mode)
@@ -171,20 +171,21 @@ def test_factor_rows_have_the_bits_of_each_p_alone(kind, mode, drawn):
 
 
 def test_no_p_gives_no_factor_rows():
-    assert per_iteration_factor_rows(ChannelKind.DEPOLARIZING, []).shape == (0, 3)
+    assert _factor_rows(ChannelKind.DEPOLARIZING, [], CoefficientMapMode.DERIVED).shape == (0, 3)
 
 
 @pytest.mark.parametrize("container", [list, lambda ps: np.array(ps, dtype=object)],
                          ids=["list", "object array"])
 @pytest.mark.parametrize("bad", [0, 1, float("nan"), True, "0.5", 1.5], ids=repr)
 @pytest.mark.parametrize("kind", ALL_KINDS)
-def test_factor_rows_name_the_first_bad_p(kind, bad, container):
+def test_evolve_coefficients_names_the_first_bad_p(kind, bad, container):
     message = f"p must lie strictly between 0 and 1, got {bad!r}"
     with pytest.raises(ParameterRangeError) as alone:
         per_iteration_factors(kind, bad)
     assert str(alone.value) == message
     with pytest.raises(ParameterRangeError) as rows:
-        per_iteration_factor_rows(kind, container([0.3, bad, 0.5, 2.0]))
+        evolve_coefficients(np.tile(REFERENCE, (4, 1)), [kind] * 4, container([0.3, bad, 0.5, 2.0]),
+                            [1] * 4, [CoefficientMapMode.DERIVED] * 4)
     assert str(rows.value) == message
 
 

@@ -158,6 +158,25 @@ def test_evolve_option_conflict_is_reported_before_any_clamp(capsys, argv, messa
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("evolve", "--channel", "bf", "--p", "0", "--gamma", "0.3", "--n", "1",
+      "--state", "0.3,0.2,0.1", "--method", "kraus"),
+     "gamma only applies to the gad channel"),
+    (("evolve", "--channel", "bf", "--p", "0", "--n", "0", "--state", "0.3,0.2,0.1"),
+     "iteration count must be an integer >= 1, got 0"),
+    (("evolve", "--channel", "gad", "--p", "0.5", "--gamma", "0", "--n", "0",
+      "--state", "0.3,0.2,0.1", "--method", "kraus"),
+     "iteration count must be an integer >= 1, got 0"),
+    (("frozen-surface", "--channel", "bf", "--measure", "l1", "--p", "0", "--n", "1",
+      "--grid", "4"),
+     "grid_res must be an odd integer >= 3, got 4"),
+], ids=["gamma on bf", "closed n=0", "kraus n=0", "even grid"])
+def test_a_failing_invocation_prints_no_clamp_warning(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_probability_endpoints_clamped_with_warning(capsys):
     code, out, err = run(
         capsys, "evolve", "--channel", "bf", "--p", "0", "--n", "5", "--state", "0.6,0.1,0.2"
@@ -172,6 +191,11 @@ def test_probability_endpoints_clamped_with_warning(capsys):
         capsys, "evolve", "--channel", "bf", "--p", "1.5", "--n", "1", "--state", "0.6,0.1,0.2"
     )
     assert code == 1
+    # a run that succeeds prints every clamp warning, in the order of its options
+    code, out, err = run(capsys, "evolve", "--channel", "gad", "--p", "1", "--gamma", "0",
+                         "--n", "2", "--state", "0.3,0.2,0.1", "--method", "kraus")
+    assert code == 0 and out.startswith("state: ")
+    assert err == "warning: p=1 clamped to 1-1e-12\nwarning: gamma=0 clamped to 1e-12\n"
 
 
 def test_decay_curve_csv_file(tmp_path, capsys):

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 from coherence_lab import (
     BellCoefficients,
     ChannelKind,
+    CoefficientMapMode,
     DecayQuery,
     Engine,
     InternalNumericalError,
@@ -29,9 +30,11 @@ from coherence_lab import (
     NotHermitianError,
     NotPSDError,
     TraceNotOneError,
+    UnphysicalStateError,
     ValidationError,
     apply_n,
     apply_product_channel,
+    coefficient_map,
     decay_rate,
     decay_rates,
     from_density_matrix,
@@ -271,6 +274,93 @@ def test_evolve_matrices_rejects_a_length_mismatch(short):
 def test_evolve_matrices_rejects_a_single_matrix():
     with pytest.raises(ValidationError):
         evolve_matrices(_bell_stack(1)[0], [ChannelKind.BIT_FLIP] * 4, [0.3] * 4, [1] * 4)
+
+
+def _evolve_twin(twin, states, kinds, ps, counts):
+    """Row k of ``states`` after ``counts[k]`` steps of ``kinds[k]`` at ``ps[k]``, on one twin."""
+    if twin == "coefficients":
+        modes = [CoefficientMapMode.DERIVED] * len(kinds)
+        return channels.evolve_coefficients(states, kinds, ps, counts, modes)
+    rho = to_density_matrix(BellCoefficients(*states.T))
+    return channels.evolve_matrices(rho, kinds, ps, counts)
+
+
+_TRIPLE = (np.array(sample_states(3, 3)), [ChannelKind.BIT_FLIP] * 3, [0.3, 0.4, 0.5], [1, 2, 3])
+
+
+def _bad_rows(case):
+    states, kinds, ps, counts = (list(x) for x in _TRIPLE)
+    if case == "bad p then bad kind":
+        ps[1], kinds[2] = 1.5, "xx"
+    elif case == "bad count after bad p":
+        ps[0], counts[2] = 1.5, 0
+    else:  # a length mismatch: the named part loses its last row
+        part = ("states", "kinds", "ps", "counts").index(case.split()[0])
+        parts = [states, kinds, ps, counts]
+        parts[part] = parts[part][:-1]
+        states, kinds, ps, counts = parts
+    return np.array(states), kinds, ps, counts
+
+
+def _no_steps(*args):
+    raise AssertionError("a row was stepped before its rows were checked")
+
+
+@pytest.mark.parametrize("case", [
+    "bad p then bad kind", "bad count after bad p",
+    "states short", "kinds short", "ps short", "counts short",
+])
+def test_both_twins_reject_the_same_bad_rows_before_any_step(monkeypatch, case):
+    monkeypatch.setattr(channels, "_per_row_steps", _no_steps)
+    messages = []
+    for twin in ("coefficients", "matrices"):
+        with pytest.raises(ValidationError) as raised:
+            _evolve_twin(twin, *_bad_rows(case))
+        messages.append(str(raised.value))
+    expected = {
+        "bad p then bad kind": "p must lie strictly between 0 and 1, got 1.5",
+        "bad count after bad p": "iteration count must be an integer >= 1, got 0",
+    }
+    if case in expected:
+        assert messages == [expected[case]] * 2
+    else:  # the same lengths, each with its own stack's shape
+        rows = 2 if case == "states short" else 3
+        lengths = {"kinds short": (2, 3, 3), "ps short": (3, 2, 3), "counts short": (3, 3, 2)}
+        kinds, ps, counts = lengths.get(case, (3, 3, 3))
+        head = f"{kinds} kinds, {ps} p values and {counts} iteration counts for a stack of shape"
+        assert messages == [f"{head} ({rows}, 3)", f"{head} ({rows}, 4, 4)"]
+
+
+def test_evolve_coefficients_checks_modes_and_physicality_before_any_step(monkeypatch):
+    monkeypatch.setattr(channels, "_per_row_steps", _no_steps)
+    states, kinds, ps, counts = _TRIPLE
+    derived = CoefficientMapMode.DERIVED
+    with pytest.raises(ValidationError, match="'xx' is not a valid CoefficientMapMode"):
+        channels.evolve_coefficients(states, kinds, ps, counts, [derived, "xx", derived])
+    with pytest.raises(ValidationError, match="2 modes for a stack of shape"):
+        channels.evolve_coefficients(states, kinds, ps, counts, [derived] * 2)
+    with pytest.raises(UnphysicalStateError):
+        channels.evolve_coefficients(states + [0.0, 0.0, 2.0], kinds, ps, counts, [derived] * 3)
+
+
+def test_evolve_coefficients_equals_coefficient_map_per_row():
+    # every kind in both modes, with counts whose step order is neither the
+    # row order nor its reverse
+    kinds = list(ChannelKind) * 2
+    modes = [CoefficientMapMode.DERIVED] * 5 + [CoefficientMapMode.PAPER] * 5
+    ps = [0.05 + 0.09 * row for row in range(10)]
+    counts = [7, 1, 20, 2, 5, 3, 11, 1, 8, 4]
+    states = np.array(sample_states(8, 10))
+    evolved = channels.evolve_coefficients(states, kinds, ps, counts, modes)
+    _same_bits(evolved, [coefficient_map(*row) for row in zip(kinds, ps, counts, states, modes)])
+
+
+@pytest.mark.parametrize("factor_rows", [1, 4], ids=["too few", "too many"])
+def test_the_stepping_loop_rejects_per_row_inputs_of_another_length(factor_rows):
+    with pytest.raises(ValidationError, match="per-row inputs of shapes"):
+        evolve_rows(np.full((3, 3), 0.1), [[0.5] * 3] * factor_rows, [1, 2, 3])
+    with pytest.raises(ValidationError, match="per-row inputs of shapes"):
+        evolve_rows(np.full((3, 3), 0.1), [[0.5] * 3] * 3, [1] * factor_rows)
 
 
 def _oracle_peak_bytes(count):
