@@ -10,12 +10,15 @@ half-mixing amplitude-damping channel, and each coefficient c_k is simply
 multiplied by a channel factor per iteration. ``evolve_coefficients`` (a
 channel per row) applies those factors; ``apply_n`` (one Kraus set) and
 its twin ``evolve_matrices`` are the literal Kraus-operator route used to
-check them. Both twins check their rows in ``_checked_rows``.
+check them. Both twins check their rows in ``_checked_rows`` and then
+run a private body that checks nothing, ``_evolve_coefficients`` and
+``_evolve_matrices``, which ``decay_rates`` calls once it has made those
+checks itself.
 
 Each kind's per-iteration factors are stated once, unchecked, in
 ``_factor_rows``, for an array of p; ``per_iteration_factors`` (one
-channel) and ``evolve_coefficients`` (one call per (kind, mode) group)
-check what they pass it.
+channel) checks what it passes it, and ``_evolve_coefficients`` (one call
+per (kind, mode) group) passes it rows that its callers have checked.
 
 Each kind's Kraus operators are stated once, in ``_operators``, for an
 array of p. ``_kraus_sets`` builds the operator and product arrays of
@@ -294,19 +297,27 @@ def evolve_matrices(rho: np.ndarray, kinds, ps, counts) -> np.ndarray:
     """The (N, 4, 4) stack ``rho`` with row k after ``counts[k]`` steps of its own channel.
 
     Row k's channel is ``single_parameter_kraus_set(kinds[k], ps[k])``. The
-    rows are checked by ``_checked_rows`` and the whole stack once, before
-    any step, so an error names the row ``evolve_coefficients`` names. The
-    rows are then stepped one channel kind at a time, since a stack of
-    Kraus products needs one operator count, in blocks of at most
-    ``_ROWS_PER_STACK`` rows. Each block makes one ``_kraus_sets`` and one
-    ``_supports`` call on its rows' p values, in row order, and hands its
-    rows and their gather indices and values to ``_per_row_steps``.
-    ``_kraus_sets`` gives every row the bits it would get alone, so every
-    row gets the bits ``apply_n`` gives it alone.
+    checked door of ``_evolve_matrices``: the rows are checked by
+    ``_checked_rows`` and the whole stack once, before any step, so an
+    error names the row ``evolve_coefficients`` names.
     """
     stack = np.asarray(rho)
     kinds, ps, counts = _checked_rows(stack, (4, 4), kinds, ps, counts)
-    stack = validate_density_matrix(stack)
+    return _evolve_matrices(validate_density_matrix(stack), kinds, ps, counts)
+
+
+def _evolve_matrices(stack: np.ndarray, kinds, ps, counts) -> np.ndarray:
+    """``evolve_matrices`` of a validated stack and its ``_checked_rows``; checks nothing else.
+
+    The rows are stepped one channel kind at a time, since a stack of
+    Kraus products needs one operator count, in blocks of at most
+    ``_ROWS_PER_STACK`` rows. Each block makes one ``_kraus_sets`` and one
+    ``_supports`` call on its rows' p values, in row order, and hands its
+    rows and their gather indices and values to ``_per_row_steps``, whose
+    ``_step`` checks every matrix it returns. ``_kraus_sets`` gives every
+    row the bits it would get alone, so every row gets the bits ``apply_n``
+    gives it alone.
+    """
     out = np.empty(stack.shape, dtype=np.complex128)
     for kind in dict.fromkeys(kinds):
         same_kind = [row for row, k in enumerate(kinds) if k is kind]
@@ -357,8 +368,8 @@ def _factor_rows(kind: ChannelKind, p, mode: CoefficientMapMode) -> np.ndarray:
     keeps its axis (1.0) and shrinks the other two by (1 - p)(1 - p); dep
     shrinks all three by 1 - 4p/3 ('paper') or its square ('derived'); gad
     keeps 1 - p on c1 and c2 and (1 - p)(1 - p) on c3. Like ``_kraus_sets``
-    it checks nothing: ``per_iteration_factors`` and ``evolve_coefficients``
-    check its inputs. The factors are elementwise expressions, so every
+    it checks nothing: ``per_iteration_factors``, ``evolve_coefficients``
+    and ``decay_rates`` check its inputs. The factors are elementwise expressions, so every
     row has the bits it would get alone.
     """
     p = np.asarray(p, dtype=np.float64)
@@ -388,10 +399,9 @@ def evolve_coefficients(coefficients: np.ndarray, kinds, ps, counts, modes) -> n
     """The (N, 3) rows ``coefficients`` with row k after ``counts[k]`` steps of its own channel.
 
     The closed-form twin of ``evolve_matrices``, with row k's channel
-    ``kinds[k]`` at ``ps[k]`` in mode ``modes[k]``. ``_checked_rows``, each
-    mode, the number of modes and the rows' physicality are checked before
-    any step. Each (kind, mode) group takes one ``_factor_rows`` call, and
-    ``evolve_rows`` steps the rows, so each row gets its bits alone.
+    ``kinds[k]`` at ``ps[k]`` in mode ``modes[k]``, and the checked door of
+    ``_evolve_coefficients``: ``_checked_rows``, each mode, the number of
+    modes and the rows' physicality are checked before any step.
     """
     stack = np.asarray(coefficients)
     kinds, ps, counts = _checked_rows(stack, (3,), kinds, ps, counts)
@@ -399,6 +409,15 @@ def evolve_coefficients(coefficients: np.ndarray, kinds, ps, counts, modes) -> n
     if len(modes) != len(stack):
         raise ValidationError(f"{len(modes)} modes for a stack of shape {stack.shape}")
     require_physical(*stack.T)
+    return _evolve_coefficients(stack, kinds, ps, counts, modes)
+
+
+def _evolve_coefficients(stack: np.ndarray, kinds, ps, counts, modes) -> np.ndarray:
+    """``evolve_coefficients`` of physical rows, their ``_checked_rows`` and modes; checks nothing.
+
+    Each (kind, mode) group takes one ``_factor_rows`` call, and
+    ``evolve_rows`` steps the rows, so each row gets its bits alone.
+    """
     groups = {}
     for row, key in enumerate(zip(kinds, modes)):
         groups.setdefault(key, []).append(row)

@@ -7,11 +7,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import ChannelKind, CoefficientMapMode, evolve_coefficients, evolve_matrices
-from .coherence import Measure, closed_measures, matrix_measure
+from .channels import (
+    ChannelKind,
+    CoefficientMapMode,
+    _checked_rows,
+    _evolve_coefficients,
+    _evolve_matrices,
+)
+from .coherence import _MATRIX, Measure, clamped_array, closed_measures
 from .errors import Choice, IncoherentStateError, ValidationError, require_bound
 from .linalg import raise_for_first, row_value
-from .states import BellCoefficients, stack_states, to_density_matrix
+from .states import BellCoefficients, stack_states, to_density_matrix, validate_density_matrix
 
 COHERENCE_FLOOR = 1e-12
 FROZEN_TOL = 1e-9
@@ -53,16 +59,28 @@ def decay_rates(queries: Sequence[DecayQuery]) -> np.ndarray:
     Rows may differ in state, measure, channel kind, p, n and mode. Both
     engines go through ``_ratio``: each step runs once over all rows
     (measures once per measure present), and every row gets the bits
-    ``decay_rate`` gives it alone. The closed-form engine measures with
-    ``closed_measures`` and evolves through ``evolve_coefficients``; the
-    oracle measures with ``matrix_measure`` and evolves through its twin
-    ``evolve_matrices``, which holds the per-row Kraus products of one
-    bounded block at a time. Both twins check their rows in one order, so
-    a check that fails raises for the first row that fails it on either
-    engine; the oracle's channel steps take their rows kind by kind.
-    ``mode`` is a closed-form convention, so the matrix-oracle engine,
-    whose Kraus route is 'derived', rejects 'paper'.
+    ``decay_rate`` gives it alone. Each check is made once, in this order:
+    the queries themselves, then each engine, measure and mode, the states,
+    their physicality, the coherence floor (in ``_ratio``) and the rows'
+    counts, kinds and p (one ``_checked_rows`` call), so a query that fails
+    two checks fails the same one first on either engine. The engines then
+    run the twins' unchecked bodies. The closed-form engine measures with
+    ``closed_measures``, whose first call is the rows' physicality check
+    and whose second is the evolved rows' only one, and evolves through
+    ``_evolve_coefficients``. The oracle validates its initial matrices
+    once, measures them and the evolved ones with the matrix forms, and
+    evolves through ``_evolve_matrices``, which holds the per-row Kraus
+    products of one bounded block at a time and whose ``_step`` checks
+    every matrix it returns. ``mode`` is a closed-form convention, so the
+    matrix-oracle engine, whose Kraus route is 'derived', rejects 'paper'.
     """
+    try:
+        queries = list(queries)
+    except TypeError:
+        raise ValidationError(f"expected decay queries, got {type(queries).__name__}") from None
+    for query in queries:
+        if not isinstance(query, DecayQuery):
+            raise ValidationError(f"expected a DecayQuery, got {type(query).__name__}")
     engines = {Engine(q.engine) for q in queries}
     if not engines:  # an empty stack maps to an empty one
         return np.empty(0)
@@ -75,13 +93,14 @@ def decay_rates(queries: Sequence[DecayQuery]) -> np.ndarray:
     states = stack_states([q.state for q in queries])
     if engine is Engine.CLOSED_FORM:
         return _ratio(lambda rows: _by_measure(measures, rows, _closed_rows), states,
-                      lambda rows: evolve_coefficients(rows, kinds, ps, counts, modes))
+                      lambda rows: _evolve_coefficients(
+                          rows, *_checked_rows(rows, (3,), kinds, ps, counts), modes))
     if CoefficientMapMode.PAPER in modes:
         raise ValidationError("mode 'paper' is closed-form only; the Kraus route is 'derived'")
     return _ratio(
-        lambda rho: _by_measure(measures, rho, matrix_measure),
-        to_density_matrix(BellCoefficients(*states.T)),
-        lambda rho: evolve_matrices(rho, kinds, ps, counts),
+        lambda rho: _by_measure(measures, rho, _matrix_rows),
+        validate_density_matrix(to_density_matrix(BellCoefficients(*states.T))),
+        lambda rho: _evolve_matrices(rho, *_checked_rows(rho, (4, 4), kinds, ps, counts)),
     )
 
 
@@ -91,7 +110,10 @@ def _ratio(measure, rows: np.ndarray, evolve) -> np.ndarray:
     The one place a decay rate is formed. The first initial coherence at or
     below COHERENCE_FLOOR has no ratio and raises IncoherentStateError
     before ``evolve`` runs, so before any channel step and before any
-    parameter that ``evolve`` reads.
+    parameter that ``evolve`` reads. Each engine hands it checked rows: the
+    closed form its float rows, whose physicality its ``measure`` checks;
+    the oracle its validated matrices, which its ``measure`` takes as they
+    are.
     """
     before = measure(rows)
     raise_for_first(before <= COHERENCE_FLOOR, lambda row: IncoherentStateError(
@@ -103,6 +125,11 @@ def _ratio(measure, rows: np.ndarray, evolve) -> np.ndarray:
 def _closed_rows(measure: Measure, coefficients: np.ndarray) -> np.ndarray:
     """``closed_measures`` of the (N, 3) rows ``coefficients``."""
     return closed_measures(measure, *coefficients.T)
+
+
+def _matrix_rows(measure: Measure, matrices: np.ndarray) -> np.ndarray:
+    """``matrix_measure`` of the validated (N, 4, 4) ``matrices``, with no second validation."""
+    return clamped_array(_MATRIX[measure](matrices))
 
 
 def _by_measure(measures: list[Measure], rows: np.ndarray, evaluate) -> np.ndarray:

@@ -47,8 +47,19 @@ def row_value(values: np.ndarray, row: int) -> float:
 
 
 def _as_square_complex(m: np.ndarray) -> np.ndarray:
-    """A nonempty (d, d) matrix or a (..., d, d) stack of them, as finite complex128."""
-    a = np.asarray(m, dtype=np.complex128)
+    """A nonempty (d, d) matrix or a (..., d, d) stack of them, as finite complex128.
+
+    Only integer, float and complex entries convert; strings, bools, objects
+    and ragged input raise ValidationError rather than being parsed or read
+    as numbers.
+    """
+    try:
+        a = np.asarray(m)
+    except ValueError as exc:  # ragged input has no array form
+        raise ValidationError(f"expected a numeric matrix: {exc}") from None
+    if a.dtype.kind not in "iufc":
+        raise ValidationError(f"expected a numeric matrix, got entries of dtype {a.dtype}")
+    a = a.astype(np.complex128, copy=False)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2] or a.shape[-1] == 0:
         raise ValidationError(f"expected a nonempty square matrix, got shape {a.shape}")
     if not np.isfinite(a).all():

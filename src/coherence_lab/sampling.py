@@ -3,11 +3,16 @@
 A fixed 64-bit linear congruential generator (Knuth's MMIX multiplier)
 keeps the draws reproducible across platforms and numpy versions; numpy's
 own bit generators are deliberately not used here so that a seed printed
-in a report always regenerates the identical sweep. ``Lcg.next_float``
-states the stream one float at a time; the rejection sampler
-``_draw_states`` forms many floats at once by jump-ahead, in numpy
-``uint64`` arithmetic, which wraps modulo 2**64 exactly as the stated
-recurrence does, so it gives the same floats bit for bit.
+in a report always regenerates the identical sweep. The stream is the
+recurrence
+
+    s <- (a s + c) mod 2**64,   float = (s >> 11) / 2**53,
+
+with a = ``_MULT`` and c = ``_INC``: one float in [0, 1) from the top 53
+bits of each new state. The rejection sampler ``_draw_states`` forms many
+floats at once by jump-ahead, in numpy ``uint64`` arithmetic, which wraps
+modulo 2**64 exactly as the recurrence does, so it gives the floats of the
+recurrence stepped one at a time, bit for bit.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ _MAX_BATCH = 1 << 18
 
 
 class Lcg:
-    """64-bit LCG yielding floats in [0, 1) from the top 53 bits.
+    """The state of the module's 64-bit LCG, which ``_draw_states`` advances.
 
     The seed is any integer, negative ones included (taken modulo 2**64);
     a bool, float or string seed is rejected rather than truncated.
@@ -37,13 +42,6 @@ class Lcg:
 
     def __init__(self, seed: int):
         self.state = require_integer("seed", seed) & _MASK
-
-    def next_float(self) -> float:
-        self.state = (self.state * _MULT + _INC) & _MASK
-        return (self.state >> 11) / float(1 << 53)
-
-    def next_in(self, low: float, high: float) -> float:
-        return low + (high - low) * self.next_float()
 
 
 def _jump(state: int, count: int) -> np.ndarray:
@@ -61,24 +59,25 @@ def _jump(state: int, count: int) -> np.ndarray:
 
 
 def _unit(states: np.ndarray) -> np.ndarray:
-    """``next_float``'s float of each state: the top 53 bits, exact as a float64."""
+    """The recurrence's float of each state: the top 53 bits over 2**53, exact as a float64."""
     return (states >> np.uint64(11)) / float(1 << 53)
 
 
 def _draw_states(rng: Lcg, count: int, min_l1: float, extra: int) -> tuple[np.ndarray, np.ndarray]:
     """``count`` rejection-sampled states and the ``extra`` plain floats drawn after each.
 
-    The stream is the scalar one: triples (c1, c2, c3) = -1 + 2 u are drawn
-    until one lies in the tetrahedron with l1 >= ``min_l1``, then ``extra``
-    floats follow, then the next state's triples. Returns the (count, 3)
-    states and the (count, extra) floats, and leaves ``rng.state`` just past
-    the last float used. ``min_l1`` is checked before any draw.
+    The floats are the recurrence's, in order: triples (c1, c2, c3) =
+    -1 + 2 u are drawn until one lies in the tetrahedron with l1 >=
+    ``min_l1``, then ``extra`` floats follow, then the next state's
+    triples. Returns the (count, 3) states and the (count, extra) floats,
+    and leaves ``rng.state`` just past the last float used. ``min_l1`` is
+    checked before any draw.
 
     Each batch of floats is tested at every start offset at once, then
-    walked as the scalar loop walks the stream: past a rejected triple, or
-    past an accepted triple and its extras. An accepted triple whose extras
-    do not fit in the batch, or a triple that does not fit, ends the walk,
-    and the next batch starts at that triple.
+    walked as a one-float-at-a-time loop walks the stream: past a rejected
+    triple, or past an accepted triple and its extras. An accepted triple
+    whose extras do not fit in the batch, or a triple that does not fit,
+    ends the walk, and the next batch starts at that triple.
     """
     min_l1 = require_bound("min_l1", min_l1, strict=False)
     if min_l1 >= 1.0:
@@ -90,7 +89,7 @@ def _draw_states(rng: Lcg, count: int, min_l1: float, extra: int) -> tuple[np.nd
         size = max(3 + extra, min(_MAX_BATCH, max((_TRIPLE_FLOATS + extra) * wanted, 2 * size)))
         batch = _jump(rng.state, size)
         u = _unit(batch)
-        # as next_in(-1.0, 1.0) forms each coordinate
+        # each coordinate is -1 + (1 - -1) u, a float of [-1, 1)
         c = -1.0 + (1.0 - -1.0) * u
         c1, c2, c3 = c[:-2], c[1:-1], c[2:]
         ok = (physical_mask(c1, c2, c3) & (l1_kernel(c1, c2) >= min_l1)).tolist()

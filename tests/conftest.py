@@ -2,6 +2,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from coherence_lab import BellCoefficients
+from coherence_lab.states import physical_mask
 
 REFERENCE = BellCoefficients(0.6, 0.1, 0.2)
 
@@ -12,6 +13,33 @@ VERTICES = (
     (1.0, 1.0, -1.0),
     (-1.0, -1.0, -1.0),
 )
+
+# Knuth's MMIX multiplier and increment, modulo 2**64
+MULT = 6364136223846793005
+INC = 1442695040888963407
+
+
+class ScalarStream:
+    """The sampler's LCG restated in plain Python integers, one float at a time.
+
+    state <- (MULT state + INC) mod 2**64, and each float is the top 53 bits
+    of the new state over 2**53; the rejection loop is written out, so the
+    jump-ahead arithmetic of ``sampling`` is never used to check itself.
+    """
+
+    def __init__(self, seed):
+        self.state = seed % 2**64
+
+    def next_float(self):
+        self.state = (self.state * MULT + INC) % 2**64
+        return (self.state >> 11) / 2.0**53
+
+    def next_state(self, min_l1=0.0):
+        """Triples -1 + 2u until one is physical with l1 >= ``min_l1``."""
+        while True:
+            c1, c2, c3 = (-1.0 + (1.0 - -1.0) * self.next_float() for _ in range(3))
+            if physical_mask(c1, c2, c3) and max(abs(c1), abs(c2)) >= min_l1:
+                return c1, c2, c3
 
 
 @st.composite

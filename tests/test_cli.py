@@ -32,6 +32,7 @@ from coherence_lab import (
 )
 from coherence_lab import cli
 from coherence_lab.cli import main
+from conftest import ScalarStream
 
 
 def run(capsys, *argv):
@@ -481,13 +482,13 @@ def _reference_verify(seed, trials):
                         paper = coefficient_map(kind, p, n, state, CoefficientMapMode.PAPER)
                         gap = max(abs(a - b) for a, b in zip(paper, extracted))
                         worst_paper_gap = max(worst_paper_gap, gap)
-    rng = Lcg(seed + 2)
+    stream = ScalarStream(seed + 2)
     kinds, measures = list(ChannelKind), list(Measure)
     worst_engine = 0.0
     for index in range(trials):
-        state = random_physical_state(rng, min_l1=1e-2)
+        state = BellCoefficients(*stream.next_state(min_l1=1e-2))
         kind, measure = kinds[index % len(kinds)], measures[index % len(measures)]
-        p = rng.next_in(0.05, 0.95)
+        p = 0.05 + (0.95 - 0.05) * stream.next_float()
         n = 1 + (index % 12)
         closed = decay_rate(DecayQuery(state, measure, kind, p, n))
         oracle = decay_rate(DecayQuery(state, measure, kind, p, n, engine=Engine.MATRIX_ORACLE))

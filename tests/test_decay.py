@@ -262,6 +262,13 @@ BAD_INPUTS = {
         lambda: to_density_matrix((np.zeros(2), np.zeros(3), 0.0)),
     "closed_measures unbroadcastable arrays":
         lambda: closed_measures(Measure.L1, np.zeros(2), np.zeros(3), 0.0),
+    # queries that are not a stack of DecayQuery: a bare TypeError or
+    # AttributeError where they were read, now checked before anything else
+    "decay_rates None": lambda: decay_rates(None),
+    "decay_rates int": lambda: decay_rates(5),
+    "decay_rates [None]": lambda: decay_rates([None]),
+    "decay_rates string": lambda: decay_rates("q"),
+    "decay_rate None": lambda: decay_rate(None),
 }
 
 
@@ -269,6 +276,11 @@ BAD_INPUTS = {
 def test_bad_input_raises_a_typed_error(call):
     with pytest.raises(ValidationError):
         call()
+
+
+def test_queries_are_checked_before_anything_they_hold():
+    with pytest.raises(ValidationError, match="expected a DecayQuery, got NoneType"):
+        decay_rates([DecayQuery(REFERENCE, Measure.L1, BF, 0.5, 1, engine="gpu"), None])
 
 
 def test_numpy_scalars_are_still_accepted():

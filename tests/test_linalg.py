@@ -149,5 +149,49 @@ def test_an_empty_matrix_is_rejected(routine, shape):
         routine(np.zeros(shape, dtype=complex))
 
 
+# inputs that are not numeric matrices: each was parsed, read as numbers or
+# met with a bare ValueError/TypeError before the matrix intake checked dtypes
+NOT_NUMERIC = {
+    "string": "x",
+    "dict": {},
+    "string entries": [["0.25", "0", "0", "0"], ["0", "0.25", "0", "0"],
+                       ["0", "0", "0.25", "0"], ["0", "0", "0", "0.25"]],
+    "bool entries": np.diag([True, False, False, False]),
+    "object entries": np.full((4, 4), 0.25, dtype=object),
+    "ragged": [[0.25, 0.0, 0.0, 0.0], [0.0, 0.25]],
+}
+
+
+@pytest.mark.parametrize("junk", NOT_NUMERIC.values(), ids=list(NOT_NUMERIC))
+@pytest.mark.parametrize("routine", MATRIX_ENTRY_POINTS.values(), ids=list(MATRIX_ENTRY_POINTS))
+def test_a_matrix_that_is_not_numeric_is_rejected(routine, junk):
+    with pytest.raises(ValidationError, match="numeric matrix"):
+        routine(junk)
+
+
+def _bits(result):
+    if isinstance(result, tuple):
+        return b"".join(_bits(part) for part in result)
+    return np.asarray(result).tobytes()
+
+
+# the pure states |0000><0000| and |++><++| in every numeric form the intake
+# converts to complex128
+NUMERIC_FORMS = [
+    (np.diag([1, 0, 0, 0]), [np.diag([1.0, 0.0, 0.0, 0.0]).tolist(),
+                             np.diag([1, 0, 0, 0]).astype(np.uint8)]),
+    (np.full((4, 4), 0.25), [[[0.25] * 4] * 4, np.full((4, 4), 0.25, dtype=np.float32),
+                             np.full((4, 4), 0.25 + 0j).tolist()]),
+]
+
+
+@pytest.mark.parametrize("reference, forms", NUMERIC_FORMS, ids=["integer", "float"])
+@pytest.mark.parametrize("routine", MATRIX_ENTRY_POINTS.values(), ids=list(MATRIX_ENTRY_POINTS))
+def test_numeric_matrices_keep_their_bits(routine, reference, forms):
+    expected = _bits(routine(reference.astype(np.complex128)))
+    for form in forms:
+        assert _bits(routine(form)) == expected
+
+
 def test_a_stack_of_no_matrices_stays_valid():
     assert validate_density_matrix(np.zeros((0, 4, 4), dtype=complex)).shape == (0, 4, 4)

@@ -1,8 +1,9 @@
 """The batched sampler against the scalar stream it replaces, bit for bit.
 
-The reference here restates the LCG recurrence in plain Python integers and
-draws one float at a time, with the rejection loop written out, so the
-jump-ahead arithmetic of ``sampling`` is never used to check itself.
+The reference, ``conftest.ScalarStream``, restates the LCG recurrence in
+plain Python integers and draws one float at a time, with the rejection loop
+written out, so the jump-ahead arithmetic of ``sampling`` is never used to
+check itself.
 """
 
 import hashlib
@@ -15,20 +16,7 @@ from hypothesis import strategies as st
 
 from coherence_lab import Lcg, ParameterRangeError, sampling
 from coherence_lab.sampling import _draw_states
-from coherence_lab.states import physical_mask
-
-# Knuth's MMIX multiplier and increment, modulo 2**64
-MULT = 6364136223846793005
-INC = 1442695040888963407
-
-
-class ScalarStream:
-    def __init__(self, seed):
-        self.state = seed % 2**64
-
-    def next_float(self):
-        self.state = (self.state * MULT + INC) % 2**64
-        return (self.state >> 11) / 2.0**53
+from conftest import ScalarStream
 
 
 def scalar_draw(seed, count, min_l1, extra):
@@ -36,11 +24,7 @@ def scalar_draw(seed, count, min_l1, extra):
     stream = ScalarStream(seed)
     states, extras = [], []
     for _ in range(count):
-        while True:
-            c1, c2, c3 = (-1.0 + (1.0 - -1.0) * stream.next_float() for _ in range(3))
-            if physical_mask(c1, c2, c3) and max(abs(c1), abs(c2)) >= min_l1:
-                break
-        states.append((c1, c2, c3))
+        states.append(stream.next_state(min_l1))
         extras.append([stream.next_float() for _ in range(extra)])
     return np.array(states).reshape(count, 3), np.array(extras).reshape(count, extra), stream.state
 

@@ -47,9 +47,10 @@ from coherence_lab import (
     to_density_matrix,
     von_neumann_entropy,
 )
-from coherence_lab import channels
+from coherence_lab import channels, coherence, decay
+from coherence_lab import states as states_module
 from coherence_lab.channels import evolve_matrices, evolve_rows
-from coherence_lab.states import validate_density_matrix
+from coherence_lab.states import require_physical, validate_density_matrix
 from conftest import REFERENCE, physical_coefficients
 
 STATES = st.lists(
@@ -381,3 +382,62 @@ def _oracle_peak_bytes(count):
 def test_oracle_decay_rates_memory_is_bounded_by_a_block():
     # the per-row Kraus products of one block, not of the whole stack
     assert _oracle_peak_bytes(1000) < 2 * _oracle_peak_bytes(100)
+
+
+# ten queries of every kind and measure, with counts whose step order is
+# neither the row order nor its reverse
+_MIXED_COUNTS = [7, 1, 20, 2, 5, 3, 11, 1, 8, 4]
+
+
+def _counted_queries(engine):
+    kinds = list(ChannelKind) * 2
+    measures = list(Measure) * 4
+    modes = [CoefficientMapMode.DERIVED] * 5 + [CoefficientMapMode.PAPER] * 5
+    if engine is Engine.MATRIX_ORACLE:
+        modes = [CoefficientMapMode.DERIVED] * 10
+    drawn = sample_states(12, 10, min_l1=1e-2)
+    return [DecayQuery(state, measure, kind, 0.05 + 0.09 * row, count, mode, engine)
+            for row, (state, measure, kind, count, mode)
+            in enumerate(zip(drawn, measures, kinds, _MIXED_COUNTS, modes))]
+
+
+def _record_calls(monkeypatch, original, record):
+    """Wrap every package module's binding of ``original`` to call ``record(*args)`` first."""
+    def wrapper(*args):
+        record(*args)
+        return original(*args)
+
+    for module in (states_module, channels, coherence, decay):
+        if getattr(module, original.__name__, None) is original:
+            monkeypatch.setattr(module, original.__name__, wrapper)
+
+
+def test_an_oracle_decay_rates_call_validates_each_matrix_once(monkeypatch):
+    # the N initial matrices once, then each step's output once in ``_step``
+    queries = _counted_queries(Engine.MATRIX_ORACLE)
+    validated, checked = [], []
+    _record_calls(monkeypatch, validate_density_matrix,
+                  lambda rho: validated.append(np.size(rho) // 16))
+    _record_calls(monkeypatch, channels._checked_rows, lambda *args: checked.append(len(args[0])))
+    decay_rates(queries)
+    assert sum(validated) == len(queries) + sum(_MIXED_COUNTS)
+    assert checked == [len(queries)]
+
+
+def test_a_closed_decay_rates_call_checks_each_row_physical_once(monkeypatch):
+    # the initial rows in the first ``closed_measures`` and the evolved rows in
+    # the second, each once
+    queries = _counted_queries(Engine.CLOSED_FORM)
+    initial = np.array([q.state for q in queries])
+    evolved = np.array([coefficient_map(q.kind, q.p, q.n, q.state, q.mode) for q in queries])
+    handed, checked = [], []
+    _record_calls(monkeypatch, require_physical, lambda *c: handed.append(
+        np.column_stack([np.ravel(x) for x in np.broadcast_arrays(*c)])))
+    _record_calls(monkeypatch, channels._checked_rows, lambda *args: checked.append(len(args[0])))
+    decay_rates(queries)
+
+    def rows(stack):
+        return sorted(map(tuple, np.concatenate(stack).tolist()))
+
+    assert rows(handed) == rows([initial, evolved])
+    assert checked == [len(queries)]
