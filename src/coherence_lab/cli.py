@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 invalid input or usage, 2 internal numerical error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import shutil
@@ -422,7 +423,16 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on the first call and shared by every later one.
+
+    Parsing leaves it unchanged: each ``parse_args`` call fills a fresh
+    namespace, so nothing carries over from one ``main`` call to the next.
+    Each subcommand's handler is bound here, once, by
+    ``set_defaults(func=_cmd_...)``, so patching a ``_cmd_*`` name after the
+    first build changes nothing; a test patches what the handler calls.
+    """
     parser = _Parser(prog="coherence-lab", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -487,9 +497,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    """Run one invocation and return its exit code; ``main`` may be called many times.
+
+    Every call parses with the shared parser of ``build_parser`` and gets a
+    fresh namespace, whose ``warnings`` list this call alone fills and prints.
+    """
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -9,11 +9,12 @@ measure names by ``Choice``, probabilities by ``require_probability``,
 counts by ``require_count``, seeds by ``require_integer``, tolerances by
 ``require_bound`` and real coordinates by ``require_real``. None of them
 coerces: bools, strings, None, NaN and Python ints beyond float range are
-rejected, numpy scalars are accepted.
+rejected, numpy scalars are accepted. ``Choice`` accepts only a str, numpy's
+included.
 """
 
 import math
-from enum import Enum
+from enum import Enum, EnumMeta
 
 import numpy as np
 
@@ -58,13 +59,24 @@ class InternalNumericalError(CoherenceLabError):
     """A computation violated an invariant it is supposed to preserve."""
 
 
-class Choice(str, Enum):
-    """A named choice whose unknown values raise ValidationError, not a bare ValueError."""
+class _ChoiceType(EnumMeta):
+    """Looks a ``Choice`` up by its name, which must be a str (numpy's included).
 
-    @classmethod
-    def _missing_(cls, value):
-        choices = ", ".join(repr(member.value) for member in cls)
-        raise ValidationError(f"{value!r} is not a valid {cls.__name__}, expected {choices}")
+    Enum itself compares an unhashable value with each member by ``==``, so a
+    one-element array of names would pass as that member and a longer one
+    raise a bare ValueError.
+    """
+
+    def __call__(cls, value):
+        member = cls._value2member_map_.get(value) if isinstance(value, str) else None
+        if member is None:
+            choices = ", ".join(repr(m.value) for m in cls)
+            raise ValidationError(f"{value!r} is not a valid {cls.__name__}, expected {choices}")
+        return member
+
+
+class Choice(str, Enum, metaclass=_ChoiceType):
+    """A named choice whose unknown values raise ValidationError, not a bare ValueError."""
 
 
 # Python's and numpy's integer and real scalar types; bool, an int subclass,

@@ -605,3 +605,79 @@ def test_usage_errors_exit_one(capsys):
     code, _, _ = run(capsys, "evolve", "--channel", "xyz", "--p", "0.5", "--n", "1",
                      "--state", "0,0,0")
     assert code == 1
+
+
+# main parses with the one parser build_parser makes per process, so each
+# call below must behave as if it were the first
+def test_the_parser_is_built_once_per_process(capsys):
+    parser = cli.build_parser()
+    assert cli.build_parser() is parser
+    run(capsys, "coherence", "0.6,0.1,0.2")
+    assert cli.build_parser() is parser
+
+
+def _parser_state(parser):
+    """The defaults and the attributes of every action of ``parser`` and its subparsers."""
+    state = [repr(sorted(parser._defaults.items()))]
+    for action in parser._actions:
+        state.append(repr(sorted(vars(action).items())))
+        if isinstance(action.choices, dict):
+            for subparser in action.choices.values():
+                state.extend(_parser_state(subparser))
+    return state
+
+
+def test_main_leaves_the_parser_as_built(capsys, tmp_path):
+    before = _parser_state(cli.build_parser())
+    for argv in (
+        ("coherence", "0.6,0.1,0.2", "--measure", "l1"),
+        ("evolve", "--channel", "gad", "--p", "1", "--gamma", "0", "--n", "2",
+         "--state", "0.3,0.2,0.1", "--method", "kraus"),
+        ("decay-curve", "--channel", "bf", "--measure", "skew", "--state", "0.3,-0.2,0.1",
+         "--n-list", "1,2", "--grid", "3", "--out", str(tmp_path / "curve.csv")),
+        ("decay-curve", "--channel", "xyz"),
+        ("verify", "--trials", "0"),
+        ("no-such-command",),
+        (),
+    ):
+        run(capsys, *argv)
+    assert _parser_state(cli.build_parser()) == before
+
+
+def test_a_clamp_warning_does_not_carry_over(capsys):
+    argv = ("evolve", "--channel", "bf", "--n", "1", "--state", "0.6,0.1,0.2", "--p")
+    code, _, err = run(capsys, *argv, "0")
+    assert code == 0 and err == "warning: p=0 clamped to 1e-12\n"
+    code, _, err = run(capsys, *argv, "0.5")
+    assert code == 0 and err == ""
+
+
+def test_a_usage_error_leaves_the_parser_as_built(capsys):
+    argv = ("decay-curve", "--measure", "skew", "--state", "0.3,-0.2,0.1", "--n-list", "1,2,5")
+    cli.build_parser.cache_clear()
+    first = run(capsys, *argv, "--channel", "gad", "--grid", "9")
+    assert first[0] == 0 and first[2] == ""
+    for bad in ((), ("--channel", "gad", "--grid", "x"), ("--channel", "xyz")):
+        code, out, err = run(capsys, *argv, *bad)
+        assert code == 1 and out == "" and err.startswith("usage error: ")
+    assert run(capsys, *argv, "--channel", "gad", "--grid", "9") == first
+
+
+def test_an_out_path_does_not_carry_over(capsys, tmp_path):
+    argv = ("decay-curve", "--channel", "bf", "--measure", "skew", "--state", "0.3,-0.2,0.1",
+            "--n-list", "1,2,5", "--grid", "9")
+    path = tmp_path / "curve.csv"
+    code, out, _ = run(capsys, *argv, "--out", str(path))
+    assert code == 0 and out.startswith(f"wrote {path}: ")
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and out.encode() == path.read_bytes()
+
+
+def test_a_json_path_does_not_carry_over(capsys, tmp_path):
+    path = tmp_path / "verify.json"
+    code, first, _ = run(capsys, "verify", "--trials", "1", "--json", str(path))
+    assert code == 0 and path.is_file()
+    path.unlink()
+    code, out, _ = run(capsys, "verify", "--trials", "1")
+    assert code == 0 and out == first
+    assert list(tmp_path.iterdir()) == []

@@ -292,6 +292,33 @@ def test_numpy_scalars_are_still_accepted():
     assert decay_rate(query) == decay_rate(DecayQuery(REFERENCE, Measure.SKEW, PF, 0.3, 3))
 
 
+# each door that converts a name to a Choice: (call on the name, its Choice, a valid name)
+CHOICE_DOORS = {
+    "Measure": (Measure, Measure, "skew"),
+    "ChannelKind": (ChannelKind, ChannelKind, "pf"),
+    "closed_measure": (lambda v: closed_measure(v, REFERENCE), Measure, "skew"),
+    "coefficient_map kind": (lambda v: coefficient_map(v, 0.3, 2, REFERENCE), ChannelKind, "dep"),
+    "coefficient_map mode": (lambda v: coefficient_map(DEP, 0.3, 2, REFERENCE, v),
+                             CoefficientMapMode, "paper"),
+    "DecayQuery measure": (lambda v: decay_rate(DecayQuery(REFERENCE, v, PF, 0.3, 2)),
+                           Measure, "skew"),
+    "DecayQuery mode": (lambda v: decay_rate(DecayQuery(REFERENCE, Measure.L1, DEP, 0.3, 2,
+                                                        mode=v)), CoefficientMapMode, "paper"),
+    "DecayQuery engine": (lambda v: decay_rate(DecayQuery(REFERENCE, Measure.L1, PF, 0.3, 2,
+                                                          engine=v)), Engine, "matrix-oracle"),
+}
+
+
+@pytest.mark.parametrize("door, choice, name", CHOICE_DOORS.values(), ids=list(CHOICE_DOORS))
+def test_a_choice_takes_only_a_str(door, choice, name):
+    # Enum's own lookup compares an unhashable value with each member by
+    # ``==``, which a one-name array passes and a two-name array cannot answer
+    for junk in (np.array([name]), np.array([name, name]), np.array(name, dtype=object), [name]):
+        with pytest.raises(ValidationError, match=f"is not a valid {choice.__name__}, expected"):
+            door(junk)
+    assert door(np.str_(name)) == door(choice(name)) == door(name)
+
+
 def test_integer_seeds_of_any_sign_are_accepted():
     assert Lcg(-1).state == Lcg(2**64 - 1).state
     assert sample_states(np.int64(-7), 3) == sample_states(-7, 3)
