@@ -32,7 +32,7 @@ into the indices and values it gathers with, and refuses any other product.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,6 +45,7 @@ from .errors import (
     ValidationError,
     require_count,
     require_probability,
+    require_rows,
 )
 from .linalg import raise_for_first, row_value
 from .states import (
@@ -253,41 +254,40 @@ def apply_product_channel(rho: np.ndarray, kset: KrausSet) -> np.ndarray:
     return apply_n(rho, kset, 1)
 
 
-def apply_n(rho: np.ndarray, kset: KrausSet, n: int | Sequence[int]) -> np.ndarray:
+def apply_n(rho: np.ndarray, kset: KrausSet, n: int | Iterable[int]) -> np.ndarray:
     """n successive applications of the product channel of ``kset``.
 
     ``rho`` is one density matrix or an (N, 4, 4) stack; one matrix runs as
     a stack of one, and every row is stepped through ``kset``, whose
     products go through ``_supports`` once and are broadcast to every row
-    for ``_per_row_steps``. ``n`` is one count or, for a stack, N of them
-    (``_per_row_steps`` rejects any other number); a row stops once it has
-    had its own n steps. ``rho`` is validated once; every later input is a
-    step's checked output. Rows with channels of their own go through
-    ``evolve_matrices``.
+    for ``_per_row_steps``. ``n`` is one count or one per row, each checked
+    before ``rho`` is read; a row stops once it has had its own n steps.
+    ``rho`` is validated once; every later input is a step's checked output.
+    Rows with channels of their own go through ``evolve_matrices``.
     """
-    counts = np.array([
-        require_count("iteration count", k) for k in np.ravel(np.array(n, dtype=object))
-    ])
+    single = not isinstance(n, Iterable)
+    counts = [require_count("iteration count", k)
+              for k in ([n] if single else require_rows("iteration counts", n))]
     if not isinstance(kset, KrausSet):
         raise ValidationError(f"expected a KrausSet, got {type(kset).__name__}")
     a = validate_density_matrix(rho)
     stack = a.reshape(-1, 4, 4)
-    if np.ndim(n) == 0:
-        counts = np.full(len(stack), counts[0])
+    counts = require_rows("iteration counts", counts * len(stack) if single else counts, len(stack))
     args = [np.broadcast_to(x, (len(stack),) + x.shape) for x in _supports(kset.products)]
-    return _per_row_steps(stack, counts, _step, args).reshape(a.shape)
+    return _per_row_steps(stack, np.array(counts), _step, args).reshape(a.shape)
 
 
 def _checked_rows(stack: np.ndarray, row_shape: tuple[int, ...], kinds, ps, counts):
     """The checked (kinds, ps, counts) of ``stack``, whose rows each have a channel of their own.
 
-    Both per-row twins check in this order: the lengths (rows of shape
-    ``row_shape``, one kind, p and count each), every count, then each
-    row's kind and p in row order, so both name the same first bad row.
+    Both per-row twins check in this order: rows of shape ``row_shape``,
+    one kind, p and count per row (``require_rows``), every count, then
+    each row's kind and p in row order, so both name the same first bad row.
     """
-    if stack.shape[1:] != row_shape or not len(kinds) == len(ps) == len(counts) == len(stack):
-        raise ValidationError(f"{len(kinds)} kinds, {len(ps)} p values and {len(counts)} "
-                              f"iteration counts for a stack of shape {stack.shape}")
+    if stack.shape[1:] != row_shape:
+        raise ValidationError(f"expected a stack of rows of shape {row_shape}, got {stack.shape}")
+    kinds, ps, counts = (require_rows(name, rows, len(stack)) for name, rows in
+                         (("kinds", kinds), ("p values", ps), ("iteration counts", counts)))
     counts = np.array([require_count("iteration count", k) for k in counts])
     checked = [(ChannelKind(kind), require_probability("p", p)) for kind, p in zip(kinds, ps)]
     return [kind for kind, _ in checked], [p for _, p in checked], counts
@@ -332,19 +332,15 @@ def _per_row_steps(rows: np.ndarray, counts: np.ndarray, step, args) -> np.ndarr
     """``rows`` with row k replaced by ``counts[k]`` applications of ``step``.
 
     ``step(rows, *args)`` maps a stack of rows to the next one, with
-    ``args`` per-row arrays in the order of ``rows``; ``counts`` and every
-    array of ``args`` must have one entry per row, or ValidationError is
-    raised before any step. This is the one place that orders rows for
-    stepping: ``rows`` and every array of ``args`` are gathered once, by a
-    stable sort on descending count, and run longest first, in phases
-    between distinct counts. The rows still going in a phase are a leading
-    slice of the sorted stack, so no phase copies them, and a row stops
-    once it has had its own count of steps. The inputs are never written.
+    ``args`` per-row arrays in the order of ``rows``. Nothing is checked:
+    the callers give each row one count and one entry of every array. This
+    is the one place that orders rows for stepping: ``rows`` and ``args``
+    are gathered once, by a stable sort on descending count, and run
+    longest first, in phases between distinct counts. The rows still going
+    in a phase are a leading slice of the sorted stack, so no phase copies
+    them, and a row stops once it has had its own count of steps. The
+    inputs are never written.
     """
-    inputs = (counts, *args)
-    if any(np.shape(x)[:1] != (len(rows),) for x in inputs):
-        shapes = [np.shape(x) for x in inputs]
-        raise ValidationError(f"per-row inputs of shapes {shapes} for {len(rows)} rows")
     order = np.argsort(-counts, kind="stable")
     stack, counts = rows[order], counts[order]
     args = [arg[order] for arg in args]
@@ -400,14 +396,12 @@ def evolve_coefficients(coefficients: np.ndarray, kinds, ps, counts, modes) -> n
 
     The closed-form twin of ``evolve_matrices``, with row k's channel
     ``kinds[k]`` at ``ps[k]`` in mode ``modes[k]``, and the checked door of
-    ``_evolve_coefficients``: ``_checked_rows``, each mode, the number of
-    modes and the rows' physicality are checked before any step.
+    ``_evolve_coefficients``: ``_checked_rows``, the number of modes, each
+    mode and the rows' physicality are checked before any step.
     """
     stack = np.asarray(coefficients)
     kinds, ps, counts = _checked_rows(stack, (3,), kinds, ps, counts)
-    modes = [CoefficientMapMode(mode) for mode in modes]
-    if len(modes) != len(stack):
-        raise ValidationError(f"{len(modes)} modes for a stack of shape {stack.shape}")
+    modes = [CoefficientMapMode(mode) for mode in require_rows("modes", modes, len(stack))]
     require_physical(*stack.T)
     return _evolve_coefficients(stack, kinds, ps, counts, modes)
 
@@ -416,7 +410,7 @@ def _evolve_coefficients(stack: np.ndarray, kinds, ps, counts, modes) -> np.ndar
     """``evolve_coefficients`` of physical rows, their ``_checked_rows`` and modes; checks nothing.
 
     Each (kind, mode) group takes one ``_factor_rows`` call, and
-    ``evolve_rows`` steps the rows, so each row gets its bits alone.
+    ``_evolve_rows`` steps the rows, so each row gets its bits alone.
     """
     groups = {}
     for row, key in enumerate(zip(kinds, modes)):
@@ -424,7 +418,7 @@ def _evolve_coefficients(stack: np.ndarray, kinds, ps, counts, modes) -> np.ndar
     factors = np.empty((len(stack), 3))
     for (kind, mode), rows in groups.items():
         factors[rows] = _factor_rows(kind, [ps[row] for row in rows], mode)
-    return evolve_rows(stack, factors, counts)
+    return _evolve_rows(stack, factors, counts)
 
 
 def coefficient_map(
@@ -444,13 +438,11 @@ def coefficient_map(
     return BellCoefficients(*evolved[0].tolist())
 
 
-def evolve_rows(coefficients: np.ndarray, factors: np.ndarray, counts: np.ndarray) -> np.ndarray:
+def _evolve_rows(rows: np.ndarray, factors: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """(N, 3) coefficients after each row's own count of per-iteration multiplications.
 
-    Row k is multiplied by its factors ``counts[k]`` times (never a power)
-    and then left alone, the same per-row stop ``apply_n`` uses.
+    Row k is multiplied by its float factors ``counts[k]`` times (never a
+    power) and then left alone, the same per-row stop ``apply_n`` uses.
+    Like ``_factor_rows`` it checks nothing; its callers pass arrays.
     """
-    return _per_row_steps(
-        np.asarray(coefficients, dtype=np.float64), np.asarray(counts), np.multiply,
-        (np.asarray(factors, dtype=np.float64),),
-    )
+    return _per_row_steps(np.asarray(rows, dtype=np.float64), counts, np.multiply, (factors,))

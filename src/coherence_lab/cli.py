@@ -328,15 +328,13 @@ def _verify_coefficient_maps(seed: int, trials: int) -> list[tuple[_Deviation, s
              for p in (0.1, 0.3, 0.5, 0.7, 0.9) for n in (1, 2, 5, 9) for _ in range(3)]
     states, _ = _draw_states(Lcg(seed + 1), len(cells), 0.0, 0)
     kinds, ps, counts = zip(*cells)
-    counts = np.array(counts)
     evolved = evolve_matrices(to_density_matrix(BellCoefficients(*states.T)), kinds, ps, counts)
     coefficients, residual = from_density_matrix(evolved)
     extracted = np.column_stack(coefficients)
 
     def gap(picked, mode):
-        mapped = evolve_coefficients(states[picked], [kinds[row] for row in picked],
-                                     [ps[row] for row in picked], counts[picked],
-                                     [mode] * len(picked))
+        rows = ([part[row] for row in picked] for part in (kinds, ps, counts))
+        mapped = evolve_coefficients(states[picked], *rows, [mode] * len(picked))
         return np.max(np.abs(mapped - extracted[picked]), axis=1)
 
     def witness(row):

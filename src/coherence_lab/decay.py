@@ -15,7 +15,7 @@ from .channels import (
     _evolve_matrices,
 )
 from .coherence import _MATRIX, Measure, clamped_array, closed_measures
-from .errors import Choice, IncoherentStateError, ValidationError, require_bound
+from .errors import Choice, IncoherentStateError, ValidationError, require_bound, require_rows
 from .linalg import raise_for_first, row_value
 from .states import BellCoefficients, stack_states, to_density_matrix, validate_density_matrix
 
@@ -74,10 +74,7 @@ def decay_rates(queries: Sequence[DecayQuery]) -> np.ndarray:
     every matrix it returns. ``mode`` is a closed-form convention, so the
     matrix-oracle engine, whose Kraus route is 'derived', rejects 'paper'.
     """
-    try:
-        queries = list(queries)
-    except TypeError:
-        raise ValidationError(f"expected decay queries, got {type(queries).__name__}") from None
+    queries = require_rows("decay queries", queries)
     for query in queries:
         if not isinstance(query, DecayQuery):
             raise ValidationError(f"expected a DecayQuery, got {type(query).__name__}")

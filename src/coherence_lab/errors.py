@@ -4,13 +4,13 @@ Validation failures (bad user input) derive from both the package base and
 ValueError so callers may catch either; numerical-invariant violations signal
 an internal inconsistency and derive from the base only.
 
-Each kind of parameter is checked by one function here: channel and
-measure names by ``Choice``, probabilities by ``require_probability``,
-counts by ``require_count``, seeds by ``require_integer``, tolerances by
-``require_bound`` and real coordinates by ``require_real``. None of them
-coerces: bools, strings, None, NaN and Python ints beyond float range are
-rejected, numpy scalars are accepted. ``Choice`` accepts only a str, numpy's
-included.
+Each kind of parameter is checked by one function here: channel and measure
+names by ``Choice``, probabilities by ``require_probability``, counts by
+``require_count``, seeds by ``require_integer``, tolerances by ``require_bound``,
+real coordinates by ``require_real`` and per-row sequences by ``require_rows``.
+None of them coerces: bools, strings, None, NaN and Python ints beyond float
+range are rejected, numpy scalars are accepted. ``Choice`` accepts only a
+str, numpy's included, and ``require_rows`` any iterable but a str or bytes.
 """
 
 import math
@@ -144,9 +144,11 @@ def require_integer(name: str, value) -> int:
 
 
 def require_count(name: str, value, minimum: int = 1) -> int:
-    """``value`` as an int >= ``minimum``; bools and integral floats are rejected."""
+    """``value`` as an int >= ``minimum`` that fits a float; bools and integral floats fail."""
     if not _is_integer(value) or value < minimum:
         raise ParameterRangeError(f"{name} must be an integer >= {minimum}, got {_shown(value)}")
+    if not _fits_float(value):
+        raise ParameterRangeError(f"{name} must fit a float, got {_shown(value)}")
     return int(value)
 
 
@@ -158,3 +160,16 @@ def require_bound(name: str, value, strict: bool) -> float:
         shown = _shown(value)
         raise ParameterRangeError(f"{name} must be a finite number {relation}, got {shown}")
     return float(value)
+
+
+def require_rows(name: str, values, rows: int | None = None) -> list:
+    """Any iterable ``values`` but a str or bytes as a list, of ``rows`` entries if given."""
+    try:
+        listed = None if isinstance(values, (str, bytes)) else list(values)
+    except TypeError:
+        listed = None
+    if listed is None or rows is not None and len(listed) != rows:
+        got = type(values).__name__ if listed is None else f"{len(listed)} entries"
+        expected = "" if rows is None else f" of {rows} entries"
+        raise ValidationError(f"{name} must be a non-text iterable{expected}, got {got}")
+    return listed

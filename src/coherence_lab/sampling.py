@@ -20,7 +20,8 @@ from __future__ import annotations
 import numpy as np
 
 from .coherence import l1_kernel
-from .errors import ParameterRangeError, require_bound, require_count, require_integer
+from .errors import (ParameterRangeError, ValidationError, require_bound, require_count,
+                     require_integer)
 from .states import BellCoefficients, physical_mask
 
 _MULT = 6364136223846793005
@@ -120,6 +121,8 @@ def random_physical_state(rng: Lcg, min_l1: float = 0.0) -> BellCoefficients:
     of measure zero, so a floor of 1 or more would never be met. The one-
     state case of ``_draw_states``, which checks the floor before any draw.
     """
+    if not isinstance(rng, Lcg):
+        raise ValidationError(f"expected an Lcg, got {type(rng).__name__}")
     states, _ = _draw_states(rng, 1, min_l1, 0)
     return BellCoefficients(*states[0].tolist())
 

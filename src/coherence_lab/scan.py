@@ -2,7 +2,7 @@
 
 Each scan is one exact array evaluation, run serially. It performs the
 scalar path's operations in the scalar path's order: the closed measure of
-the state, the per-iteration factor products of ``evolve_rows`` (never a
+the state, the per-iteration factor products of ``_evolve_rows`` (never a
 power), the closed measure of the evolved state, and one division. A curve
 lays out its (p, n) cells as the rows of one ``decay._ratio`` call, the
 core ``decay_rates`` uses too; a lattice point's values come from the
@@ -49,13 +49,13 @@ from scipy import ndimage
 from .channels import (
     ChannelKind,
     CoefficientMapMode,
+    _evolve_rows,
     _factor_rows,
-    evolve_rows,
     per_iteration_factors,
 )
 from .coherence import Measure, clamped_array, closed_measures, _C3_TERMS, _KERNELS
 from .decay import COHERENCE_FLOOR, _ratio
-from .errors import ParameterRangeError, require_bound, require_count
+from .errors import ParameterRangeError, require_bound, require_count, require_rows
 from .states import BellCoefficients, physical_mask, require_physical, stack_states
 
 
@@ -84,7 +84,7 @@ def decay_curve(
     per (p, n) cell, p-major. Every p's factors come from one unchecked
     ``_factor_rows`` call, as every grid p lies in (0, 1); the rows go
     through ``decay._ratio`` with ``closed_measures`` and one
-    ``evolve_rows`` call, which multiplies each row by its p's factors n
+    ``_evolve_rows`` call, which multiplies each row by its p's factors n
     times (never a power). An incoherent state raises
     IncoherentStateError before any row is evolved.
     """
@@ -92,12 +92,7 @@ def decay_curve(
     measure = Measure(measure)
     mode = CoefficientMapMode(mode)
     p_count = require_count("p_count", p_count)
-    try:
-        n_tuple = tuple(n_list)
-    except TypeError:
-        got = type(n_list).__name__
-        raise ParameterRangeError(f"n_list must be a sequence of counts, got {got}") from None
-    n_tuple = tuple(require_count("iteration count", n) for n in n_tuple)
+    n_tuple = tuple(require_count("iteration count", n) for n in require_rows("n_list", n_list))
     if not n_tuple:
         raise ParameterRangeError(f"n_list must be nonempty, got {n_list!r}")
     state_row = stack_states([state])
@@ -106,7 +101,7 @@ def decay_curve(
     rates = _ratio(
         lambda rows: closed_measures(measure, *rows.T),
         np.repeat(state_row, p_count * len(n_tuple), axis=0),
-        lambda rows: evolve_rows(
+        lambda rows: _evolve_rows(
             rows, np.repeat(factors, len(n_tuple), axis=0), np.tile(n_tuple, p_count)
         ),
     ).reshape(p_count, len(n_tuple))
@@ -240,7 +235,7 @@ def frozen_surface(
     axis = lattice_axis(grid_res)
     # a coefficient's evolution does not depend on the other two, so evolving
     # the axis once per factor gives every lattice point's evolved coefficients
-    e1, e2, e3 = evolve_rows(
+    e1, e2, e3 = _evolve_rows(
         np.repeat(axis[:, None], 3, axis=1), np.tile(factors, (grid_res, 1)),
         np.full(grid_res, n),
     ).T

@@ -41,7 +41,7 @@ class BellCoefficients(NamedTuple):
     @classmethod
     def from_text(cls, text: str) -> "BellCoefficients":
         """Parse the textual form 'c1,c2,c3' (whitespace around commas ok)."""
-        parts = text.split(",")
+        parts = text.split(",") if isinstance(text, str) else ()
         if len(parts) != 3:
             raise ValidationError(
                 f"expected three comma-separated coefficients, got {text!r}"

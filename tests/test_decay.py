@@ -25,6 +25,7 @@ from coherence_lab import (
     is_physical,
     kraus_set,
     per_iteration_factors,
+    random_physical_state,
     sample_states,
     to_density_matrix,
 )
@@ -269,6 +270,40 @@ BAD_INPUTS = {
     "decay_rates [None]": lambda: decay_rates([None]),
     "decay_rates string": lambda: decay_rates("q"),
     "decay_rate None": lambda: decay_rate(None),
+    # counts beyond float range: numpy's bare ValueError where they became
+    # array sizes, or a stepping loop that never ends
+    "frozen_surface grid_res huge int":
+        lambda: frozen_surface(BF, Measure.L1, 0.5, 1, grid_res=10**400 + 1),
+    "sample_states count huge int": lambda: sample_states(1, 10**400),
+    "frozen_surface n huge int": lambda: frozen_surface(BF, Measure.L1, 0.5, 10**400, 5),
+    "apply_n n huge int": lambda: apply_n(_PAIR, kraus_set(BF, 0.5), 10**400),
+    "apply_n per-row n huge int": lambda: apply_n(_PAIR, kraus_set(BF, 0.5), [1, 10**400]),
+    "coefficient_map n huge int": lambda: coefficient_map(BF, 0.5, 10**400, REFERENCE),
+    "decay_rate n huge int":
+        lambda: decay_rate(DecayQuery(REFERENCE, Measure.L1, BF, 0.5, 10**400)),
+    "decay_curve p_count huge int":
+        lambda: decay_curve(BF, Measure.L1, REFERENCE, (1,), p_count=10**400),
+    "decay_curve n_list huge int": lambda: decay_curve(BF, Measure.L1, REFERENCE, (10**400,), 3),
+    # a bare AttributeError or TypeError where the text or the rng was read
+    "BellCoefficients.from_text None": lambda: BellCoefficients.from_text(None),
+    "BellCoefficients.from_text int": lambda: BellCoefficients.from_text(5),
+    "BellCoefficients.from_text bytes": lambda: BellCoefficients.from_text(b"0.1,0.2,0.3"),
+    "random_physical_state int rng": lambda: random_physical_state(7),
+    # per-row sequences that are not one entry per row: a bare TypeError where
+    # their length was taken, or a nested count list flattened into counts
+    "evolve_matrices int kinds":
+        lambda: channels.evolve_matrices(_PAIR, 5, [0.3, 0.4], [1, 2]),
+    "evolve_coefficients None modes": lambda: channels.evolve_coefficients(
+        np.array([REFERENCE]), [BF], [0.3], [1], None),
+    "evolve_coefficients None counts": lambda: channels.evolve_coefficients(
+        np.array([REFERENCE]), [BF], [0.3], None, [CoefficientMapMode.DERIVED]),
+    # bytes, whose items are ints, read as counts
+    "decay_curve n_list bytes": lambda: decay_curve(BF, Measure.L1, REFERENCE, b"\x01\x02", 3),
+    "evolve_matrices counts bytes":
+        lambda: channels.evolve_matrices(_PAIR, [BF, BF], [0.3, 0.4], b"\x01\x02"),
+    "apply_n per-row n one row short": lambda: apply_n(_PAIR, kraus_set(BF, 0.5), [1]),
+    "apply_n nested per-row n": lambda: apply_n(_PAIR, kraus_set(BF, 0.5), [[1], [2]]),
+    "apply_n nested n on one matrix": lambda: apply_n(_PAIR[0], kraus_set(BF, 0.5), [[1]]),
 }
 
 

@@ -23,7 +23,7 @@ from coherence_lab import (
     is_physical,
 )
 from coherence_lab import scan
-from coherence_lab.channels import evolve_rows, per_iteration_factors
+from coherence_lab.channels import _evolve_rows, per_iteration_factors
 from coherence_lab.coherence import _C3_TERMS, _KERNELS, clamped_array, closed_measures
 from coherence_lab.decay import COHERENCE_FLOOR
 from coherence_lab.scan import _row_runs, _run_points, _runs_physical, lattice_axis
@@ -207,8 +207,8 @@ def test_integer_plane_mask_equals_float_mask():
 def _evolved_axes(grid, factors, n):
     """Each lattice axis value after n multiplications by its factor, as the scan evolves them."""
     axis = lattice_axis(grid)
-    return evolve_rows(np.repeat(axis[:, None], 3, axis=1), np.tile(factors, (grid, 1)),
-                       np.full(grid, n)).T
+    return _evolve_rows(np.repeat(axis[:, None], 3, axis=1), np.tile(factors, (grid, 1)),
+                        np.full(grid, n)).T
 
 
 def _lattice_points(grid):

@@ -35,6 +35,7 @@ from coherence_lab import (
     apply_n,
     apply_product_channel,
     coefficient_map,
+    decay_curve,
     decay_rate,
     decay_rates,
     from_density_matrix,
@@ -49,7 +50,7 @@ from coherence_lab import (
 )
 from coherence_lab import channels, coherence, decay
 from coherence_lab import states as states_module
-from coherence_lab.channels import evolve_matrices, evolve_rows
+from coherence_lab.channels import _evolve_rows, evolve_matrices
 from coherence_lab.states import require_physical, validate_density_matrix
 from conftest import REFERENCE, physical_coefficients
 
@@ -182,12 +183,12 @@ def test_the_stepping_loop_never_writes_its_inputs(counts):
     saved = [x.copy() for x in inputs]
     for x in inputs:
         x.setflags(write=False)
-    evolved = evolve_rows(coefficients, factors, counts)
+    evolved = _evolve_rows(coefficients, factors, counts)
     stepped = evolve_matrices(rho, kinds, ps, counts)
     for x, before in zip(inputs, saved):
         assert x.tobytes() == before.tobytes()
     rows = range(len(counts))
-    _same_bits(evolved, [evolve_rows(coefficients[k:k + 1], factors[k:k + 1], counts[k:k + 1])[0]
+    _same_bits(evolved, [_evolve_rows(coefficients[k:k + 1], factors[k:k + 1], counts[k:k + 1])[0]
                          for k in rows])
     _same_bits(stepped, [apply_n(rho[k], single_parameter_kraus_set(kinds[k], ps[k]),
                                  int(counts[k])) for k in rows])
@@ -324,12 +325,11 @@ def test_both_twins_reject_the_same_bad_rows_before_any_step(monkeypatch, case):
     }
     if case in expected:
         assert messages == [expected[case]] * 2
-    else:  # the same lengths, each with its own stack's shape
-        rows = 2 if case == "states short" else 3
-        lengths = {"kinds short": (2, 3, 3), "ps short": (3, 2, 3), "counts short": (3, 3, 2)}
-        kinds, ps, counts = lengths.get(case, (3, 3, 3))
-        head = f"{kinds} kinds, {ps} p values and {counts} iteration counts for a stack of shape"
-        assert messages == [f"{head} ({rows}, 3)", f"{head} ({rows}, 4, 4)"]
+    else:  # the reader names the first sequence whose length differs from the stack's
+        rows, got = (2, 3) if case == "states short" else (3, 2)
+        name = {"ps short": "p values", "counts short": "iteration counts"}.get(case, "kinds")
+        message = f"{name} must be a non-text iterable of {rows} entries, got {got} entries"
+        assert messages == [message] * 2
 
 
 def test_evolve_coefficients_checks_modes_and_physicality_before_any_step(monkeypatch):
@@ -338,7 +338,8 @@ def test_evolve_coefficients_checks_modes_and_physicality_before_any_step(monkey
     derived = CoefficientMapMode.DERIVED
     with pytest.raises(ValidationError, match="'xx' is not a valid CoefficientMapMode"):
         channels.evolve_coefficients(states, kinds, ps, counts, [derived, "xx", derived])
-    with pytest.raises(ValidationError, match="2 modes for a stack of shape"):
+    short = "modes must be a non-text iterable of 3 entries, got 2 entries"
+    with pytest.raises(ValidationError, match=short):
         channels.evolve_coefficients(states, kinds, ps, counts, [derived] * 2)
     with pytest.raises(UnphysicalStateError):
         channels.evolve_coefficients(states + [0.0, 0.0, 2.0], kinds, ps, counts, [derived] * 3)
@@ -356,12 +357,66 @@ def test_evolve_coefficients_equals_coefficient_map_per_row():
     _same_bits(evolved, [coefficient_map(*row) for row in zip(kinds, ps, counts, states, modes)])
 
 
-@pytest.mark.parametrize("factor_rows", [1, 4], ids=["too few", "too many"])
-def test_the_stepping_loop_rejects_per_row_inputs_of_another_length(factor_rows):
-    with pytest.raises(ValidationError, match="per-row inputs of shapes"):
-        evolve_rows(np.full((3, 3), 0.1), [[0.5] * 3] * factor_rows, [1, 2, 3])
-    with pytest.raises(ValidationError, match="per-row inputs of shapes"):
-        evolve_rows(np.full((3, 3), 0.1), [[0.5] * 3] * 3, [1] * factor_rows)
+def test_both_twins_read_per_row_generators_as_lists():
+    states, kinds, ps, counts = _TRIPLE
+    modes = [CoefficientMapMode.DERIVED] * 3
+    rho = to_density_matrix(BellCoefficients(*states.T))
+    for twin, stack, extra in ((channels.evolve_coefficients, states, [modes]),
+                               (channels.evolve_matrices, rho, [])):
+        listed = twin(stack, kinds, ps, counts, *extra)
+        read = twin(stack, iter(kinds), (p for p in ps), tuple(counts), *map(iter, extra))
+        assert read.tobytes() == listed.tobytes()
+
+
+# every per-row argument of each stack door, valid: three rows of _TRIPLE's states
+_VALID_ROWS = {
+    "kinds": [ChannelKind.BIT_FLIP, ChannelKind.DEPOLARIZING, ChannelKind.AMPLITUDE_DAMPING],
+    "ps": [0.3, 0.4, 0.5],
+    "counts": [1, 2, 3],
+    "modes": [CoefficientMapMode.DERIVED, CoefficientMapMode.PAPER, CoefficientMapMode.DERIVED],
+    "queries": [DecayQuery(REFERENCE, m, ChannelKind.PHASE_FLIP, 0.3, 2) for m in Measure],
+    "n_list": [1, 2, 5],
+}
+_RHO = to_density_matrix(BellCoefficients(*_TRIPLE[0].T))
+# door -> (its per-row arguments, a call on them by name)
+_STACK_DOORS = {
+    "evolve_coefficients": (("kinds", "ps", "counts", "modes"),
+                            lambda a: channels.evolve_coefficients(
+                                _TRIPLE[0], a["kinds"], a["ps"], a["counts"], a["modes"])),
+    "evolve_matrices": (("kinds", "ps", "counts"), lambda a: channels.evolve_matrices(
+        _RHO, a["kinds"], a["ps"], a["counts"])),
+    "apply_n": (("counts",), lambda a: apply_n(_RHO, LEAVE_FAMILY, a["counts"])),
+    "decay_rates": (("queries",), lambda a: decay_rates(a["queries"])),
+    "decay_curve": (("n_list",), lambda a: decay_curve(
+        ChannelKind.DEPOLARIZING, Measure.SKEW, REFERENCE, a["n_list"], p_count=3)),
+}
+# junk in place of a per-row argument, from its valid rows and a small int
+_JUNK = {
+    "None": lambda rows, number: None,
+    "int": lambda rows, number: number,
+    "str": lambda rows, number: "123",
+    "bytes": lambda rows, number: b"\x01\x02\x03",
+    "generator": lambda rows, number: (row for row in rows),
+    "nested list": lambda rows, number: [rows],
+    "0-d array": lambda rows, number: np.array(rows[0], dtype=object),
+    "one row short": lambda rows, number: rows[:-1],
+    "one row long": lambda rows, number: rows + rows[-1:],
+}
+
+
+@pytest.mark.parametrize("door, part", [
+    (door, part) for door, (parts, _) in _STACK_DOORS.items() for part in parts
+])
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(list(_JUNK)), st.integers(-2, 4))
+def test_stack_doors_return_or_raise_a_validation_error_on_junk_rows(door, part, junk, number):
+    parts, call = _STACK_DOORS[door]
+    args = {name: list(_VALID_ROWS[name]) for name in parts}
+    args[part] = _JUNK[junk](args[part], number)
+    try:
+        call(args)
+    except ValidationError:
+        pass
 
 
 def _oracle_peak_bytes(count):
