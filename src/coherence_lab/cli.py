@@ -158,14 +158,28 @@ def _metadata_comment(cloud: SurfacePointCloud) -> str:
 
 
 def _rows(cloud: SurfacePointCloud, sep: str) -> list[str]:
-    """One line per point, each coordinate as ``{:.9g}``.
+    """The cloud's lines, one per point with each coordinate as ``{:.9g}``, one string per run.
 
-    Each of the grid_res axis values is formatted once; a row joins the
-    texts its three lattice indices pick.
+    A run is a maximal stretch of points that share i and j and have
+    consecutive k. Each of the grid_res axis values is formatted once and
+    each run's ``c1{sep}c2{sep}`` prefix once; a run's string is its lines
+    joined by newlines. An empty cloud gives no strings.
     """
+    indices = cloud.indices
+    if not len(indices):
+        return []
     text = [f"{v:.9g}" for v in lattice_axis(cloud.grid_res).tolist()]
-    return [f"{text[i]}{sep}{text[j]}{sep}{text[k]}"
-            for i, j, k in zip(*cloud.indices.T.tolist())]
+    lead = [t + sep for t in text]
+    steps = np.diff(indices, axis=0)
+    # a run ends where the next point is not one k step on in the same row
+    ends = np.flatnonzero((steps[:, 0] != 0) | (steps[:, 1] != 0) | (steps[:, 2] != 1))
+    firsts = indices[np.append(0, ends + 1)].T.tolist()
+    lasts = indices[np.append(ends, -1), 2].tolist()
+    rows = []
+    for i, j, k0, k1 in zip(*firsts, lasts):
+        prefix = lead[i] + lead[j]
+        rows.append(prefix + ("\n" + prefix).join(text[k0:k1 + 1]))
+    return rows
 
 
 def _cloud_csv(cloud: SurfacePointCloud) -> str:

@@ -35,8 +35,11 @@ Every value is formed by the scalar path's operations in its order, so each
 lattice point's rate is bit for bit its ``decay_rate``. The two coherence
 floors are one compare, against the larger of nextafter(COHERENCE_FLOOR,
 inf) and min_coherence. The cloud keeps the kept points' integer lattice
-indices; their coordinates are derived from ``lattice_axis`` on demand, so
-renderers work from the indices.
+indices, expanded from each plane's frozen runs as the plane loop finds
+them, so they come in lattice order with no search of the cube. A grid^3
+bool mask is filled from them only to label components, and only when the
+cloud is nonempty. Coordinates are derived from ``lattice_axis`` on demand;
+renderers work from the indices, one run of consecutive k at a time.
 """
 
 from __future__ import annotations
@@ -92,9 +95,10 @@ def decay_curve(
     measure = Measure(measure)
     mode = CoefficientMapMode(mode)
     p_count = require_count("p_count", p_count)
-    n_tuple = tuple(require_count("iteration count", n) for n in require_rows("n_list", n_list))
-    if not n_tuple:
-        raise ParameterRangeError(f"n_list must be nonempty, got {n_list!r}")
+    n_rows = require_rows("n_list", n_list)
+    if not n_rows:
+        raise ParameterRangeError(f"n_list must be nonempty, got {n_rows!r}")
+    n_tuple = tuple(require_count("iteration count", n) for n in n_rows)
     state_row = stack_states([state])
     p_values = np.array([k / (p_count + 1) for k in range(1, p_count + 1)])
     factors = _factor_rows(kind, p_values, mode)
@@ -205,6 +209,8 @@ def frozen_surface(
     with none is evaluated once per row of the plane, any other once per
     physical point. The evolved states' physicality is checked once per
     scan at the ends of each row's run of physical points, for every measure.
+    The kept indices are expanded from each plane's frozen runs as they are
+    found; a grid^3 mask is filled from them only for ``ndimage.label``.
 
     Parameters
     ----------
@@ -247,7 +253,14 @@ def frozen_surface(
     runs_physical = _runs_physical(e1, e2, e3, first, last)
     # the measure's terms in c3 alone: one table per axis, gathered by k
     terms, evolved_terms = _C3_TERMS[measure](axis), _C3_TERMS[measure](e3)
-    kept = np.zeros((grid_res, grid_res, grid_res), dtype=bool)
+    kept = []  # each plane's frozen (i, j, k) points, in lattice order
+    # the labelling mask. Only a nonempty cloud fills it, but every scan
+    # allocates it: when this grid^3 block is freed, glibc raises its mmap
+    # and trim thresholds, and later scans in the process then keep their
+    # per-plane work arrays on heap pages instead of faulting in fresh ones
+    # (nine empty grid-201 scans in one process: 2.7k minor faults with the
+    # block, 36k without)
+    mask = np.zeros((grid_res, grid_res, grid_res), dtype=bool)
     for i, c1 in enumerate(axis):
         if not terms:
             # the values do not vary with c3, so each row is one item, its
@@ -268,11 +281,12 @@ def frozen_surface(
         frozen = np.abs(after / before - 1.0) <= tol
         if frozen.any():
             j_kept, k_kept = _run_points(j[frozen], start[frozen], stop[frozen])
-            kept[i, j_kept, k_kept] = True
-    if kept.any():
-        _, components = ndimage.label(kept)
-        indices = np.argwhere(kept)
-    else:  # an empty cloud has nothing to label or gather
+            kept.append(np.column_stack((np.full_like(j_kept, i), j_kept, k_kept)))
+    if kept:
+        indices = np.concatenate(kept)
+        mask[tuple(indices.T)] = True
+        _, components = ndimage.label(mask)
+    else:  # an empty cloud has nothing to label
         components, indices = 0, np.empty((0, 3), dtype=np.intp)
     return SurfacePointCloud(
         kind=kind,

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import coherence_lab
@@ -19,6 +19,7 @@ from coherence_lab import (
     InternalNumericalError,
     Lcg,
     Measure,
+    SurfacePointCloud,
     apply_n,
     closed_measure,
     coefficient_map,
@@ -247,6 +248,38 @@ def test_curve_csv_formats_each_value_as_its_f_string():
 def test_curve_csv_equals_the_per_value_reference(rows):
     curve = _hand_built_curve([row[0] for row in rows], [row[1:] + [0.5] for row in rows])
     assert cli._curve_csv(curve).encode() == _per_value_curve_csv(curve).encode()
+
+
+def _per_point_rows(cloud, sep):
+    """The cloud's point lines, each formatted by its own f-string."""
+    t = [f"{v:.9g}" for v in np.linspace(-1.0, 1.0, cloud.grid_res).tolist()]
+    return [f"{t[i]}{sep}{t[j]}{sep}{t[k]}" for i, j, k in cloud.indices.tolist()]
+
+
+@st.composite
+def _lattice_index_sets(draw):
+    """An odd grid in 3..21 and a sorted set of its (i, j, k) indices, drawn as k runs."""
+    grid = draw(st.integers(1, 10).map(lambda half: 2 * half + 1))
+    index = st.integers(0, grid - 1)
+    runs = draw(st.lists(st.tuples(index, index, index, st.integers(1, grid)), max_size=12))
+    return grid, sorted({(i, j, k) for i, j, k0, length in runs
+                         for k in range(k0, min(k0 + length, grid))})
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lattice_index_sets(), st.sampled_from([",", " "]))
+@example((5, []), ",")  # an empty cloud
+@example((5, [(0, 0, 0), (0, 0, 2), (1, 3, 4), (2, 2, 1)]), " ")  # runs of one
+@example((11, [(0, 0, 5), (0, 1, 6)]), ",")  # consecutive k across a row change
+@example((11, [(0, 4, 9), (1, 0, 10)]), " ")  # consecutive k across a plane change
+def test_cloud_rows_equal_the_per_point_reference(case, sep):
+    grid, indices = case
+    cloud = SurfacePointCloud(
+        ChannelKind.BIT_FLIP, Measure.L1, 0.5, 1, CoefficientMapMode.DERIVED, grid, 1e-3, 1e-4,
+        np.array(indices, dtype=np.intp).reshape(-1, 3), 0,
+    )
+    rows = cli._rows(cloud, sep)
+    assert ("\n".join(rows).split("\n") if rows else []) == _per_point_rows(cloud, sep)
 
 
 def test_decay_curve_stdout_when_no_out(capsys):

@@ -25,6 +25,7 @@ SURFACE_CASES = (
     ("pf", "0.003", "1", "41", ("--tol", "0.01")),
     ("bpf", "0.3", "2", "21", ()),
     ("bpf", "1e-3", "4", "41", ("--min-coherence", "0.05")),
+    ("bpf", "0.5", "5", "101", ()),  # the other surface-dense benchmark cloud
     ("dep", "1e-4", "1", "21", ()),
     ("dep", "2e-4", "2", "41", ("--coeff-map", "paper", "--tol", "2e-3")),
     ("gad", "1e-4", "1", "21", ()),
@@ -125,6 +126,14 @@ GOLDEN = {
         'b3d6b028a9b287fa39b2e9432f453fd5370cc432d3a6adc22760ca71d8b35fb2',
     'frozen-surface --channel bpf --measure skew --p 1e-3 --n 4 --grid 41 --format ply --min-coherence 0.05':
         '4ee969b1640467d2f3b051e0cdaf3c7c2b5d8ae48ab8429d2aa12080651bd9a0',
+    'frozen-surface --channel bpf --measure l1 --p 0.5 --n 5 --grid 101 --format csv':
+        '96d4b2615ebf23fbd160d9877c16aef98f42cbfd076e3535c7aab1edc93aaae0',
+    'frozen-surface --channel bpf --measure l1 --p 0.5 --n 5 --grid 101 --format ply':
+        '674494d5bcf2fa77c23b6f9b13d5ba875f81da9b28977aeb212e0ee09dc138e0',
+    'frozen-surface --channel bpf --measure skew --p 0.5 --n 5 --grid 101 --format csv':
+        'a073fdf8d6ca94d8a2f6b3a83dbee9ba8a62658e144adf0fe53b7cff64a4897e',
+    'frozen-surface --channel bpf --measure skew --p 0.5 --n 5 --grid 101 --format ply':
+        '524e23e345d0711e6007b278bdee6928dffb40bb80f0ec8941450f0c275967df',
     'frozen-surface --channel dep --measure l1 --p 1e-4 --n 1 --grid 21 --format csv':
         'd71e0653bd4cc1c45a3f0fb94576f2514df5115ae636360b1d44e6ac4fc781b1',
     'frozen-surface --channel dep --measure l1 --p 1e-4 --n 1 --grid 21 --format ply':

@@ -71,6 +71,14 @@ def test_curve_rejects_incoherent_state_and_bad_grid():
         decay_curve(BF, Measure.L1, REFERENCE, (0, 2), p_count=9)
 
 
+@pytest.mark.parametrize("empty", [lambda: iter(()), lambda: (n for n in ())],
+                         ids=["iterator", "generator"])
+def test_curve_names_an_empty_n_list_by_the_list_it_read(empty):
+    with pytest.raises(ParameterRangeError) as info:
+        decay_curve(BF, Measure.L1, REFERENCE, empty(), p_count=3)
+    assert str(info.value) == "n_list must be nonempty, got []"
+
+
 def test_curve_deterministic_across_runs():
     first = decay_curve(GAD, Measure.SKEW, REFERENCE, (1, 7), p_count=33)
     second = decay_curve(GAD, Measure.SKEW, REFERENCE, (1, 7), p_count=33)
