@@ -61,8 +61,8 @@ COMPLETENESS_TOL = 1e-12
 # largest trace change one channel step may make before it is an internal error
 TRACE_DRIFT_TOL = 1e-12
 # most rows ``evolve_matrices`` steps in one stack; a block holds per row its
-# Kraus products (about 4 KB), their gather form (``_supports``, about 3 KB)
-# and its step's terms (about 4 KB)
+# Kraus products (about 4 KB), their gather form (``_supports``, about 4 KB)
+# and its step's gather index and terms (about 6 KB)
 _ROWS_PER_STACK = 100
 
 
@@ -193,13 +193,14 @@ def single_parameter_kraus_set(kind: ChannelKind, p: float) -> KrausSet:
     return kraus_set(kind, *_single_parameter_args(kind, p))
 
 
-def _supports(products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _supports(products: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The gather form of the (..., K^2, 4, 4) two-qubit Kraus products ``products``.
 
     Every product of the five kinds has at most one nonzero per row, so
     row r of P_k is v[r] times unit row pi(r). Returns the flat indices
     ``4 pi(r) + pi(s)`` of each product's 16 entries, shape (..., K^2, 16),
-    and the row values v, shape (..., K^2, 4); a row of zeros has pi(r) = 0
+    the row values v, shape (..., K^2, 4), and their conjugates, formed
+    here once for every step that uses them; a row of zeros has pi(r) = 0
     and v[r] = 0. A product with two nonzeros in a row has no such form and
     raises InternalNumericalError for the first such row.
     """
@@ -212,30 +213,30 @@ def _supports(products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     columns = np.argmax(nonzero, axis=-1)
     values = np.take_along_axis(products, columns[..., None], axis=-1)[..., 0]
     flat = 4 * columns[..., :, None] + columns[..., None, :]
-    return flat.reshape(columns.shape[:-1] + (16,)), values
+    return flat.reshape(columns.shape[:-1] + (16,)), values, values.conj()
 
 
-def _step(a: np.ndarray, flat: np.ndarray, values: np.ndarray) -> np.ndarray:
+def _step(a: np.ndarray, flat: np.ndarray, values: np.ndarray, conj: np.ndarray) -> np.ndarray:
     """One application of E (x) E to checked density matrices; checks its output.
 
-    ``a`` is an (N, 4, 4) stack, and ``flat``/``values`` are ``_supports``
-    of its rows' (N, K^2, 4, 4) Kraus products. Entry (r, s) of
-    P_k a P_k^dag is the single product v[r] a[pi r, pi s] conj(v[s]): one
-    gather forms every a[pi r, pi s] of a row, and two elementwise
-    multiplies weight them in the order the two matmuls would. Every entry
-    of a product of the five kinds is purely real or purely imaginary, so
-    the matmuls' other terms are exact zeros and these are their bits; the
-    terms are summed from +0.0, in the order of the products, which erases
-    any difference in the sign of a zero. Each output is checked once, by
+    ``a`` is an (N, 4, 4) stack, and ``flat``/``values``/``conj`` are
+    ``_supports`` of its rows' (N, K^2, 4, 4) Kraus products. Entry (r, s)
+    of P_k a P_k^dag is the single product v[r] a[pi r, pi s] conj(v[s]):
+    one ``take`` on the flattened stack, at ``flat`` plus 16 times each
+    row's position in ``a``, forms every a[pi r, pi s] of every row, and two
+    elementwise multiplies weight them in the order the two matmuls would.
+    Every entry of a product of the five kinds is purely real or purely
+    imaginary, so the matmuls' other terms are exact zeros and these are
+    their bits; the terms are summed from +0.0, in the order of the
+    products, which erases any difference in the sign of a zero. Each output is checked once, by
     ``validate_density_matrix`` and for trace drift, so it can be the next
     input unchecked. A check that fails here is the channel's fault, not
     the caller's, so it raises InternalNumericalError.
     """
-    terms = np.take_along_axis(a.reshape(len(a), 1, 16), flat, axis=-1).reshape(
-        flat.shape[:-1] + (4, 4)
-    )
+    offsets = np.arange(0, 16 * len(a), 16).reshape(-1, 1, 1)
+    terms = np.take(a.reshape(-1), flat + offsets).reshape(flat.shape[:-1] + (4, 4))
     np.multiply(values[..., :, None], terms, out=terms)
-    terms *= values.conj()[..., None, :]
+    terms *= conj[..., None, :]
     out = np.add.reduce(terms, axis=-3, initial=0.0)
     try:
         validate_density_matrix(out)
@@ -259,9 +260,10 @@ def apply_n(rho: np.ndarray, kset: KrausSet, n: int | Iterable[int]) -> np.ndarr
 
     ``rho`` is one density matrix or an (N, 4, 4) stack; one matrix runs as
     a stack of one, and every row is stepped through ``kset``, whose
-    products go through ``_supports`` once and are broadcast to every row
-    for ``_per_row_steps``. ``n`` is one count or one per row, each checked
-    before ``rho`` is read; a row stops once it has had its own n steps.
+    products go through ``_supports`` once; its indices, values and
+    conjugates are broadcast to every row and handed to ``_per_row_steps``.
+    ``n`` is one count or one per row, each checked before ``rho`` is read;
+    a row stops once it has had its own n steps.
     ``rho`` is validated once; every later input is a step's checked output.
     Rows with channels of their own go through ``evolve_matrices``.
     """
@@ -334,13 +336,18 @@ def _per_row_steps(rows: np.ndarray, counts: np.ndarray, step, args) -> np.ndarr
     ``step(rows, *args)`` maps a stack of rows to the next one, with
     ``args`` per-row arrays in the order of ``rows``. Nothing is checked:
     the callers give each row one count and one entry of every array. This
-    is the one place that orders rows for stepping: ``rows`` and ``args``
-    are gathered once, by a stable sort on descending count, and run
-    longest first, in phases between distinct counts. The rows still going
-    in a phase are a leading slice of the sorted stack, so no phase copies
-    them, and a row stops once it has had its own count of steps. The
-    inputs are never written.
+    is the one place that orders rows for stepping. When every row has the
+    same count, the rows are stepped as given, with no sort. Otherwise
+    ``rows`` and ``args`` are gathered once, by a stable sort on descending
+    count, and run longest first, in phases between distinct counts. The
+    rows still going in a phase are a leading slice of the sorted stack, so
+    no phase copies them, and a row stops once it has had its own count of
+    steps. The inputs are never written.
     """
+    if len(counts) and (counts == counts[0]).all():
+        for _ in range(int(counts[0])):
+            rows = step(rows, *args)
+        return rows
     order = np.argsort(-counts, kind="stable")
     stack, counts = rows[order], counts[order]
     args = [arg[order] for arg in args]

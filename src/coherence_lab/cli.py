@@ -29,20 +29,28 @@ import numpy as np
 from .channels import (
     ChannelKind,
     CoefficientMapMode,
+    _checked_rows,
+    _evolve_coefficients,
+    _evolve_matrices,
     apply_n,
     coefficient_map,
-    evolve_coefficients,
-    evolve_matrices,
     kraus_set,
     single_parameter_kraus_set,
 )
 from . import __version__
 from .coherence import Measure, closed_measure, closed_measures, matrix_measure
-from .decay import DecayQuery, Engine, decay_rates
+from .decay import DecayQuery, Engine, _matrix_rows, decay_rates
 from .errors import CoherenceLabError, ParameterRangeError, ValidationError, require_count
 from .sampling import Lcg, _draw_states
 from .scan import DecayCurve, SurfacePointCloud, decay_curve, frozen_surface, lattice_axis
-from .states import BellCoefficients, from_density_matrix, require_physical, to_density_matrix
+from .states import (
+    BellCoefficients,
+    _correlations,
+    from_density_matrix,
+    require_physical,
+    to_density_matrix,
+    validate_density_matrix,
+)
 
 P_CLAMP = 1e-12
 
@@ -163,7 +171,8 @@ def _rows(cloud: SurfacePointCloud, sep: str) -> list[str]:
     A run is a maximal stretch of points that share i and j and have
     consecutive k. Each of the grid_res axis values is formatted once and
     each run's ``c1{sep}c2{sep}`` prefix once; a run's string is its lines
-    joined by newlines. An empty cloud gives no strings.
+    joined by newlines, and a run of one point is its one line, with no
+    join. An empty cloud gives no strings.
     """
     indices = cloud.indices
     if not len(indices):
@@ -178,7 +187,10 @@ def _rows(cloud: SurfacePointCloud, sep: str) -> list[str]:
     rows = []
     for i, j, k0, k1 in zip(*firsts, lasts):
         prefix = lead[i] + lead[j]
-        rows.append(prefix + ("\n" + prefix).join(text[k0:k1 + 1]))
+        if k0 == k1:
+            rows.append(prefix + text[k0])
+        else:
+            rows.append(prefix + ("\n" + prefix).join(text[k0:k1 + 1]))
     return rows
 
 
@@ -318,13 +330,16 @@ def _witness(state, channel=None, p=None, n=None, measure=None) -> dict:
 
 
 def _verify_measures(seed: int, trials: int) -> list[tuple[_Deviation, str]]:
-    """Closed forms against the matrix measures, on one (trials, 4, 4) stack."""
+    """Closed forms against the matrix measures, on one (trials, 4, 4) stack.
+
+    The stack is validated once and measured with the unchecked matrix forms.
+    """
     states, _ = _draw_states(Lcg(seed), trials, 0.0, 0)
-    rho = to_density_matrix(BellCoefficients(*states.T))
+    rho = validate_density_matrix(to_density_matrix(BellCoefficients(*states.T)))
     return [
         _worst(
             f"closed vs matrix [{measure.value}]",
-            np.abs(closed_measures(measure, *states.T) - matrix_measure(measure, rho)),
+            np.abs(closed_measures(measure, *states.T) - _matrix_rows(measure, rho)),
             VERIFY_MEASURE_TOL,
             lambda row: _witness(states[row], measure=measure),
         )
@@ -336,27 +351,32 @@ def _verify_coefficient_maps(seed: int, trials: int) -> list[tuple[_Deviation, s
     """The coefficient map against the Kraus route, on one stack of every channel kind.
 
     ``trials`` is unused: the draws are fixed, 60 per channel kind, drawn
-    kind by kind in the order listed.
+    kind by kind in the order listed. The rows' channels are checked by one
+    ``_checked_rows`` call, the drawn rows for physicality and their matrices
+    once each, and both routes then run the twins' unchecked bodies; the
+    evolved matrices are the last step's checked outputs.
     """
     cells = [(kind, p, n) for kind in ChannelKind
              for p in (0.1, 0.3, 0.5, 0.7, 0.9) for n in (1, 2, 5, 9) for _ in range(3)]
     states, _ = _draw_states(Lcg(seed + 1), len(cells), 0.0, 0)
-    kinds, ps, counts = zip(*cells)
-    evolved = evolve_matrices(to_density_matrix(BellCoefficients(*states.T)), kinds, ps, counts)
-    coefficients, residual = from_density_matrix(evolved)
+    require_physical(*states.T)
+    rho = validate_density_matrix(to_density_matrix(BellCoefficients(*states.T)))
+    kinds, ps, counts = _checked_rows(rho, (4, 4), *zip(*cells))
+    coefficients, residual = _correlations(_evolve_matrices(rho, kinds, ps, counts))
     extracted = np.column_stack(coefficients)
 
     def gap(picked, mode):
-        rows = ([part[row] for row in picked] for part in (kinds, ps, counts))
-        mapped = evolve_coefficients(states[picked], *rows, [mode] * len(picked))
+        rows = ([part[row] for row in picked] for part in (kinds, ps))
+        mapped = _evolve_coefficients(states[picked], *rows, counts[picked], [mode] * len(picked))
         return np.max(np.abs(mapped - extracted[picked]), axis=1)
 
     def witness(row):
         return _witness(states[row], *cells[row])
 
+    every = np.arange(len(cells))
     dep = [row for row, kind in enumerate(kinds) if kind is ChannelKind.DEPOLARIZING]
     return [
-        _worst("coefficient map vs Kraus route", gap(range(len(cells)), CoefficientMapMode.DERIVED),
+        _worst("coefficient map vs Kraus route", gap(every, CoefficientMapMode.DERIVED),
                VERIFY_MAP_TOL, witness),
         _worst("Bell-diagonal extraction residual", residual, VERIFY_RESIDUAL_TOL, witness,
                "{check}: max {worst:.3e} (tol {tol:.0e})"),

@@ -163,11 +163,19 @@ def require_bound(name: str, value, strict: bool) -> float:
 
 
 def require_rows(name: str, values, rows: int | None = None) -> list:
-    """Any iterable ``values`` but a str or bytes as a list, of ``rows`` entries if given."""
-    try:
-        listed = None if isinstance(values, (str, bytes)) else list(values)
-    except TypeError:
+    """Any iterable ``values`` but a str or bytes as a list, of ``rows`` entries if given.
+
+    A list comes back as it is, not copied; no caller writes the list it gets.
+    """
+    if isinstance(values, list):
+        listed = values
+    elif isinstance(values, (str, bytes)):
         listed = None
+    else:
+        try:
+            listed = list(values)
+        except TypeError:
+            listed = None
     if listed is None or rows is not None and len(listed) != rows:
         got = type(values).__name__ if listed is None else f"{len(listed)} entries"
         expected = "" if rows is None else f" of {rows} entries"

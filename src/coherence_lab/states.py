@@ -188,8 +188,16 @@ def from_density_matrix(rho: np.ndarray) -> tuple[BellCoefficients, float]:
     arrays, one entry per matrix.
     """
     a = validate_density_matrix(rho)
-    c = [np.trace(a @ m, axis1=-2, axis2=-1).real for m in _CORRELATORS]
-    residual = np.max(np.abs(a - _build_matrix(*c)), axis=(-2, -1))
+    c, residual = _correlations(a)
     if a.ndim == 2:
         return BellCoefficients(*(float(x) for x in c)), float(residual)
     return BellCoefficients(*c), residual
+
+
+def _correlations(a: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """``from_density_matrix`` of validated matrices, as arrays; checks nothing.
+
+    Returns the (c1, c2, c3) arrays and the residual array, one entry per matrix.
+    """
+    c = [np.trace(a @ m, axis1=-2, axis2=-1).real for m in _CORRELATORS]
+    return c, np.max(np.abs(a - _build_matrix(*c)), axis=(-2, -1))

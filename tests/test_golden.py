@@ -8,9 +8,14 @@ rendering must reproduce those bytes exactly.
 rel-ent is left out: its kernel calls ``log``, which may round differently
 on other numpy builds. The property tests in ``test_scan.py`` cover it by
 comparing against the scalar path on the same build.
+
+The oracle is pinned at the CLI as well: every worst value ``verify --json``
+reports at seeds 42 and 7 x 1000 trials, by its float hex, as recorded from
+the per-row ``take_along_axis`` channel step.
 """
 
 import hashlib
+import json
 
 import pytest
 
@@ -207,8 +212,42 @@ def output_digest(argv, out_path):
     return hashlib.sha256(out_path.read_bytes()).hexdigest()
 
 
+# seed -> the float hex of each check's worst value, in report order
+VERIFY_WORST = {
+    42: {
+        'closed vs matrix [l1]': '0x0.0p+0',
+        'closed vs matrix [rel-ent]': '0x1.e000000000000p-51',
+        'closed vs matrix [skew]': '0x1.0780000000000p-46',
+        'coefficient map vs Kraus route': '0x1.8000000000000p-49',
+        'Bell-diagonal extraction residual': '0x1.8000000000000p-50',
+        'dep paper-mode gap vs Kraus route': '0x1.50e54748fdeecp-3',
+        'closed-form vs matrix-oracle decay rate': '0x1.037d800000000p-34',
+    },
+    7: {
+        'closed vs matrix [l1]': '0x0.0p+0',
+        'closed vs matrix [rel-ent]': '0x1.4000000000000p-51',
+        'closed vs matrix [skew]': '0x1.8000000000000p-50',
+        'coefficient map vs Kraus route': '0x1.a000000000000p-50',
+        'Bell-diagonal extraction residual': '0x1.7000000000000p-50',
+        'dep paper-mode gap vs Kraus route': '0x1.c53dfc0ddeac0p-3',
+        'closed-form vs matrix-oracle decay rate': '0x1.2f211e0000000p-40',
+    },
+}
+
+
 @pytest.mark.parametrize("argv", CASES, ids=_case_id)
 def test_output_bytes_match_golden(argv, tmp_path, capsys):
     digest = output_digest(argv, tmp_path / "out")
     capsys.readouterr()
     assert digest == GOLDEN[_case_id(argv)]
+
+
+@pytest.mark.parametrize("seed", sorted(VERIFY_WORST))
+def test_verify_worst_values_match_golden(seed, tmp_path, capsys):
+    path = tmp_path / "verify.json"
+    assert main(["verify", "--seed", str(seed), "--trials", "1000", "--json", str(path)]) == 0
+    capsys.readouterr()
+    report = json.loads(path.read_text())
+    worst = {check["check"]: float(check["worst"]).hex()
+             for suite in report["suites"] for check in suite["checks"]}
+    assert list(worst.items()) == list(VERIFY_WORST[seed].items())

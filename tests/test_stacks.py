@@ -48,7 +48,7 @@ from coherence_lab import (
     to_density_matrix,
     von_neumann_entropy,
 )
-from coherence_lab import channels, coherence, decay
+from coherence_lab import channels, cli, coherence, decay
 from coherence_lab import states as states_module
 from coherence_lab.channels import _evolve_rows, evolve_matrices
 from coherence_lab.states import require_physical, validate_density_matrix
@@ -192,6 +192,36 @@ def test_the_stepping_loop_never_writes_its_inputs(counts):
                          for k in rows])
     _same_bits(stepped, [apply_n(rho[k], single_parameter_kraus_set(kinds[k], ps[k]),
                                  int(counts[k])) for k in rows])
+
+
+def test_equal_counts_step_as_the_general_path_does():
+    # equal counts step the rows as given, with no gathered copy; one more row
+    # of another count sends the same rows through the sort, and they come
+    # out with the same bits
+    rho = _bell_stack(5)
+    coefficients = np.array([BellCoefficients(0.6 - 0.1 * k, 0.1, 0.2) for k in range(5)])
+    ps = [0.1 + 0.15 * k for k in range(5)]
+    _, products = channels._kraus_sets(ChannelKind.DEPOLARIZING, ps, None)
+    factors = np.array([per_iteration_factors(ChannelKind.DEPOLARIZING, p) for p in ps])
+    for rows, step, args in ((rho, channels._step, channels._supports(products)),
+                             (coefficients, np.multiply, (factors,))):
+        inputs = (rows, *args)
+        saved = [x.tobytes() for x in inputs]
+        for x in inputs:
+            x.setflags(write=False)
+        stepped = []
+
+        def recording(head, *cut):
+            stepped.append(head)
+            return step(head, *cut)
+
+        equal = channels._per_row_steps(rows, np.full(5, 3), recording, args)
+        assert stepped[0] is rows and len(stepped) == 3
+        general = channels._per_row_steps(np.concatenate([rows, rows[:1]]),
+                                          np.array([3, 3, 3, 3, 3, 1]), step,
+                                          [np.concatenate([x, x[:1]]) for x in args])
+        assert equal.tobytes() == general[:5].tobytes()
+        assert [x.tobytes() for x in inputs] == saved
 
 
 def _mixed_queries(seed, crowded, engine):
@@ -462,7 +492,7 @@ def _record_calls(monkeypatch, original, record):
         record(*args)
         return original(*args)
 
-    for module in (states_module, channels, coherence, decay):
+    for module in (states_module, channels, coherence, decay, cli):
         if getattr(module, original.__name__, None) is original:
             monkeypatch.setattr(module, original.__name__, wrapper)
 
@@ -496,3 +526,27 @@ def test_a_closed_decay_rates_call_checks_each_row_physical_once(monkeypatch):
 
     assert rows(handed) == rows([initial, evolved])
     assert checked == [len(queries)]
+
+
+def test_a_verify_run_validates_each_stack_once(monkeypatch, capsys):
+    # the measures stack once; the coefficient maps' initial matrices once and
+    # each step's output once, with no second look at the evolved stack; the
+    # oracle engine's initial matrices once and each step's output once
+    trials = 7
+    validated = []
+    _record_calls(monkeypatch, validate_density_matrix,
+                  lambda rho: validated.append(np.size(rho) // 16))
+    assert cli.main(["verify", "--seed", "42", "--trials", str(trials)]) == 0
+    capsys.readouterr()
+    map_rows = 5 * len(ChannelKind) * 4 * 3
+    map_steps = 5 * len(ChannelKind) * (1 + 2 + 5 + 9) * 3
+    engine_steps = sum(1 + index % 12 for index in range(trials))
+    assert validated[:2] == [trials, map_rows]
+    assert sum(validated) == trials + map_rows + map_steps + trials + engine_steps
+
+
+def test_the_coefficient_maps_suite_checks_its_rows_once(monkeypatch):
+    checked = []
+    _record_calls(monkeypatch, channels._checked_rows, lambda *args: checked.append(len(args[0])))
+    cli._verify_coefficient_maps(42, 1)
+    assert checked == [5 * len(ChannelKind) * 4 * 3]
