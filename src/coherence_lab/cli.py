@@ -38,15 +38,14 @@ from .channels import (
     single_parameter_kraus_set,
 )
 from . import __version__
-from .coherence import Measure, closed_measure, closed_measures, matrix_measure
-from .decay import DecayQuery, Engine, _matrix_rows, decay_rates
+from .coherence import Measure, _matrix_rows, closed_measure, closed_measures
+from .decay import DecayQuery, Engine, decay_rates
 from .errors import CoherenceLabError, ParameterRangeError, ValidationError, require_count
 from .sampling import Lcg, _draw_states
 from .scan import DecayCurve, SurfacePointCloud, decay_curve, frozen_surface, lattice_axis
 from .states import (
     BellCoefficients,
     _correlations,
-    from_density_matrix,
     require_physical,
     to_density_matrix,
     validate_density_matrix,
@@ -168,24 +167,15 @@ def _metadata_comment(cloud: SurfacePointCloud) -> str:
 def _rows(cloud: SurfacePointCloud, sep: str) -> list[str]:
     """The cloud's lines, one per point with each coordinate as ``{:.9g}``, one string per run.
 
-    A run is a maximal stretch of points that share i and j and have
-    consecutive k. Each of the grid_res axis values is formatted once and
-    each run's ``c1{sep}c2{sep}`` prefix once; a run's string is its lines
-    joined by newlines, and a run of one point is its one line, with no
-    join. An empty cloud gives no strings.
+    Each of the cloud's runs (i, j, k0, k1) is taken as it is. Each of the
+    grid_res axis values is formatted once and each run's ``c1{sep}c2{sep}``
+    prefix once; a run's string is its lines joined by newlines, and a run
+    of one point is its one line, with no join. An empty cloud gives no strings.
     """
-    indices = cloud.indices
-    if not len(indices):
-        return []
     text = [f"{v:.9g}" for v in lattice_axis(cloud.grid_res).tolist()]
     lead = [t + sep for t in text]
-    steps = np.diff(indices, axis=0)
-    # a run ends where the next point is not one k step on in the same row
-    ends = np.flatnonzero((steps[:, 0] != 0) | (steps[:, 1] != 0) | (steps[:, 2] != 1))
-    firsts = indices[np.append(0, ends + 1)].T.tolist()
-    lasts = indices[np.append(ends, -1), 2].tolist()
     rows = []
-    for i, j, k0, k1 in zip(*firsts, lasts):
+    for i, j, k0, k1 in cloud.runs.tolist():
         prefix = lead[i] + lead[j]
         if k0 == k1:
             rows.append(prefix + text[k0])
@@ -204,7 +194,7 @@ def _cloud_ply(cloud: SurfacePointCloud) -> str:
         "ply",
         "format ascii 1.0",
         f"comment {_metadata_comment(cloud)}",
-        f"element vertex {len(cloud.indices)}",
+        f"element vertex {cloud.metadata()['points']}",
         "property float x",
         "property float y",
         "property float z",
@@ -246,11 +236,12 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
             kset = kraus_set(kind, p, _clamped_probability(args, "gamma"))
         else:
             kset = single_parameter_kraus_set(kind, p)
+        # apply_n checks its last step's output, so it is read unchecked
         rho = apply_n(to_density_matrix(state), kset, args.n)
-        evolved, residual = from_density_matrix(rho)
+        evolved, residual = _correlations(rho)
         residual = f"{residual:.3e}"
-        value_of = lambda m: matrix_measure(m, rho)
-    print(f"state: {evolved.c1:.12g},{evolved.c2:.12g},{evolved.c3:.12g}")
+        value_of = lambda m: float(_matrix_rows(m, rho))
+    print("state: " + ",".join(f"{c:.12g}" for c in evolved))
     print(f"residual: {residual}")
     _print_measure_triple(value_of)
     return 0
@@ -287,7 +278,8 @@ def _cmd_frozen_surface(args: argparse.Namespace) -> int:
         render = _cloud_ply if args.format == "ply" else _cloud_csv
         write(render(cloud))
     if args.out is not None:
-        print(f"wrote {args.out}: points={len(cloud.indices)} components={cloud.components}")
+        points = cloud.metadata()["points"]
+        print(f"wrote {args.out}: points={points} components={cloud.components}")
     return 0
 
 
@@ -359,7 +351,6 @@ def _verify_coefficient_maps(seed: int, trials: int) -> list[tuple[_Deviation, s
     cells = [(kind, p, n) for kind in ChannelKind
              for p in (0.1, 0.3, 0.5, 0.7, 0.9) for n in (1, 2, 5, 9) for _ in range(3)]
     states, _ = _draw_states(Lcg(seed + 1), len(cells), 0.0, 0)
-    require_physical(*states.T)
     rho = validate_density_matrix(to_density_matrix(BellCoefficients(*states.T)))
     kinds, ps, counts = _checked_rows(rho, (4, 4), *zip(*cells))
     coefficients, residual = _correlations(_evolve_matrices(rho, kinds, ps, counts))

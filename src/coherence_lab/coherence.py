@@ -24,7 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import Choice, InternalNumericalError
-from .linalg import psd_sqrt, raise_for_first, row_value, von_neumann_entropy
+from .linalg import _xlnx, psd_sqrt, raise_for_first, row_value, von_neumann_entropy
 from .states import (
     BellCoefficients,
     parities,
@@ -34,7 +34,6 @@ from .states import (
 )
 
 NEGATIVE_CLAMP = 1e-12
-XLNX_FLOOR = 1e-15
 
 
 class Measure(Choice):
@@ -57,23 +56,6 @@ def clamped_array(values: np.ndarray) -> np.ndarray:
         f"coherence value {row_value(values, row)!r} is negative beyond round-off"
     ))
     return np.where(negative, 0.0, values)
-
-
-def _xlnx(x):
-    """x ln x extended by continuity with 0 at x <= XLNX_FLOOR and at NaN.
-
-    A plain log and an in-place product, which give the bits a masked log
-    would; the entries at or below the floor (0 and negative round-off
-    included) and NaNs are zeroed only when there are any. The log is
-    unguarded, so callers run this under np.errstate.
-    """
-    x = np.asarray(x)
-    out = np.empty(x.shape, np.result_type(x, XLNX_FLOOR))
-    np.log(x, out=out)
-    out *= x
-    if x.size and not x.min() > XLNX_FLOOR:
-        np.copyto(out, 0.0, where=np.logical_not(x > XLNX_FLOOR))
-    return out
 
 
 def l1_kernel(c1, c2):
@@ -192,9 +174,14 @@ def closed_measure(measure: Measure, c: BellCoefficients) -> float:
 def matrix_measure(measure: Measure, rho: np.ndarray) -> float | np.ndarray:
     """Definition-level value of ``measure`` on ``rho``, or per matrix of a stack.
 
-    ``rho`` is validated once, after the measure name; the forms take the result.
+    ``rho`` is validated once, after the measure name; ``_matrix_rows`` takes the result.
     """
-    form = _MATRIX[Measure(measure)]
+    measure = Measure(measure)
     a = validate_density_matrix(rho)
-    values = clamped_array(form(a))
+    values = _matrix_rows(measure, a)
     return float(values) if a.ndim == 2 else values
+
+
+def _matrix_rows(measure: Measure, matrices: np.ndarray) -> np.ndarray:
+    """``matrix_measure`` of validated ``matrices``, (4, 4) or (..., 4, 4), checking nothing."""
+    return clamped_array(_MATRIX[measure](matrices))

@@ -14,7 +14,7 @@ from .channels import (
     _evolve_coefficients,
     _evolve_matrices,
 )
-from .coherence import _MATRIX, Measure, clamped_array, closed_measures
+from .coherence import Measure, _matrix_rows, closed_measures
 from .errors import Choice, IncoherentStateError, ValidationError, require_bound, require_rows
 from .linalg import raise_for_first, row_value
 from .states import BellCoefficients, stack_states, to_density_matrix, validate_density_matrix
@@ -122,11 +122,6 @@ def _ratio(measure, rows: np.ndarray, evolve) -> np.ndarray:
 def _closed_rows(measure: Measure, coefficients: np.ndarray) -> np.ndarray:
     """``closed_measures`` of the (N, 3) rows ``coefficients``."""
     return closed_measures(measure, *coefficients.T)
-
-
-def _matrix_rows(measure: Measure, matrices: np.ndarray) -> np.ndarray:
-    """``matrix_measure`` of the validated (N, 4, 4) ``matrices``, with no second validation."""
-    return clamped_array(_MATRIX[measure](matrices))
 
 
 def _by_measure(measures: list[Measure], rows: np.ndarray, evaluate) -> np.ndarray:

@@ -25,7 +25,7 @@ from .errors import (
 HERMITIAN_TOL = 1e-12
 PSD_TOL = 1e-12
 TRACE_TOL = 1e-10
-ENTROPY_FLOOR = 1e-15
+XLNX_FLOOR = 1e-15
 SQRT_RECONSTRUCTION_TOL = 1e-10
 
 
@@ -121,18 +121,34 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     return root
 
 
+def _xlnx(x):
+    """x ln x extended by continuity with 0 at x <= XLNX_FLOOR and at NaN.
+
+    A plain log and an in-place product, which give the bits a masked log
+    would; the entries at or below the floor (0 and negative round-off
+    included) and NaNs are zeroed only when there are any. The log is
+    unguarded, so callers run this under np.errstate.
+    """
+    x = np.asarray(x)
+    out = np.empty(x.shape, np.result_type(x, XLNX_FLOOR))
+    np.log(x, out=out)
+    out *= x
+    if x.size and not x.min() > XLNX_FLOOR:
+        np.copyto(out, 0.0, where=np.logical_not(x > XLNX_FLOOR))
+    return out
+
+
 def von_neumann_entropy(m: np.ndarray) -> float | np.ndarray:
     """S(rho) = -Tr(rho ln rho) in nats, with the 0*ln0 limit taken as 0.
 
     Requires Hermitian PSD matrices of unit trace; a stack gives one entropy
-    per matrix. Eigenvalues at or below ENTROPY_FLOOR contribute nothing; the
-    result is clamped to be nonnegative.
+    per matrix. Eigenvalues at or below XLNX_FLOOR contribute nothing
+    (``_xlnx``); the result is clamped to be nonnegative.
     """
     w, _ = hermitian_eigensystem(m)
     require_psd(w[..., 0])
     require_unit_trace(np.sum(w, axis=-1))
-    big = w > ENTROPY_FLOOR
-    safe = np.where(big, w, 1.0)
-    entropy = -np.sum(np.where(big, safe * np.log(safe), 0.0), axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        entropy = -np.sum(_xlnx(w), axis=-1)
     entropy = np.where(entropy < 0.0, 0.0, entropy)
     return float(entropy) if w.ndim == 1 else entropy

@@ -34,12 +34,11 @@ selects.
 Every value is formed by the scalar path's operations in its order, so each
 lattice point's rate is bit for bit its ``decay_rate``. The two coherence
 floors are one compare, against the larger of nextafter(COHERENCE_FLOOR,
-inf) and min_coherence. The cloud keeps the kept points' integer lattice
-indices, expanded from each plane's frozen runs as the plane loop finds
-them, so they come in lattice order with no search of the cube. A grid^3
-bool mask is filled from them only to label components, and only when the
-cloud is nonempty. Coordinates are derived from ``lattice_axis`` on demand;
-renderers work from the indices, one run of consecutive k at a time.
+inf) and min_coherence. The cloud is its frozen runs (i, j, k0, k1), as
+the plane loop finds them, in lattice order with no search of the cube: an
+l1 row's whole run, or one run per point. A grid^3 bool mask is filled from
+them only to label components, and only when the cloud is nonempty. Point
+indices and coordinates are expanded on demand; renderers take the runs.
 """
 
 from __future__ import annotations
@@ -127,8 +126,14 @@ class SurfacePointCloud:
     grid_res: int
     tol: float
     min_coherence: float
-    indices: np.ndarray  # shape (N, 3), integer lattice indices in lattice order
+    runs: np.ndarray  # shape (R, 4), np.intp rows (i, j, k0, k1) in lattice order
     components: int
+
+    @property
+    def indices(self) -> np.ndarray:
+        """The (N, 3) lattice indices (i, j, k) of the points, the runs expanded in order."""
+        ij, k = _run_points(self.runs[:, :2], self.runs[:, 2], self.runs[:, 3])
+        return np.column_stack((ij, k))
 
     @property
     def points(self) -> np.ndarray:
@@ -145,7 +150,7 @@ class SurfacePointCloud:
             "grid": self.grid_res,
             "tol": self.tol,
             "min_coherence": self.min_coherence,
-            "points": len(self.indices),
+            "points": int(np.sum(self.runs[:, 3] - self.runs[:, 2] + 1)),
             "components": self.components,
         }
 
@@ -167,10 +172,11 @@ def _row_runs(grid_res: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _run_points(rows: np.ndarray, first: np.ndarray, last: np.ndarray):
-    """The (j, k) index pairs of the runs first[r] <= k <= last[r] of rows j = rows[r], in order."""
+    """The points of the runs first[r] <= k <= last[r] of rows[r] (j or (i, j)): rows[r], and k."""
     lengths = last - first + 1
     offsets = np.cumsum(lengths) - lengths  # where each run starts in the output
-    return np.repeat(rows, lengths), np.repeat(first - offsets, lengths) + np.arange(lengths.sum())
+    return (np.repeat(rows, lengths, axis=0),
+            np.repeat(first - offsets, lengths) + np.arange(lengths.sum()))
 
 
 def _runs_physical(e1, e2, e3, first, last) -> bool:
@@ -209,8 +215,8 @@ def frozen_surface(
     with none is evaluated once per row of the plane, any other once per
     physical point. The evolved states' physicality is checked once per
     scan at the ends of each row's run of physical points, for every measure.
-    The kept indices are expanded from each plane's frozen runs as they are
-    found; a grid^3 mask is filled from them only for ``ndimage.label``.
+    Each plane's frozen runs are kept as they are found, never merged; a
+    grid^3 mask is filled from them only for ``ndimage.label``.
 
     Parameters
     ----------
@@ -223,9 +229,9 @@ def frozen_surface(
 
     Returns
     -------
-    SurfacePointCloud whose ``indices`` are the kept points' (i, j, k)
-    lattice indices in ascending lattice order; ``points`` gives their
-    coordinates ``lattice_axis(grid_res)[indices]``.
+    SurfacePointCloud whose ``runs`` (i, j, k0, k1), in lattice order, are
+    an l1 row's whole run of physical points or one point of any other
+    measure; ``indices`` expands them and ``points`` gives coordinates.
     """
     kind = ChannelKind(kind)
     measure = Measure(measure)
@@ -253,7 +259,7 @@ def frozen_surface(
     runs_physical = _runs_physical(e1, e2, e3, first, last)
     # the measure's terms in c3 alone: one table per axis, gathered by k
     terms, evolved_terms = _C3_TERMS[measure](axis), _C3_TERMS[measure](e3)
-    kept = []  # each plane's frozen (i, j, k) points, in lattice order
+    kept = []  # each plane's frozen (i, j, k0, k1) runs, in lattice order
     # the labelling mask. Only a nonempty cloud fills it, but every scan
     # allocates it: when this grid^3 block is freed, glibc raises its mmap
     # and trim thresholds, and later scans in the process then keep their
@@ -280,14 +286,14 @@ def frozen_surface(
         after = clamped_array(_KERNELS[measure](e1[i], e2[j], *(t[start] for t in evolved_terms)))
         frozen = np.abs(after / before - 1.0) <= tol
         if frozen.any():
-            j_kept, k_kept = _run_points(j[frozen], start[frozen], stop[frozen])
-            kept.append(np.column_stack((np.full_like(j_kept, i), j_kept, k_kept)))
+            kept.append(np.column_stack((np.full_like(j, i), j, start, stop))[frozen])
     if kept:
-        indices = np.concatenate(kept)
-        mask[tuple(indices.T)] = True
+        runs = np.concatenate(kept)
+        ij, k = _run_points(runs[:, :2], runs[:, 2], runs[:, 3])
+        mask[ij[:, 0], ij[:, 1], k] = True
         _, components = ndimage.label(mask)
     else:  # an empty cloud has nothing to label
-        components, indices = 0, np.empty((0, 3), dtype=np.intp)
+        components, runs = 0, np.empty((0, 4), dtype=np.intp)
     return SurfacePointCloud(
         kind=kind,
         measure=measure,
@@ -297,6 +303,6 @@ def frozen_surface(
         grid_res=grid_res,
         tol=tol,
         min_coherence=min_coherence,
-        indices=indices,
+        runs=runs,
         components=int(components),
     )

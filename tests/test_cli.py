@@ -257,28 +257,42 @@ def _per_point_rows(cloud, sep):
 
 
 @st.composite
-def _lattice_index_sets(draw):
-    """An odd grid in 3..21 and a sorted set of its (i, j, k) indices, drawn as k runs."""
+def _lattice_runs(draw):
+    """An odd grid in 3..21 and disjoint (i, j, k0, k1) runs in lattice order, some adjacent.
+
+    Points are drawn as k stretches; each point after the first of a
+    stretch either extends the run before it or starts a run of its own.
+    """
     grid = draw(st.integers(1, 10).map(lambda half: 2 * half + 1))
     index = st.integers(0, grid - 1)
-    runs = draw(st.lists(st.tuples(index, index, index, st.integers(1, grid)), max_size=12))
-    return grid, sorted({(i, j, k) for i, j, k0, length in runs
-                         for k in range(k0, min(k0 + length, grid))})
+    stretches = draw(st.lists(st.tuples(index, index, index, st.integers(1, grid)), max_size=12))
+    points = sorted({(i, j, k) for i, j, k0, length in stretches
+                     for k in range(k0, min(k0 + length, grid))})
+    splits = draw(st.lists(st.booleans(), min_size=len(points), max_size=len(points)))
+    runs = []
+    for (i, j, k), split in zip(points, splits):
+        if runs and runs[-1][:2] == [i, j] and runs[-1][3] == k - 1 and not split:
+            runs[-1][3] = k
+        else:
+            runs.append([i, j, k, k])
+    return grid, runs
 
 
 @settings(max_examples=200, deadline=None)
-@given(_lattice_index_sets(), st.sampled_from([",", " "]))
+@given(_lattice_runs(), st.sampled_from([",", " "]))
 @example((5, []), ",")  # an empty cloud
-@example((5, [(0, 0, 0), (0, 0, 2), (1, 3, 4), (2, 2, 1)]), " ")  # runs of one
-@example((11, [(0, 0, 5), (0, 1, 6)]), ",")  # consecutive k across a row change
-@example((11, [(0, 4, 9), (1, 0, 10)]), " ")  # consecutive k across a plane change
+@example((5, [(0, 0, 0, 0), (0, 0, 2, 2), (1, 3, 4, 4), (2, 2, 1, 1)]), " ")  # runs of one
+@example((7, [(1, 2, 0, 2), (1, 2, 3, 3), (1, 2, 4, 6)]), ",")  # adjacent runs in one row
+@example((11, [(0, 0, 5, 5), (0, 1, 6, 8)]), " ")  # consecutive k across a row change
+@example((11, [(0, 4, 7, 9), (1, 0, 10, 10)]), ",")  # consecutive k across a plane change
 def test_cloud_rows_equal_the_per_point_reference(case, sep):
-    grid, indices = case
+    grid, runs = case
     cloud = SurfacePointCloud(
         ChannelKind.BIT_FLIP, Measure.L1, 0.5, 1, CoefficientMapMode.DERIVED, grid, 1e-3, 1e-4,
-        np.array(indices, dtype=np.intp).reshape(-1, 3), 0,
+        np.array(runs, dtype=np.intp).reshape(-1, 4), 0,
     )
     rows = cli._rows(cloud, sep)
+    assert len(rows) == len(runs)  # one string per run, as the runs are
     assert ("\n".join(rows).split("\n") if rows else []) == _per_point_rows(cloud, sep)
 
 

@@ -15,12 +15,12 @@ from coherence_lab import (
     to_density_matrix,
 )
 from coherence_lab.coherence import (
-    XLNX_FLOOR,
     clamped_array,
     closed_measures,
     dephased_entropy,
     rel_entropy_kernel,
 )
+from coherence_lab.linalg import XLNX_FLOOR
 from coherence_lab.states import PHYSICAL_TOL, physical_mask
 from conftest import REFERENCE, VERTICES, physical_coefficients
 

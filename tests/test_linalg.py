@@ -15,6 +15,7 @@ from coherence_lab import (
     to_density_matrix,
     von_neumann_entropy,
 )
+from coherence_lab.linalg import XLNX_FLOOR, _xlnx
 from coherence_lab.states import validate_density_matrix
 from conftest import REFERENCE
 
@@ -195,3 +196,31 @@ def test_numeric_matrices_keep_their_bits(routine, reference, forms):
 
 def test_a_stack_of_no_matrices_stays_valid():
     assert validate_density_matrix(np.zeros((0, 4, 4), dtype=complex)).shape == (0, 4, 4)
+
+
+ABOVE_FLOOR = float(np.nextafter(XLNX_FLOOR, 1.0))
+
+
+@pytest.mark.parametrize("rest", [[], [0.5], [0.0, 0.5]])
+def test_xlnx_is_zero_at_exactly_its_floor(rest):
+    # the floor itself is the least entry, or sits beside one below it
+    with np.errstate(divide="ignore", invalid="ignore"):  # as every caller runs it
+        out = _xlnx(np.array([XLNX_FLOOR, *rest]))
+    assert out[0] == 0.0
+    assert np.array_equal(out[1:], [x * np.log(x) if x else 0.0 for x in rest])
+
+
+def test_xlnx_is_x_ln_x_one_ulp_above_its_floor():
+    out = _xlnx(np.array([ABOVE_FLOOR, 0.25]))
+    assert out[0] == np.log(ABOVE_FLOOR) * ABOVE_FLOOR != 0.0
+    assert out[1] == np.log(0.25) * 0.25
+
+
+@pytest.mark.parametrize("small", [XLNX_FLOOR, ABOVE_FLOOR])
+def test_entropy_counts_an_eigenvalue_only_above_the_floor(small):
+    # a diagonal matrix, whose eigenvalues come back as its entries
+    w = np.array([small, 0.25, 0.25, 0.5 - small])
+    entropy = von_neumann_entropy(np.diag(w))
+    assert np.array_equal(np.linalg.eigvalsh(np.diag(w).astype(complex)), w)
+    first = small * np.log(small) if small > XLNX_FLOOR else 0.0
+    assert entropy == -np.sum([first, *(x * np.log(x) for x in w[1:])])

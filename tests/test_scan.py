@@ -148,6 +148,40 @@ def test_surface_empty_cloud_is_valid():
     assert cloud.metadata()["points"] == 0
 
 
+def _check_runs(cloud):
+    """The cloud's runs are its stored form: sorted, disjoint rows (i, j, k0, k1) of the lattice."""
+    runs = cloud.runs
+    assert runs.dtype == np.intp and runs.shape == (len(runs), 4)
+    i, j, k0, k1 = runs.T
+    first, last = _row_runs(cloud.grid_res)
+    assert np.all((first[i, j] <= k0) & (k0 <= k1) & (k1 <= last[i, j]))
+    # each run starts after the one before it ends, in lattice order
+    ends = np.column_stack((i, j, k1))[:-1].tolist()
+    assert all(end < start for end, start in zip(ends, np.column_stack((i, j, k0))[1:].tolist()))
+    if cloud.measure is Measure.L1:  # a frozen l1 row keeps its whole run
+        assert np.array_equal(k0, first[i, j]) and np.array_equal(k1, last[i, j])
+    else:  # any other measure keeps one run per point
+        assert np.array_equal(k0, k1)
+    indices = cloud.indices
+    assert indices.dtype == np.intp and indices.flags.c_contiguous
+    assert cloud.metadata()["points"] == len(indices) == np.sum(k1 - k0 + 1)
+
+
+@pytest.mark.parametrize("grid_res", [21, 41])
+@pytest.mark.parametrize("measure", list(Measure))
+@pytest.mark.parametrize("kind", [BF, ChannelKind.BIT_PHASE_FLIP])
+def test_a_cloud_is_its_frozen_runs(kind, measure, grid_res):
+    cloud = frozen_surface(kind, measure, 0.5, 1, grid_res=grid_res)
+    assert len(cloud.runs) > 0
+    _check_runs(cloud)
+
+
+def test_an_empty_cloud_has_no_runs():
+    cloud = frozen_surface(GAD, Measure.REL_ENT, 0.5, 24, grid_res=21)
+    assert cloud.runs.shape == (0, 4)
+    _check_runs(cloud)
+
+
 def test_surface_shrinkage_in_n():
     for kind in (ChannelKind.PHASE_FLIP, ChannelKind.DEPOLARIZING, GAD, BF):
         counts = [

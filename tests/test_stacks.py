@@ -3,7 +3,7 @@
 Every matrix routine takes one (4, 4) matrix or an (N, 4, 4) stack and runs
 the same code for both. These properties hold the stacked results to the
 per-matrix ones with ``tobytes`` (signs of zeros included), on face, edge
-and vertex states, where zero eigenvalues reach the ENTROPY_FLOOR and
+and vertex states, where zero eigenvalues reach the XLNX_FLOOR and
 PSD_TOL snaps, and on non-Bell-diagonal states from the two-parameter gad
 channel. A bad matrix anywhere in a stack raises the error, and the
 message, that it raises on its own. Stacks that mix channel kinds and
@@ -550,3 +550,25 @@ def test_the_coefficient_maps_suite_checks_its_rows_once(monkeypatch):
     _record_calls(monkeypatch, channels._checked_rows, lambda *args: checked.append(len(args[0])))
     cli._verify_coefficient_maps(42, 1)
     assert checked == [5 * len(ChannelKind) * 4 * 3]
+
+
+def test_the_coefficient_maps_suite_checks_its_rows_physical_once(monkeypatch):
+    # in ``to_density_matrix``, on all of the suite's rows at once
+    handed = []
+    _record_calls(monkeypatch, require_physical, lambda *c: handed.append(np.size(c[0])))
+    cli._verify_coefficient_maps(42, 1)
+    assert handed == [5 * len(ChannelKind) * 4 * 3]
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_a_kraus_evolve_validates_n_plus_one_matrices(monkeypatch, capsys, n):
+    # the initial matrix in ``apply_n``, then each step's output in ``_step``;
+    # the last output is extracted and measured with no second look
+    validated = []
+    _record_calls(monkeypatch, validate_density_matrix,
+                  lambda rho: validated.append(np.size(rho) // 16))
+    argv = ["evolve", "--method", "kraus", "--channel", "dep", "--p", "0.3", "--n", str(n),
+            "--state=0.3,-0.2,0.1"]
+    assert cli.main(argv) == 0
+    capsys.readouterr()
+    assert validated == [1] * (n + 1)

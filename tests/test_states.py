@@ -21,7 +21,7 @@ from coherence_lab import (
     to_density_matrix,
 )
 from coherence_lab.linalg import require_hermitian
-from coherence_lab.states import physical_mask, validate_density_matrix
+from coherence_lab.states import PHYSICAL_TOL, parities, physical_mask, validate_density_matrix
 from conftest import REFERENCE, VERTICES, physical_coefficients
 
 
@@ -149,3 +149,23 @@ def test_sampling_accepts_l1_floors_below_one():
     for min_l1 in (0, 0.0, np.float64(0.5), 0.9):
         states = sample_states(3, 4, min_l1=min_l1)
         assert all(is_physical(c) and max(abs(c.c1), abs(c.c2)) >= min_l1 for c in states)
+
+
+EDGE = 4.0 * PHYSICAL_TOL
+
+
+# c1 = +-1 makes 1 -+ c1 exactly 0 or 2, so each point's one small parity is
+# -x with no rounding; at x = EDGE it sits exactly on -4 PHYSICAL_TOL
+@pytest.mark.parametrize("parity, point", [
+    (0, lambda x: (1.0, x, 0.0)),
+    (1, lambda x: (-1.0, 0.0, x)),
+    (2, lambda x: (-1.0, x, 0.0)),
+    (3, lambda x: (1.0, -x, 0.0)),
+])
+def test_physical_mask_keeps_each_parity_at_exactly_its_limit(parity, point):
+    q = parities(*point(EDGE))
+    assert q[parity] == -4.0 * PHYSICAL_TOL
+    assert all(value > 0.0 for index, value in enumerate(q) if index != parity)
+    assert physical_mask(*point(EDGE))
+    assert physical_mask(*point(float(np.nextafter(EDGE, 0.0))))
+    assert not physical_mask(*point(float(np.nextafter(EDGE, 1.0))))
