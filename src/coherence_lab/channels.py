@@ -28,6 +28,10 @@ Every two-qubit product of the five kinds has at most one nonzero per row,
 so a channel step (``_step``) gathers each entry of P_k rho P_k^dag from
 rho instead of multiplying 4x4 matrices; ``_supports`` turns the products
 into the indices and values it gathers with, and refuses any other product.
+A step checks only trace drift. A Kraus sum maps PSD Hermitian matrices to
+PSD Hermitian matrices, so only rounding can break those properties
+between steps; ``_kraus_steps``, the one place a stepped stack leaves the
+oracle, validates each final matrix once.
 """
 
 from __future__ import annotations
@@ -217,7 +221,7 @@ def _supports(products: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def _step(a: np.ndarray, flat: np.ndarray, values: np.ndarray, conj: np.ndarray) -> np.ndarray:
-    """One application of E (x) E to checked density matrices; checks its output.
+    """One application of E (x) E to a stack of density matrices; checks its trace drift.
 
     ``a`` is an (N, 4, 4) stack, and ``flat``/``values``/``conj`` are
     ``_supports`` of its rows' (N, K^2, 4, 4) Kraus products. Entry (r, s)
@@ -228,26 +232,36 @@ def _step(a: np.ndarray, flat: np.ndarray, values: np.ndarray, conj: np.ndarray)
     Every entry of a product of the five kinds is purely real or purely
     imaginary, so the matmuls' other terms are exact zeros and these are
     their bits; the terms are summed from +0.0, in the order of the
-    products, which erases any difference in the sign of a zero. Each output is checked once, by
-    ``validate_density_matrix`` and for trace drift, so it can be the next
-    input unchecked. A check that fails here is the channel's fault, not
-    the caller's, so it raises InternalNumericalError.
+    products, which erases any difference in the sign of a zero. Each output
+    is checked for trace drift only, which catches a wrong product on its
+    first step; a drift is the channel's fault, not the caller's, so it
+    raises InternalNumericalError. ``_kraus_steps`` validates the last output.
     """
     offsets = np.arange(0, 16 * len(a), 16).reshape(-1, 1, 1)
     terms = np.take(a.reshape(-1), flat + offsets).reshape(flat.shape[:-1] + (4, 4))
     np.multiply(values[..., :, None], terms, out=terms)
     terms *= conj[..., None, :]
     out = np.add.reduce(terms, axis=-3, initial=0.0)
-    try:
-        validate_density_matrix(out)
-    except ValidationError as exc:
-        raise InternalNumericalError(f"channel output: {exc}") from exc
     trace = out.trace(axis1=-2, axis2=-1).real
     drift = np.abs(trace - a.trace(axis1=-2, axis2=-1).real)
     raise_for_first(drift > TRACE_DRIFT_TOL, lambda row: InternalNumericalError(
         f"channel application drifted trace by {row_value(drift, row):.3e}"
     ))
     return out
+
+
+def _kraus_steps(rows: np.ndarray, counts: np.ndarray, supports) -> np.ndarray:
+    """``rows`` after each row's own count of ``_step``s, every matrix validated once.
+
+    ``supports`` is ``_supports`` of the rows' Kraus products, one entry per
+    row. This is where a stepped stack leaves the oracle: its final
+    matrices go through ``validate_density_matrix`` once, and a failure,
+    the channel's fault, raises InternalNumericalError.
+    """
+    try:
+        return validate_density_matrix(_per_row_steps(rows, counts, _step, supports))
+    except ValidationError as exc:
+        raise InternalNumericalError(f"channel output: {exc}") from exc
 
 
 def apply_product_channel(rho: np.ndarray, kset: KrausSet) -> np.ndarray:
@@ -261,10 +275,10 @@ def apply_n(rho: np.ndarray, kset: KrausSet, n: int | Iterable[int]) -> np.ndarr
     ``rho`` is one density matrix or an (N, 4, 4) stack; one matrix runs as
     a stack of one, and every row is stepped through ``kset``, whose
     products go through ``_supports`` once; its indices, values and
-    conjugates are broadcast to every row and handed to ``_per_row_steps``.
+    conjugates are broadcast to every row and handed to ``_kraus_steps``.
     ``n`` is one count or one per row, each checked before ``rho`` is read;
     a row stops once it has had its own n steps.
-    ``rho`` is validated once; every later input is a step's checked output.
+    ``rho`` is validated once, and the result once, in ``_kraus_steps``.
     Rows with channels of their own go through ``evolve_matrices``.
     """
     single = not isinstance(n, Iterable)
@@ -276,7 +290,7 @@ def apply_n(rho: np.ndarray, kset: KrausSet, n: int | Iterable[int]) -> np.ndarr
     stack = a.reshape(-1, 4, 4)
     counts = require_rows("iteration counts", counts * len(stack) if single else counts, len(stack))
     args = [np.broadcast_to(x, (len(stack),) + x.shape) for x in _supports(kset.products)]
-    return _per_row_steps(stack, np.array(counts), _step, args).reshape(a.shape)
+    return _kraus_steps(stack, np.array(counts), args).reshape(a.shape)
 
 
 def _checked_rows(stack: np.ndarray, row_shape: tuple[int, ...], kinds, ps, counts):
@@ -309,14 +323,14 @@ def evolve_matrices(rho: np.ndarray, kinds, ps, counts) -> np.ndarray:
 
 
 def _evolve_matrices(stack: np.ndarray, kinds, ps, counts) -> np.ndarray:
-    """``evolve_matrices`` of a validated stack and its ``_checked_rows``; checks nothing else.
+    """``evolve_matrices`` of a validated stack and its ``_checked_rows``; checks no input.
 
     The rows are stepped one channel kind at a time, since a stack of
     Kraus products needs one operator count, in blocks of at most
     ``_ROWS_PER_STACK`` rows. Each block makes one ``_kraus_sets`` and one
     ``_supports`` call on its rows' p values, in row order, and hands its
-    rows and their gather indices and values to ``_per_row_steps``, whose
-    ``_step`` checks every matrix it returns. ``_kraus_sets`` gives every
+    rows and their gather indices and values to ``_kraus_steps``, which
+    validates the block's final matrices once. ``_kraus_sets`` gives every
     row the bits it would get alone, so every row gets the bits ``apply_n``
     gives it alone.
     """
@@ -326,7 +340,7 @@ def _evolve_matrices(stack: np.ndarray, kinds, ps, counts) -> np.ndarray:
         for start in range(0, len(same_kind), _ROWS_PER_STACK):
             rows = same_kind[start:start + _ROWS_PER_STACK]
             _, products = _kraus_sets(kind, *_single_parameter_args(kind, [ps[r] for r in rows]))
-            out[rows] = _per_row_steps(stack[rows], counts[rows], _step, _supports(products))
+            out[rows] = _kraus_steps(stack[rows], counts[rows], _supports(products))
     return out
 
 

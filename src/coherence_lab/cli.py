@@ -236,7 +236,7 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
             kset = kraus_set(kind, p, _clamped_probability(args, "gamma"))
         else:
             kset = single_parameter_kraus_set(kind, p)
-        # apply_n checks its last step's output, so it is read unchecked
+        # apply_n validates its last step's output, so it is read unchecked
         rho = apply_n(to_density_matrix(state), kset, args.n)
         evolved, residual = _correlations(rho)
         residual = f"{residual:.3e}"
@@ -346,7 +346,7 @@ def _verify_coefficient_maps(seed: int, trials: int) -> list[tuple[_Deviation, s
     kind by kind in the order listed. The rows' channels are checked by one
     ``_checked_rows`` call, the drawn rows for physicality and their matrices
     once each, and both routes then run the twins' unchecked bodies; the
-    evolved matrices are the last step's checked outputs.
+    evolved matrices are validated once, as ``_evolve_matrices`` returns them.
     """
     cells = [(kind, p, n) for kind in ChannelKind
              for p in (0.1, 0.3, 0.5, 0.7, 0.9) for n in (1, 2, 5, 9) for _ in range(3)]

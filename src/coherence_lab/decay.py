@@ -70,9 +70,9 @@ def decay_rates(queries: Sequence[DecayQuery]) -> np.ndarray:
     ``_evolve_coefficients``. The oracle validates its initial matrices
     once, measures them and the evolved ones with the matrix forms, and
     evolves through ``_evolve_matrices``, which holds the per-row Kraus
-    products of one bounded block at a time and whose ``_step`` checks
-    every matrix it returns. ``mode`` is a closed-form convention, so the
-    matrix-oracle engine, whose Kraus route is 'derived', rejects 'paper'.
+    products of one bounded block at a time and validates each evolved
+    matrix once. ``mode`` is a closed-form convention, so the matrix-oracle
+    engine, whose Kraus route is 'derived', rejects 'paper'.
     """
     queries = require_rows("decay queries", queries)
     for query in queries:

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
 
+import math
+
 from coherence_lab import (
+    InternalNumericalError,
     NotHermitianError,
     NotPSDError,
     TraceNotOneError,
@@ -15,7 +18,17 @@ from coherence_lab import (
     to_density_matrix,
     von_neumann_entropy,
 )
-from coherence_lab.linalg import XLNX_FLOOR, _xlnx
+from coherence_lab.linalg import (
+    HERMITIAN_TOL,
+    PSD_TOL,
+    SQRT_RECONSTRUCTION_TOL,
+    TRACE_TOL,
+    XLNX_FLOOR,
+    _xlnx,
+    require_hermitian,
+    require_psd,
+    require_unit_trace,
+)
 from coherence_lab.states import validate_density_matrix
 from conftest import REFERENCE
 
@@ -224,3 +237,62 @@ def test_entropy_counts_an_eigenvalue_only_above_the_floor(small):
     assert np.array_equal(np.linalg.eigvalsh(np.diag(w).astype(complex)), w)
     first = small * np.log(small) if small > XLNX_FLOOR else 0.0
     assert entropy == -np.sum([first, *(x * np.log(x) for x in w[1:])])
+
+
+# The validators are the oracle's only Hermiticity, trace and PSD guards, so
+# each threshold is pinned at its exact float where one exists.
+
+
+def test_require_psd_passes_exactly_minus_its_tolerance():
+    require_psd(np.array([-PSD_TOL, 0.0]))
+    with pytest.raises(NotPSDError):
+        require_psd(np.array([0.0, np.nextafter(-PSD_TOL, -1.0)]))
+
+
+def test_require_hermitian_passes_a_defect_of_exactly_its_tolerance():
+    # |m[0, 1] - conj(m[1, 0])| is m[0, 1] itself, with no rounding
+    m = np.eye(4, dtype=complex) / 4.0
+    m[0, 1] = HERMITIAN_TOL
+    assert require_hermitian(m) is not None
+    m[0, 1] = np.nextafter(HERMITIAN_TOL, 1.0)
+    with pytest.raises(NotHermitianError):
+        require_hermitian(m)
+
+
+@pytest.mark.parametrize("small", [PSD_TOL, float(np.nextafter(PSD_TOL, 1.0))])
+def test_psd_sqrt_zeroes_an_eigenvalue_of_exactly_its_tolerance(small):
+    # a diagonal matrix, whose eigenvalues come back as its entries
+    w = np.array([small, 0.25, 0.25, 0.5 - small])
+    assert np.array_equal(np.linalg.eigvalsh(np.diag(w).astype(complex)), w)
+    root = psd_sqrt(np.diag(w))
+    assert root[0, 0] == (0.0 if small == PSD_TOL else np.sqrt(small))
+
+
+def test_require_unit_trace_limit_sits_between_two_neighbouring_traces():
+    # For t in [1/2, 2], t - 1 is exact (Sterbenz) and a multiple of 2^-53;
+    # the double TRACE_TOL has denominator 2^86 in lowest terms, so no trace
+    # is off 1 by exactly TRACE_TOL and '>' and '>=' agree on every trace.
+    # The limit itself is pinned between a trace's neighbours on each side.
+    assert TRACE_TOL.as_integer_ratio()[1] > 2**53
+    for ulp in (2.0**-52, -(2.0**-53)):
+        k = math.floor(TRACE_TOL / abs(ulp))
+        require_unit_trace(np.array([1.0 + k * ulp]))
+        with pytest.raises(TraceNotOneError):
+            require_unit_trace(np.array([1.0 + (k + 1) * ulp]))
+
+
+@pytest.mark.parametrize("x, defect, passes", [(262144.37, 2.0**-34, True),
+                                               (524290.563, 2.0**-33, False)])
+def test_psd_sqrt_reconstruction_limit_sits_between_two_ulps(x, defect, passes):
+    # On diag(1, 1, 1, x) the root is diag(1, 1, 1, sqrt(x)) and the only
+    # defect is fl(sqrt(x)^2) - x, one ulp of x: 2^-34 in [2^18, 2^19) and
+    # 2^-33 in [2^19, 2^20). Neither is the double 1e-10, so '>' and '>='
+    # agree on these inputs; the limit is pinned between them.
+    assert math.sqrt(x) * math.sqrt(x) - x == defect
+    assert (defect < SQRT_RECONSTRUCTION_TOL) is passes
+    m = np.diag([1.0, 1.0, 1.0, x]).astype(complex)
+    if passes:
+        assert psd_sqrt(m)[3, 3] == math.sqrt(x)
+    else:
+        with pytest.raises(InternalNumericalError):
+            psd_sqrt(m)

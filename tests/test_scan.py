@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import numpy as np
@@ -99,26 +100,46 @@ def test_surface_validation():
         frozen_surface(BF, Measure.L1, 0.5, 0)
 
 
-def test_surface_bf_l1_region_small_grid():
-    grid = 21
-    cloud = frozen_surface(BF, Measure.L1, 0.5, 1, grid_res=grid, tol=1e-9, min_coherence=1e-6)
-    axis = np.linspace(-1.0, 1.0, grid)
-    half = grid // 2
-    idx = np.arange(grid)
-    i, j, k = np.meshgrid(idx, idx, idx, indexing="ij")
-    c1, c2, c3 = axis[i], axis[j], axis[k]
-    q_min = np.minimum(
-        np.minimum(1 - c1 - c2 - c3, 1 + c1 + c2 - c3),
-        np.minimum(1 + c1 - c2 + c3, 1 - c1 + c2 + c3),
-    )
-    physical = q_min / 4.0 >= -1e-12
-    # index comparison realizes the mathematical |c1| >= |c2| on the lattice
-    region = physical & (np.abs(i - half) >= np.abs(j - half)) & (np.abs(i - half) > 0)
-    expected = np.argwhere(region)
-    assert np.array_equal(
-        cloud.points,
-        np.column_stack([axis[expected[:, 0]], axis[expected[:, 1]], axis[expected[:, 2]]]),
-    )
+@functools.lru_cache(maxsize=None)
+def _l1_half_cube(kind, grid):
+    """The expected l1 cloud of bf or bpf, as (lattice indices, component count).
+
+    In integers, lattice value i is c = u / s with u = 2i - s and s = grid - 1:
+    a point is physical when every parity s -+ u1 -+ u2 -+ u3 >= 0, and frozen
+    when the kept coefficient dominates the lost one, |u1| >= |u2| for bf
+    (|u2| >= |u1| for bpf), and is nonzero, so that l1 > 0.
+    """
+    s = grid - 1
+    u = 2 * np.arange(grid) - s
+    u1, u2, u3 = np.meshgrid(u, u, u, indexing="ij")
+    physical = ((s - u1 - u2 - u3 >= 0) & (s + u1 + u2 - u3 >= 0)
+                & (s + u1 - u2 + u3 >= 0) & (s - u1 + u2 + u3 >= 0))
+    kept, lost = (u1, u2) if kind is BF else (u2, u1)
+    mask = physical & (np.abs(kept) >= np.abs(lost)) & (kept != 0)
+    return np.argwhere(mask), ndimage.label(mask)[1]
+
+
+@pytest.mark.parametrize("tol, min_coherence", [(1e-3, 1e-4), (1e-9, 1e-6)])
+@pytest.mark.parametrize("grid", [21, 101])
+@pytest.mark.parametrize("n", [1, 10])
+@pytest.mark.parametrize("p", [0.05, 0.5, 0.95])
+@pytest.mark.parametrize("kind", [BF, ChannelKind.BIT_PHASE_FLIP])
+def test_surface_l1_region_is_the_half_cube(kind, p, n, grid, tol, min_coherence):
+    # l1 = max(|c1|, |c2|); the kept coefficient never changes and the lost
+    # one shrinks by f = (1 - p)^2 per step. Where the kept one dominates,
+    # R_n is exactly 1. Elsewhere R_n = max(|kept| / |lost|, f^n): on the
+    # lattice |kept| <= |lost| - 2/s there, so R_n <= max(1 - 2/s, f^n) with
+    # |lost| <= 1. Both margins below exceed tol by far more than the few
+    # ulps a computed ratio is off, so no such point is frozen.
+    s = grid - 1
+    assert 2 / s > tol and (1 - p) ** (2 * n) < 1 - tol
+    # every nonzero lattice l1, at least 2/s, clears both coherence floors
+    assert 2 / s >= max(min_coherence, COHERENCE_FLOOR)
+    cloud = frozen_surface(kind, Measure.L1, p, n, grid_res=grid, tol=tol,
+                           min_coherence=min_coherence)
+    indices, components = _l1_half_cube(kind, grid)
+    assert np.array_equal(cloud.indices, indices)
+    assert cloud.components == components
     # the stored lattice indices: integers, strictly ascending rows, and the
     # points derived from them bit for bit
     assert np.issubdtype(cloud.indices.dtype, np.integer)

@@ -163,6 +163,64 @@ def test_a_leaky_row_fails_its_step(row):
     assert str(stacked.value) == str(alone.value)
 
 
+def _not_psd(out):
+    # the smallest eigenvalue is at most the smallest diagonal entry, which
+    # step 3 of each channel at p = 0.3 leaves below zero
+    out[:, 0, 0] -= 2.0
+    out[:, 3, 3] += 2.0
+
+
+def _not_hermitian_entry(out):
+    out[:, 0, 1] += 1e-3
+
+
+def _fault_second_step(monkeypatch, fault):
+    """Make ``channels._step``'s second call return a same-trace non-density matrix."""
+    step, calls = channels._step, []
+
+    def faulty(a, *supports):
+        out = step(a, *supports)
+        calls.append(len(a))
+        if len(calls) == 2:
+            fault(out)
+        return out
+
+    monkeypatch.setattr(channels, "_step", faulty)
+    return calls
+
+
+def _raises_at_the_exit(calls, run):
+    calls.clear()
+    with pytest.raises(InternalNumericalError) as raised:
+        run()
+    assert str(raised.value).startswith("channel output:")
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("kind", list(ChannelKind))
+@pytest.mark.parametrize("fault", [_not_psd, _not_hermitian_entry])
+def test_a_bad_step_output_is_caught_where_the_stack_leaves_the_oracle(monkeypatch, capsys,
+                                                                       fault, kind):
+    # a fault at step 2 of 3 that keeps the trace passes ``_step``'s drift
+    # test and step 3, and is caught once the stepped stack is validated
+    stack = _bell_stack(4)
+    calls = _fault_second_step(monkeypatch, fault)
+    _raises_at_the_exit(calls, lambda: apply_n(stack, single_parameter_kraus_set(kind, 0.3), 3))
+    # mixed counts, so the sorted phases run: one step each for counts 1, 2, 3
+    _raises_at_the_exit(calls, lambda: evolve_matrices(stack, [kind] * 4, [0.3] * 4, [3, 1, 3, 2]))
+    queries = [DecayQuery(c, Measure.L1, kind, 0.3, 3, engine=Engine.MATRIX_ORACLE)
+               for c in sample_states(5, 4, min_l1=1e-2)]
+    _raises_at_the_exit(calls, lambda: decay_rates(queries))
+    argv = ["evolve", "--method", "kraus", "--channel", kind.value, "--p", "0.3", "--n", "3",
+            "--state=0.3,-0.2,0.1"]
+    calls.clear()
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("internal error: channel output:") and err.count("\n") == 1
+    assert len(calls) == 3
+
+
 def test_an_empty_stack_steps_to_an_empty_stack():
     empty = np.empty((0, 4, 4), dtype=complex)
     kset = single_parameter_kraus_set(ChannelKind.BIT_FLIP, 0.3)
@@ -498,14 +556,15 @@ def _record_calls(monkeypatch, original, record):
 
 
 def test_an_oracle_decay_rates_call_validates_each_matrix_once(monkeypatch):
-    # the N initial matrices once, then each step's output once in ``_step``
+    # the N initial matrices once, then the N evolved ones once, where the
+    # stepped stack leaves the oracle in ``channels._kraus_steps``
     queries = _counted_queries(Engine.MATRIX_ORACLE)
     validated, checked = [], []
     _record_calls(monkeypatch, validate_density_matrix,
                   lambda rho: validated.append(np.size(rho) // 16))
     _record_calls(monkeypatch, channels._checked_rows, lambda *args: checked.append(len(args[0])))
     decay_rates(queries)
-    assert sum(validated) == len(queries) + sum(_MIXED_COUNTS)
+    assert sum(validated) == 2 * len(queries)
     assert checked == [len(queries)]
 
 
@@ -530,8 +589,8 @@ def test_a_closed_decay_rates_call_checks_each_row_physical_once(monkeypatch):
 
 def test_a_verify_run_validates_each_stack_once(monkeypatch, capsys):
     # the measures stack once; the coefficient maps' initial matrices once and
-    # each step's output once, with no second look at the evolved stack; the
-    # oracle engine's initial matrices once and each step's output once
+    # their evolved matrices once, as each block leaves the oracle; the oracle
+    # engine's initial matrices once and its evolved ones once
     trials = 7
     validated = []
     _record_calls(monkeypatch, validate_density_matrix,
@@ -539,10 +598,8 @@ def test_a_verify_run_validates_each_stack_once(monkeypatch, capsys):
     assert cli.main(["verify", "--seed", "42", "--trials", str(trials)]) == 0
     capsys.readouterr()
     map_rows = 5 * len(ChannelKind) * 4 * 3
-    map_steps = 5 * len(ChannelKind) * (1 + 2 + 5 + 9) * 3
-    engine_steps = sum(1 + index % 12 for index in range(trials))
     assert validated[:2] == [trials, map_rows]
-    assert sum(validated) == trials + map_rows + map_steps + trials + engine_steps
+    assert sum(validated) == trials + 2 * map_rows + 2 * trials
 
 
 def test_the_coefficient_maps_suite_checks_its_rows_once(monkeypatch):
@@ -561,9 +618,10 @@ def test_the_coefficient_maps_suite_checks_its_rows_physical_once(monkeypatch):
 
 
 @pytest.mark.parametrize("n", [1, 7])
-def test_a_kraus_evolve_validates_n_plus_one_matrices(monkeypatch, capsys, n):
-    # the initial matrix in ``apply_n``, then each step's output in ``_step``;
-    # the last output is extracted and measured with no second look
+def test_a_kraus_evolve_validates_its_initial_and_final_matrices(monkeypatch, capsys, n):
+    # the initial matrix in ``apply_n`` and the last step's output as it
+    # leaves the oracle, whatever n; it is extracted and measured with no
+    # second look
     validated = []
     _record_calls(monkeypatch, validate_density_matrix,
                   lambda rho: validated.append(np.size(rho) // 16))
@@ -571,4 +629,4 @@ def test_a_kraus_evolve_validates_n_plus_one_matrices(monkeypatch, capsys, n):
             "--state=0.3,-0.2,0.1"]
     assert cli.main(argv) == 0
     capsys.readouterr()
-    assert validated == [1] * (n + 1)
+    assert validated == [1, 1]
