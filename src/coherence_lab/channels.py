@@ -8,8 +8,9 @@ operators {E_i}, so the two-qubit map is
 Bell-diagonal states stay Bell diagonal under bf, pf, bpf, dep, and the
 half-mixing amplitude-damping channel, and each coefficient c_k is simply
 multiplied by a channel factor per iteration. ``evolve_coefficients`` (a
-channel per row) applies those factors; ``apply_n`` (one Kraus set) and
-its twin ``evolve_matrices`` are the literal Kraus-operator route used to
+channel per row) applies those factors; ``apply_n`` (one Kraus set and
+one count) and ``evolve_matrices`` (a channel per row, the twin of
+``evolve_coefficients``) are the literal Kraus-operator route used to
 check them. Both twins check their rows in ``_checked_rows`` and then
 run a private body that checks nothing, ``_evolve_coefficients`` and
 ``_evolve_matrices``, which ``decay_rates`` calls once it has made those
@@ -36,7 +37,6 @@ oracle, validates each final matrix once.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -269,28 +269,24 @@ def apply_product_channel(rho: np.ndarray, kset: KrausSet) -> np.ndarray:
     return apply_n(rho, kset, 1)
 
 
-def apply_n(rho: np.ndarray, kset: KrausSet, n: int | Iterable[int]) -> np.ndarray:
+def apply_n(rho: np.ndarray, kset: KrausSet, n: int) -> np.ndarray:
     """n successive applications of the product channel of ``kset``.
 
     ``rho`` is one density matrix or an (N, 4, 4) stack; one matrix runs as
-    a stack of one, and every row is stepped through ``kset``, whose
+    a stack of one, and every row is stepped n times through ``kset``, whose
     products go through ``_supports`` once; its indices, values and
     conjugates are broadcast to every row and handed to ``_kraus_steps``.
-    ``n`` is one count or one per row, each checked before ``rho`` is read;
-    a row stops once it has had its own n steps.
+    ``n`` is one count, checked before ``rho`` is read.
     ``rho`` is validated once, and the result once, in ``_kraus_steps``.
-    Rows with channels of their own go through ``evolve_matrices``.
+    Rows with channels or counts of their own go through ``evolve_matrices``.
     """
-    single = not isinstance(n, Iterable)
-    counts = [require_count("iteration count", k)
-              for k in ([n] if single else require_rows("iteration counts", n))]
+    n = require_count("iteration count", n)
     if not isinstance(kset, KrausSet):
         raise ValidationError(f"expected a KrausSet, got {type(kset).__name__}")
     a = validate_density_matrix(rho)
     stack = a.reshape(-1, 4, 4)
-    counts = require_rows("iteration counts", counts * len(stack) if single else counts, len(stack))
     args = [np.broadcast_to(x, (len(stack),) + x.shape) for x in _supports(kset.products)]
-    return _kraus_steps(stack, np.array(counts), args).reshape(a.shape)
+    return _kraus_steps(stack, np.full(len(stack), n), args).reshape(a.shape)
 
 
 def _checked_rows(stack: np.ndarray, row_shape: tuple[int, ...], kinds, ps, counts):
@@ -463,7 +459,7 @@ def _evolve_rows(rows: np.ndarray, factors: np.ndarray, counts: np.ndarray) -> n
     """(N, 3) coefficients after each row's own count of per-iteration multiplications.
 
     Row k is multiplied by its float factors ``counts[k]`` times (never a
-    power) and then left alone, the same per-row stop ``apply_n`` uses.
+    power) and then left alone, the same per-row stop ``evolve_matrices`` uses.
     Like ``_factor_rows`` it checks nothing; its callers pass arrays.
     """
     return _per_row_steps(np.asarray(rows, dtype=np.float64), counts, np.multiply, (factors,))

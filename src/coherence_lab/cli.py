@@ -8,7 +8,8 @@ Subcommands:
     frozen-surface  frozen-coherence point cloud, written as CSV or PLY
     verify          deterministic self-check of all dual-route computations
 
-Exit codes: 0 success, 1 invalid input or usage, 2 internal numerical error.
+Exit codes: 0 success, 1 invalid input or usage (an input too large for memory
+included), 2 internal numerical error.
 """
 
 from __future__ import annotations
@@ -535,6 +536,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         code = args.func(args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # an input too large to hold, such as a grid or a trial count
+        print(f"error: not enough memory: {exc}", file=sys.stderr)
         return 1
     except CoherenceLabError as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -12,11 +12,13 @@ with q1 = 1-c1-c2-c3, q2 = 1+c1+c2-c3, q3 = 1+c1-c2+c3, q4 = 1-c1+c2+c3.
 Matrix forms evaluate the defining expressions on the density matrix itself
 (off-diagonal l1 norm, entropy difference against the dephased state, and
 1 - sum_k <k|sqrt(rho)|k>^2 for the summed skew information over the
-computational basis). The two routes agree to ~1e-12 and are checked against
-each other by the test suite and the `verify` command. Both routes take
-arrays: ``closed_measures`` broadcasts over coefficient arrays and the
-matrix forms take (..., 4, 4) stacks; the single-state functions are their
-one-row cases.
+computational basis). The dephased state is diagonal, so its spectrum is
+rho's diagonal (Baumgratz, Cramer and Plenio, PRL 113, 140401 (2014)):
+rel-ent reads it off and eigendecomposes rho alone. The two routes agree to
+~1e-12 and are checked against each other by the test suite and the
+`verify` command. Both routes take arrays: ``closed_measures`` broadcasts
+over coefficient arrays and the matrix forms take (..., 4, 4) stacks; the
+single-state functions are their one-row cases.
 """
 
 from __future__ import annotations
@@ -24,7 +26,9 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import Choice, InternalNumericalError
-from .linalg import _xlnx, psd_sqrt, raise_for_first, row_value, von_neumann_entropy
+from .linalg import (
+    _spectral_entropy, _xlnx, psd_sqrt, raise_for_first, row_value, von_neumann_entropy,
+)
 from .states import (
     BellCoefficients,
     parities,
@@ -146,11 +150,13 @@ def _l1_matrix(a: np.ndarray) -> np.ndarray:
 
 
 def _rel_entropy_matrix(a: np.ndarray) -> np.ndarray:
-    """S(rho_diag) - S(rho) with rho_diag the dephased (diagonal) state."""
-    dephased = np.zeros_like(a)
-    diagonal = np.arange(a.shape[-1])
-    dephased[..., diagonal, diagonal] = a[..., diagonal, diagonal]
-    return von_neumann_entropy(dephased) - von_neumann_entropy(a)
+    """S(rho_diag) - S(rho) with rho_diag the dephased (diagonal) state.
+
+    The spectrum of rho_diag is rho's diagonal, sorted ascending as ``eigh``
+    returns a diagonal matrix's, so its entropy sums in the same order.
+    """
+    spectrum = np.sort(np.diagonal(a, axis1=-2, axis2=-1).real, axis=-1)
+    return _spectral_entropy(spectrum) - von_neumann_entropy(a)
 
 
 def _skew_matrix(a: np.ndarray) -> np.ndarray:
@@ -183,5 +189,11 @@ def matrix_measure(measure: Measure, rho: np.ndarray) -> float | np.ndarray:
 
 
 def _matrix_rows(measure: Measure, matrices: np.ndarray) -> np.ndarray:
-    """``matrix_measure`` of validated ``matrices``, (4, 4) or (..., 4, 4), checking nothing."""
+    """``matrix_measure`` of validated ``matrices``, (4, 4) or (..., 4, 4), validating none itself.
+
+    ``von_neumann_entropy`` and ``psd_sqrt`` still rerun their checks on the
+    matrices they eigendecompose. The dephased spectrum, a validated
+    matrix's diagonal, needs no check of its own: each entry is at least the
+    matrix's smallest eigenvalue, and the entries sum to its checked trace.
+    """
     return clamped_array(_MATRIX[measure](matrices))

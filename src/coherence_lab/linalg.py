@@ -3,9 +3,12 @@
 Thin, tolerance-gated wrappers around numpy.linalg.eigh. Every routine
 takes one (d, d) matrix or a (..., d, d) stack and runs the same code for
 both: numpy's linalg and matmul work matrix by matrix, so each matrix of a
-stack gets the bits it would get alone. Every routine validates its input;
-each check, in the order a single matrix is checked, raises a typed error
-for the first matrix that fails it instead of returning garbage.
+stack gets the bits it would get alone. Every public routine validates its
+input, a stack validated before included; each check, in the order a single
+matrix is checked, raises a typed error for the first matrix that fails it
+instead of returning garbage. ``_spectral_entropy``, the tail of
+``von_neumann_entropy``, checks nothing: it also takes the rel-ent matrix
+form's dephased spectrum, the sorted diagonal of a validated matrix.
 """
 
 from __future__ import annotations
@@ -148,7 +151,12 @@ def von_neumann_entropy(m: np.ndarray) -> float | np.ndarray:
     w, _ = hermitian_eigensystem(m)
     require_psd(w[..., 0])
     require_unit_trace(np.sum(w, axis=-1))
+    entropy = _spectral_entropy(w)
+    return float(entropy) if w.ndim == 1 else entropy
+
+
+def _spectral_entropy(w: np.ndarray) -> np.ndarray:
+    """-sum_k w_k ln w_k over the last axis of the spectra ``w``, clamped at 0; checks nothing."""
     with np.errstate(divide="ignore", invalid="ignore"):
         entropy = -np.sum(_xlnx(w), axis=-1)
-    entropy = np.where(entropy < 0.0, 0.0, entropy)
-    return float(entropy) if w.ndim == 1 else entropy
+    return np.where(entropy < 0.0, 0.0, entropy)

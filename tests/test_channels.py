@@ -296,14 +296,16 @@ STACK_CASES = [(kind, None) for kind in ALL_KINDS] + [(ChannelKind.AMPLITUDE_DAM
 
 @pytest.mark.parametrize("kind, gamma", STACK_CASES)
 def test_stacked_apply_n_matches_kron_loop_bitwise(kind, gamma):
-    # the single-parameter kinds go through evolve_matrices with one p per
-    # row, so every row of the merged P_k rho product has its own operators;
-    # the two-parameter gad set steps the whole stack through apply_n. Each
-    # row is judged by independent 2-D matmuls; the counts [7, 1, 20, 2]
-    # give a step order that is neither the identity nor a reversal
+    # the single-parameter kinds go through evolve_matrices with one p and
+    # one count per row, so every row of the merged P_k rho product has its
+    # own operators; the two-parameter gad set steps the whole stack through
+    # apply_n, which takes one count. Each row is judged by independent 2-D
+    # matmuls; the counts [7, 1, 20, 2] give a step order that is neither
+    # the identity nor a reversal
     ps = (1e-12, 0.37, 0.75, 1.0 - 1e-12)
     rho = np.stack([to_density_matrix(c) for c in STACK_STATES])
-    for n in (1, 2, 7, [1, 2, 7, 20], [7, 1, 20, 2]):
+    per_row = () if gamma is not None else ([1, 2, 7, 20], [7, 1, 20, 2])
+    for n in (1, 2, 7, *per_row):
         counts = np.broadcast_to(n, len(ps)).tolist()
         if gamma is None:
             ksets = [single_parameter_kraus_set(kind, p) for p in ps]
@@ -415,6 +417,6 @@ class _Untouchable:
 
 def test_apply_n_rejects_bad_counts_before_reading_rho():
     kset = kraus_set(ChannelKind.PHASE_FLIP, 0.4)
-    for bad_n in (True, 2.7, 0):
+    for bad_n in (True, 2.7, 0, [1, 2]):
         with pytest.raises(ParameterRangeError):
             apply_n(_Untouchable(), kset, bad_n)

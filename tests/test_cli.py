@@ -31,7 +31,7 @@ from coherence_lab import (
     single_parameter_kraus_set,
     to_density_matrix,
 )
-from coherence_lab import cli
+from coherence_lab import cli, scan
 from coherence_lab.cli import main
 from conftest import ScalarStream
 
@@ -121,6 +121,25 @@ def test_internal_numerical_error_exits_two(capsys, monkeypatch):
     )
     assert code == 2 and out == ""
     assert err == "internal error: channel output drifted\n"
+
+
+@pytest.mark.parametrize("out_file", [None, "cloud.csv"])
+def test_an_input_too_large_to_hold_prints_one_error_line(capsys, monkeypatch, tmp_path,
+                                                          out_file):
+    # the allocation fails on purpose: a real one of this size is an OOM kill
+    # where the kernel overcommits memory, not a MemoryError
+    def too_large(grid_res):
+        raise MemoryError(f"Unable to allocate the runs of grid {grid_res}")
+
+    monkeypatch.setattr(scan, "_row_runs", too_large)
+    argv = ["frozen-surface", "--channel", "bf", "--measure", "l1", "--p", "0.5", "--n", "1",
+            "--grid", "100001"]
+    if out_file is not None:
+        argv += ["--out", str(tmp_path / out_file)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == "error: not enough memory: Unable to allocate the runs of grid 100001\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_evolve_gamma_requires_kraus(capsys):

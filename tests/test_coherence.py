@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from coherence_lab import (
     BellCoefficients,
     InternalNumericalError,
+    Lcg,
     Measure,
     UnphysicalStateError,
     bell_eigenvalues,
@@ -14,14 +15,16 @@ from coherence_lab import (
     sample_states,
     to_density_matrix,
 )
+from coherence_lab import coherence
 from coherence_lab.coherence import (
     clamped_array,
     closed_measures,
     dephased_entropy,
     rel_entropy_kernel,
 )
-from coherence_lab.linalg import XLNX_FLOOR
-from coherence_lab.states import PHYSICAL_TOL, physical_mask
+from coherence_lab.linalg import XLNX_FLOOR, von_neumann_entropy
+from coherence_lab.sampling import _draw_states
+from coherence_lab.states import PHYSICAL_TOL, physical_mask, validate_density_matrix
 from conftest import REFERENCE, VERTICES, physical_coefficients
 
 LN2 = float(np.log(2.0))
@@ -95,6 +98,64 @@ def test_closed_matches_matrix_on_exact_faces():
         rho = to_density_matrix(c)
         for measure in Measure:
             assert abs(closed_measure(measure, c) - matrix_measure(measure, rho)) <= 2e-9
+
+
+def _dephased_rel_entropy(a):
+    """rel-ent of the validated stack ``a`` from an explicit dephased stack, as once computed."""
+    dephased = np.zeros_like(a)
+    diagonal = np.arange(a.shape[-1])
+    dephased[..., diagonal, diagonal] = a[..., diagonal, diagonal]
+    return clamped_array(von_neumann_entropy(dephased) - von_neumann_entropy(a))
+
+
+def _rel_ent_stacks():
+    """Named stacks of density matrices on which the rel-ent matrix form is checked."""
+    states, _ = _draw_states(Lcg(42), 400, 0.0, 0)
+    vertices = np.array(VERTICES)
+    # the c3 = 1 and c3 = -1 edges, where two diagonal entries are exact zeros
+    t = np.array([0.25, 0.5, 0.75])[:, None]
+    edges = np.concatenate([t * vertices[a] + (1.0 - t) * vertices[b] for a, b in ((0, 1), (2, 3))])
+    faces = np.array([(-0.3333333333333333, 1.0, 0.3333333333333333), (0.5, -0.5, 0.0),
+                      (0.75, 0.25, 0.0), (0.0, 0.5, -0.5)])
+    rng = np.random.default_rng(9)
+    z = rng.normal(size=(300, 4, 4)) + 1j * rng.normal(size=(300, 4, 4))
+    u, _ = np.linalg.qr(z)
+    spectra = rng.dirichlet(np.ones(4), 300)
+    spectra[::3, 0] = 0.0  # rank-deficient ones too
+    spectra /= spectra.sum(axis=-1, keepdims=True)
+    mixed = (u * spectra[:, None, :]) @ np.swapaxes(u.conj(), -1, -2)
+    return {
+        "sampled": to_density_matrix(BellCoefficients(*states.T)),
+        "vertices, edges and faces": to_density_matrix(
+            BellCoefficients(*np.concatenate([vertices, edges, faces]).T)),
+        "not Bell diagonal": (mixed + np.swapaxes(mixed.conj(), -1, -2)) / 2.0,
+        # trace within TRACE_TOL; both entropies are -5e-11 before the clamp at 0
+        "trace just above 1": np.diag([1.0 + 5e-11, 0.0, 0.0, 0.0])[None],
+    }
+
+
+REL_ENT_STACKS = _rel_ent_stacks()
+
+
+@pytest.mark.parametrize("name", list(REL_ENT_STACKS))
+def test_rel_ent_matrix_form_has_the_bits_of_the_dephased_stack(name):
+    a = validate_density_matrix(REL_ENT_STACKS[name])
+    got = coherence._matrix_rows(Measure.REL_ENT, a)
+    assert got.tobytes() == _dephased_rel_entropy(a).tobytes()
+
+
+def test_rel_ent_matrix_form_makes_one_eigendecomposition(monkeypatch):
+    a = validate_density_matrix(to_density_matrix(REFERENCE))
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(m):
+        calls.append(m.shape)
+        return eigh(m)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    coherence._matrix_rows(Measure.REL_ENT, a)
+    assert calls == [(4, 4)]
 
 
 def test_ranges_and_faithfulness_over_sample():

@@ -473,7 +473,6 @@ _STACK_DOORS = {
                                 _TRIPLE[0], a["kinds"], a["ps"], a["counts"], a["modes"])),
     "evolve_matrices": (("kinds", "ps", "counts"), lambda a: channels.evolve_matrices(
         _RHO, a["kinds"], a["ps"], a["counts"])),
-    "apply_n": (("counts",), lambda a: apply_n(_RHO, LEAVE_FAMILY, a["counts"])),
     "decay_rates": (("queries",), lambda a: decay_rates(a["queries"])),
     "decay_curve": (("n_list",), lambda a: decay_curve(
         ChannelKind.DEPOLARIZING, Measure.SKEW, REFERENCE, a["n_list"], p_count=3)),
