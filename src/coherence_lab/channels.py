@@ -206,13 +206,16 @@ def _supports(products: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     the row values v, shape (..., K^2, 4), and their conjugates, formed
     here once for every step that uses them; a row of zeros has pi(r) = 0
     and v[r] = 0. A product with two nonzeros in a row has no such form and
-    raises InternalNumericalError for the first such row.
+    raises InternalNumericalError for the first such row, naming the
+    product's index in its set and, for a stack of sets, the set's row.
     """
     nonzero = products != 0
     spread = np.count_nonzero(nonzero, axis=-1)
+    per_set = 4 * spread.shape[-2]
+    where = " of set {} in its stack" if spread.ndim > 2 else ""
     raise_for_first(spread > 1, lambda row: InternalNumericalError(
-        f"Kraus product {row // 4} has {row_value(spread, row):.0f} nonzeros in row {row % 4}; "
-        "a channel step takes at most one per row"
+        f"Kraus product {row % per_set // 4} has {row_value(spread, row):.0f} nonzeros in row "
+        f"{row % 4}{where.format(row // per_set)}; a channel step takes at most one per row"
     ))
     columns = np.argmax(nonzero, axis=-1)
     values = np.take_along_axis(products, columns[..., None], axis=-1)[..., 0]

@@ -26,9 +26,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import Choice, InternalNumericalError
-from .linalg import (
-    _spectral_entropy, _xlnx, psd_sqrt, raise_for_first, row_value, von_neumann_entropy,
-)
+from .linalg import _psd_root, _spectral_entropy, _xlnx, raise_for_first, row_value
 from .states import (
     BellCoefficients,
     parities,
@@ -156,12 +154,12 @@ def _rel_entropy_matrix(a: np.ndarray) -> np.ndarray:
     returns a diagonal matrix's, so its entropy sums in the same order.
     """
     spectrum = np.sort(np.diagonal(a, axis1=-2, axis2=-1).real, axis=-1)
-    return _spectral_entropy(spectrum) - von_neumann_entropy(a)
+    return _spectral_entropy(spectrum) - _spectral_entropy(np.linalg.eigh(a)[0])
 
 
 def _skew_matrix(a: np.ndarray) -> np.ndarray:
     """1 - sum_k <k|sqrt(rho)|k>^2 over the computational basis."""
-    root_diag = np.diagonal(psd_sqrt(a), axis1=-2, axis2=-1).real
+    root_diag = np.diagonal(_psd_root(a, *np.linalg.eigh(a)), axis1=-2, axis2=-1).real
     return 1.0 - np.sum(root_diag**2, axis=-1)
 
 
@@ -191,9 +189,11 @@ def matrix_measure(measure: Measure, rho: np.ndarray) -> float | np.ndarray:
 def _matrix_rows(measure: Measure, matrices: np.ndarray) -> np.ndarray:
     """``matrix_measure`` of validated ``matrices``, (4, 4) or (..., 4, 4), validating none itself.
 
-    ``von_neumann_entropy`` and ``psd_sqrt`` still rerun their checks on the
-    matrices they eigendecompose. The dephased spectrum, a validated
-    matrix's diagonal, needs no check of its own: each entry is at least the
-    matrix's smallest eigenvalue, and the entries sum to its checked trace.
+    The forms run the bodies of ``von_neumann_entropy`` and ``psd_sqrt`` on
+    one ``eigh`` of each matrix: its Hermiticity, positivity and trace are
+    the validation's, and only the root's reconstruction is checked here.
+    The dephased spectrum, a validated matrix's diagonal, needs no check of
+    its own either: each entry is at least the matrix's smallest
+    eigenvalue, and the entries sum to its checked trace.
     """
     return clamped_array(_MATRIX[measure](matrices))

@@ -6,9 +6,11 @@ both: numpy's linalg and matmul work matrix by matrix, so each matrix of a
 stack gets the bits it would get alone. Every public routine validates its
 input, a stack validated before included; each check, in the order a single
 matrix is checked, raises a typed error for the first matrix that fails it
-instead of returning garbage. ``_spectral_entropy``, the tail of
-``von_neumann_entropy``, checks nothing: it also takes the rel-ent matrix
-form's dephased spectrum, the sorted diagonal of a validated matrix.
+instead of returning garbage. ``_psd_root``, the tail of ``psd_sqrt``,
+checks only its own reconstruction, and ``_spectral_entropy``, the tail of
+``von_neumann_entropy``, checks nothing: the matrix measures run both on one
+``eigh`` of each matrix that ``states.validate_density_matrix`` has passed,
+so no check is made twice.
 """
 
 from __future__ import annotations
@@ -110,13 +112,21 @@ def psd_sqrt(m: np.ndarray) -> np.ndarray:
     keeps the root deterministic when a true-zero eigenvalue comes back from
     the solver as a tiny positive number.
     """
-    w, v = hermitian_eigensystem(m)
+    a = require_hermitian(m)
+    w, v = np.linalg.eigh(a)
     require_psd(w[..., 0])
+    return _psd_root(a, w, v)
+
+
+def _psd_root(a: np.ndarray, w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``psd_sqrt`` of the matrices ``a`` from their ``eigh`` pair ``(w, v)``.
+
+    Checks only its reconstruction: the first root whose square is off ``a``
+    by more than SQRT_RECONSTRUCTION_TOL raises InternalNumericalError.
+    """
     w = np.where(w <= PSD_TOL, 0.0, w)
     root = (v * np.sqrt(w)[..., None, :]) @ np.swapaxes(v.conj(), -1, -2)
-    defects = np.max(
-        np.abs(root @ root - np.asarray(m, dtype=np.complex128)), axis=(-2, -1)
-    )
+    defects = np.max(np.abs(root @ root - a), axis=(-2, -1))
     raise_for_first(defects > SQRT_RECONSTRUCTION_TOL, lambda row: InternalNumericalError(
         f"sqrt reconstruction defect {row_value(defects, row):.3e} "
         f"exceeds {SQRT_RECONSTRUCTION_TOL:.1e}"
@@ -159,4 +169,5 @@ def _spectral_entropy(w: np.ndarray) -> np.ndarray:
     """-sum_k w_k ln w_k over the last axis of the spectra ``w``, clamped at 0; checks nothing."""
     with np.errstate(divide="ignore", invalid="ignore"):
         entropy = -np.sum(_xlnx(w), axis=-1)
-    return np.where(entropy < 0.0, 0.0, entropy)
+    # at <= 0.0, so that a zero entropy, the negation of a +0.0 sum, is +0.0 and not -0.0
+    return np.where(entropy <= 0.0, 0.0, entropy)

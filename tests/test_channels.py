@@ -373,11 +373,26 @@ def test_a_product_with_two_nonzeros_in_a_row_is_refused(monkeypatch):
     with pytest.raises(InternalNumericalError, match="Kraus product 0 has 4 nonzeros in row 0"):
         apply_n(rho, kset, 1)
     # evolve_matrices builds its blocks' sets itself, so the Hadamard products go in there
+    build = channels._kraus_sets
     monkeypatch.setattr(channels, "_kraus_sets", lambda kind, p, gamma: (
         None, np.broadcast_to(product, (len(p),) + product.shape)
     ))
     with pytest.raises(InternalNumericalError, match="Kraus product 0 has 4 nonzeros in row 0"):
         channels.evolve_matrices(rho[None], [ChannelKind.BIT_FLIP], [0.3], [1])
+
+    # a 3-row bf block whose third set holds it as product 1 is named by
+    # that product's index in its set and the set's row in the block
+    def third_set_refused(kind, p, gamma):
+        operators, products = build(kind, p, gamma)
+        products = np.array(products)
+        products[2, 1] = product[0]
+        return operators, products
+
+    monkeypatch.setattr(channels, "_kraus_sets", third_set_refused)
+    with pytest.raises(InternalNumericalError,
+                       match="Kraus product 1 has 4 nonzeros in row 0 of set 2 in its stack"):
+        channels.evolve_matrices(np.stack([rho] * 3), [ChannelKind.BIT_FLIP] * 3,
+                                 [0.1, 0.2, 0.3], [1, 1, 1])
 
 
 def test_bad_inputs_are_rejected_by_both_entry_points():

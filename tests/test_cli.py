@@ -95,14 +95,32 @@ def test_evolve_kraus_method_reports_residual(capsys):
     assert lines[1] == "residual: 6.000e-02"
 
 
-def test_evolve_kraus_method_without_gamma_matches_closed_form(capsys):
+# every kind at one and seven steps, from an interior state and from the
+# vertex 1,-1,1 and the face state 0.5,-0.5,0, which evolve to rank-deficient
+# matrices; the gad case at three steps keeps its exact state line
+KRAUS_EVOLVE_CASES = [("gad", 3, "0.6,0.1,0.2", "state: 0.2058,0.0343,0.0235298")] + [
+    (kind, n, state, None)
+    for kind in ("bf", "pf", "bpf", "dep", "gad")
+    for n in (1, 7)
+    for state in ("0.3,-0.2,0.1", "1,-1,1", "0.5,-0.5,0")
+]
+
+
+@pytest.mark.parametrize("kind, n, state, state_line", KRAUS_EVOLVE_CASES,
+                         ids=[f"{kind}-n{n}-{state}" for kind, n, state, _ in KRAUS_EVOLVE_CASES])
+def test_evolve_kraus_method_without_gamma_matches_closed_form(capsys, kind, n, state,
+                                                               state_line):
     # gad without --gamma takes the one-parameter convention, mixing 1/2 and damping p
-    argv = ("evolve", "--channel", "gad", "--p", "0.3", "--n", "3", "--state", "0.6,0.1,0.2")
+    argv = ("evolve", "--channel", kind, "--p", "0.3", "--n", str(n), "--state", state)
     code, closed, _ = run(capsys, *argv)
     code_kraus, kraus, _ = run(capsys, *argv, "--method", "kraus")
     assert code == code_kraus == 0
     closed, kraus = closed.splitlines(), kraus.splitlines()
-    assert kraus[0] == closed[0] == "state: 0.2058,0.0343,0.0235298"
+    assert len(kraus) == len(closed) == 5
+    if state_line is not None:
+        assert kraus[0] == closed[0] == state_line
+    coordinates = [line.removeprefix("state: ").split(",") for line in (kraus[0], closed[0])]
+    assert np.allclose(*np.array(coordinates, dtype=float), rtol=0.0, atol=cli.VERIFY_MAP_TOL)
     assert float(kraus[1].removeprefix("residual: ")) <= cli.VERIFY_RESIDUAL_TOL
     for kraus_line, closed_line in zip(kraus[2:], closed[2:]):
         name, value = kraus_line.split(" = ")

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -15,14 +17,16 @@ from coherence_lab import (
     sample_states,
     to_density_matrix,
 )
-from coherence_lab import coherence
+from coherence_lab import apply_n, coherence, kraus_set
+from coherence_lab.cli import main
 from coherence_lab.coherence import (
     clamped_array,
     closed_measures,
     dephased_entropy,
     rel_entropy_kernel,
 )
-from coherence_lab.linalg import XLNX_FLOOR, von_neumann_entropy
+from coherence_lab.decay import DecayQuery, Engine, decay_rates
+from coherence_lab.linalg import XLNX_FLOOR, _spectral_entropy, psd_sqrt, von_neumann_entropy
 from coherence_lab.sampling import _draw_states
 from coherence_lab.states import PHYSICAL_TOL, physical_mask, validate_density_matrix
 from conftest import REFERENCE, VERTICES, physical_coefficients
@@ -156,6 +160,68 @@ def test_rel_ent_matrix_form_makes_one_eigendecomposition(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted)
     coherence._matrix_rows(Measure.REL_ENT, a)
     assert calls == [(4, 4)]
+
+
+MATRIX_FORM_STACKS = {
+    **REL_ENT_STACKS,
+    # drawn states after one gad step, which leaves them no longer Bell diagonal
+    "drawn, one gad step on": apply_n(
+        to_density_matrix(BellCoefficients(*_draw_states(Lcg(7), 300, 0.0, 0)[0].T)),
+        kraus_set("gad", 0.7, 0.3), 1),
+}
+
+
+@pytest.mark.parametrize("name", list(MATRIX_FORM_STACKS))
+def test_matrix_forms_have_the_bits_of_the_door_based_formulas(name):
+    # the forms run the doors' bodies on one eigh of each validated matrix,
+    # so they keep the values the checked doors give, stack and single matrix
+    stack = validate_density_matrix(MATRIX_FORM_STACKS[name])
+    for a in (stack, stack[0]):
+        spectrum = np.sort(np.diagonal(a, axis1=-2, axis2=-1).real, axis=-1)
+        rel_ent = _spectral_entropy(spectrum) - von_neumann_entropy(a)
+        skew = 1.0 - np.sum(np.diagonal(psd_sqrt(a), axis1=-2, axis2=-1).real ** 2, axis=-1)
+        assert coherence._rel_entropy_matrix(a).tobytes() == np.asarray(rel_ent).tobytes()
+        assert coherence._skew_matrix(a).tobytes() == np.asarray(skew).tobytes()
+
+
+def _count_checks(monkeypatch):
+    """Calls of each matrix check and of the validation, through every module binding."""
+    names = ("validate_density_matrix", "require_hermitian", "require_psd", "require_unit_trace")
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("coherence_lab")]:
+        for name in names:
+            if callable(getattr(module, name, None)):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    return calls
+
+
+def _assert_each_check_once_per_validation(calls):
+    assert calls["validate_density_matrix"] > 0
+    for name in ("require_hermitian", "require_psd", "require_unit_trace"):
+        assert calls[name] == calls["validate_density_matrix"], calls
+
+
+@pytest.mark.parametrize("trials", [7, 1000])
+def test_verify_checks_each_matrix_once(monkeypatch, capsys, trials):
+    calls = _count_checks(monkeypatch)
+    assert main(["verify", "--seed", "42", "--trials", str(trials)]) == 0
+    capsys.readouterr()
+    _assert_each_check_once_per_validation(calls)
+
+
+def test_oracle_decay_rates_checks_each_matrix_once(monkeypatch):
+    queries = [DecayQuery(REFERENCE, measure, kind, 0.3, 3, engine=Engine.MATRIX_ORACLE)
+               for measure in Measure for kind in ("bf", "pf", "bpf", "dep", "gad")]
+    calls = _count_checks(monkeypatch)
+    assert np.all(decay_rates(queries) > 0.0)
+    _assert_each_check_once_per_validation(calls)
 
 
 def test_ranges_and_faithfulness_over_sample():

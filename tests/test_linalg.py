@@ -120,6 +120,17 @@ def test_entropy_pure_and_mixed():
     assert abs(von_neumann_entropy(np.eye(4, dtype=complex) / 4.0) - LN4) <= 1e-14
 
 
+def test_a_zero_entropy_is_positive_zero():
+    # the sum of a pure spectrum's x ln x is +0.0 and its negation -0.0,
+    # which a clamp at '< 0' would let through
+    assert math.copysign(1.0, von_neumann_entropy(np.diag([1.0, 0.0, 0.0, 0.0]))) == 1.0
+    pure = np.zeros((4, 4, 4))
+    pure[:, np.arange(4), np.arange(4)] = np.eye(4)
+    entropy = von_neumann_entropy(pure)
+    assert np.array_equal(entropy, np.zeros(4))
+    assert all(math.copysign(1.0, value) == 1.0 for value in entropy)
+
+
 def test_entropy_reference_state():
     assert abs(von_neumann_entropy(to_density_matrix(REFERENCE)) - S_REFERENCE) <= 1e-12
 

@@ -491,10 +491,11 @@ def _matrix_coherence(measure, c):
     return 1.0 - np.sum(np.diagonal(root, axis1=1, axis2=2).real ** 2, axis=1)
 
 
+@pytest.mark.parametrize("p", [0.05, 0.5, 0.95])
 @pytest.mark.parametrize("grid_res", [41, 101])
 @pytest.mark.parametrize("measure", [Measure.REL_ENT, Measure.SKEW])
 @pytest.mark.parametrize("kind", [BF, ChannelKind.BIT_PHASE_FLIP])
-def test_lattice_points_on_the_freezing_surface_are_in_the_cloud(kind, measure, grid_res):
+def test_lattice_points_on_the_freezing_surface_are_in_the_cloud(kind, measure, grid_res, p):
     min_coherence = 1e-4
     u = _surface_lattice_points(kind, grid_res)
     before = _matrix_coherence(measure, u / (grid_res - 1))
@@ -503,7 +504,7 @@ def test_lattice_points_on_the_freezing_surface_are_in_the_cloud(kind, measure, 
     expected = u[before >= min_coherence]
     assert len(expected) > 0
     for n in (1, 5, 50):
-        cloud = frozen_surface(kind, measure, 0.5, n, grid_res=grid_res,
+        cloud = frozen_surface(kind, measure, p, n, grid_res=grid_res,
                                min_coherence=min_coherence)
         members = {tuple(row) for row in np.rint(cloud.points * (grid_res - 1)).astype(int)}
         missing = [tuple(row) for row in expected if tuple(row) not in members]
