@@ -40,7 +40,7 @@ from .channels import (
 )
 from . import __version__
 from .coherence import Measure, _matrix_rows, closed_measure, closed_measures
-from .decay import DecayQuery, Engine, decay_rates
+from .decay import _closed_rates, _oracle_rates
 from .errors import CoherenceLabError, ParameterRangeError, ValidationError, require_count
 from .sampling import Lcg, _draw_states
 from .scan import DecayCurve, SurfacePointCloud, decay_curve, frozen_surface, lattice_axis
@@ -205,9 +205,9 @@ def _cloud_ply(cloud: SurfacePointCloud) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _print_measure_triple(value_of: Callable[[Measure], float]) -> None:
-    for measure in Measure:
-        print(f"{measure.value} = {value_of(measure):.12g}")
+def _print_lines(*lines: str, value_of: Callable[[Measure], float]) -> None:
+    """``lines``, then a line per measure; a measure that raises leaves no partial output."""
+    print("\n".join([*lines, *(f"{m.value} = {value_of(m):.12g}" for m in Measure)]))
 
 
 def _cmd_coherence(args: argparse.Namespace) -> int:
@@ -215,7 +215,7 @@ def _cmd_coherence(args: argparse.Namespace) -> int:
     if args.measure is not None:
         print(f"{closed_measure(Measure(args.measure), state):.12g}")
     else:
-        _print_measure_triple(lambda m: closed_measure(m, state))
+        _print_lines(value_of=lambda m: closed_measure(m, state))
     return 0
 
 
@@ -242,9 +242,8 @@ def _cmd_evolve(args: argparse.Namespace) -> int:
         evolved, residual = _correlations(rho)
         residual = f"{residual:.3e}"
         value_of = lambda m: float(_matrix_rows(m, rho))
-    print("state: " + ",".join(f"{c:.12g}" for c in evolved))
-    print(f"residual: {residual}")
-    _print_measure_triple(value_of)
+    _print_lines("state: " + ",".join(f"{c:.12g}" for c in evolved), f"residual: {residual}",
+                 value_of=value_of)
     return 0
 
 
@@ -379,29 +378,25 @@ def _verify_coefficient_maps(seed: int, trials: int) -> list[tuple[_Deviation, s
 
 
 def _verify_engines(seed: int, trials: int) -> list[tuple[_Deviation, str]]:
-    """Both decay engines on the same queries, each engine in one ``decay_rates`` call."""
-    kinds = list(ChannelKind)
-    measures = list(Measure)
+    """Both decay engines on the same drawn rows, one engine body call each.
+
+    Row r takes measure r % 3, kind r % 5 and n = 1 + r % 12; the bodies
+    take the (trials, 3) states and these per-row lists as they are.
+    """
     # l1 floor keeps the ratio denominator well conditioned; one float after
     # each state gives its p
     states, extras = _draw_states(Lcg(seed + 2), trials, 1e-2, 1)
-    ps = 0.05 + (0.95 - 0.05) * extras[:, 0]
-    queries, oracle_queries = [], []
-    for index, (state, p) in enumerate(zip(states.tolist(), ps.tolist())):
-        args = (BellCoefficients(*state), measures[index % len(measures)],
-                kinds[index % len(kinds)], p, 1 + (index % 12))
-        queries.append(DecayQuery(*args))
-        oracle_queries.append(DecayQuery(*args, engine=Engine.MATRIX_ORACLE))
-    closed = decay_rates(queries)
-    oracle = decay_rates(oracle_queries)
-
-    def witness(row):
-        q = queries[row]
-        return _witness(q.state, q.kind, q.p, q.n, q.measure)
-
+    ps = (0.05 + (0.95 - 0.05) * extras[:, 0]).tolist()
+    measures = (list(Measure) * trials)[:trials]
+    kinds = (list(ChannelKind) * trials)[:trials]
+    counts = [1 + row % 12 for row in range(trials)]
+    closed = _closed_rates(states, measures, kinds, ps, counts,
+                           [CoefficientMapMode.DERIVED] * trials)
+    oracle = _oracle_rates(states, measures, kinds, ps, counts)
     return [_worst(
         "closed-form vs matrix-oracle decay rate", np.abs(closed - oracle), VERIFY_ENGINE_TOL,
-        witness, "{check}: max dev {worst:.3e} (tol {tol:.0e}, states drawn with l1 >= 1e-2)",
+        lambda row: _witness(states[row], kinds[row], ps[row], counts[row], measures[row]),
+        "{check}: max dev {worst:.3e} (tol {tol:.0e}, states drawn with l1 >= 1e-2)",
     )]
 
 

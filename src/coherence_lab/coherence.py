@@ -11,7 +11,7 @@ with q1 = 1-c1-c2-c3, q2 = 1+c1+c2-c3, q3 = 1+c1-c2+c3, q4 = 1-c1+c2+c3.
 
 Matrix forms evaluate the defining expressions on the density matrix itself
 (off-diagonal l1 norm, entropy difference against the dephased state, and
-1 - sum_k <k|sqrt(rho)|k>^2 for the summed skew information over the
+tr rho - sum_k <k|sqrt(rho)|k>^2 for the summed skew information over the
 computational basis). The dephased state is diagonal, so its spectrum is
 rho's diagonal (Baumgratz, Cramer and Plenio, PRL 113, 140401 (2014)):
 rel-ent reads it off and eigendecomposes rho alone. The two routes agree to
@@ -158,9 +158,14 @@ def _rel_entropy_matrix(a: np.ndarray) -> np.ndarray:
 
 
 def _skew_matrix(a: np.ndarray) -> np.ndarray:
-    """1 - sum_k <k|sqrt(rho)|k>^2 over the computational basis."""
+    """sum_k [<k|rho|k> - <k|sqrt(rho)|k>^2] (Girolami, PRL 113, 170401 (2014)).
+
+    Summed as tr rho - sum_k <k|sqrt(rho)|k>^2, with the trace read off
+    ``a``: a validated matrix may miss unit trace by rounding.
+    """
     root_diag = np.diagonal(_psd_root(a, *np.linalg.eigh(a)), axis1=-2, axis2=-1).real
-    return 1.0 - np.sum(root_diag**2, axis=-1)
+    trace = np.sum(np.diagonal(a, axis1=-2, axis2=-1).real, axis=-1)
+    return trace - np.sum(root_diag**2, axis=-1)
 
 
 _MATRIX = {

@@ -56,22 +56,14 @@ def decay_rate(query: DecayQuery) -> float:
 def decay_rates(queries: Sequence[DecayQuery]) -> np.ndarray:
     """``decay_rate`` of many queries of one engine, as stacks; no queries give no rates.
 
-    Rows may differ in state, measure, channel kind, p, n and mode. Both
-    engines go through ``_ratio``: each step runs once over all rows
-    (measures once per measure present), and every row gets the bits
-    ``decay_rate`` gives it alone. Each check is made once, in this order:
-    the queries themselves, then each engine, measure and mode, the states,
-    their physicality, the coherence floor (in ``_ratio``) and the rows'
-    counts, kinds and p (one ``_checked_rows`` call), so a query that fails
-    two checks fails the same one first on either engine. The engines then
-    run the twins' unchecked bodies. The closed-form engine measures with
-    ``closed_measures``, whose first call is the rows' physicality check
-    and whose second is the evolved rows' only one, and evolves through
-    ``_evolve_coefficients``. The oracle validates its initial matrices
-    once, measures them and the evolved ones with the matrix forms, and
-    evolves through ``_evolve_matrices``, which holds the per-row Kraus
-    products of one bounded block at a time and validates each evolved
-    matrix once. ``mode`` is a closed-form convention, so the matrix-oracle
+    Rows may differ in state, measure, channel kind, p, n and mode, and each
+    gets the bits ``decay_rate`` gives it alone. The door checks the queries,
+    then each engine, measure and mode and the states, and hands the rows to
+    its engine's body, ``_closed_rates`` or ``_oracle_rates``. Both bodies
+    check the rows' physicality, the coherence floor (in ``_ratio``) and
+    their counts, kinds and p (one ``_checked_rows`` call), in this order,
+    so a query that fails two checks fails the same one first on either
+    engine. ``mode`` is a closed-form convention, so the matrix-oracle
     engine, whose Kraus route is 'derived', rejects 'paper'.
     """
     queries = require_rows("decay queries", queries)
@@ -89,11 +81,34 @@ def decay_rates(queries: Sequence[DecayQuery]) -> np.ndarray:
                                      for q in queries))
     states = stack_states([q.state for q in queries])
     if engine is Engine.CLOSED_FORM:
-        return _ratio(lambda rows: _by_measure(measures, rows, _closed_rows), states,
-                      lambda rows: _evolve_coefficients(
-                          rows, *_checked_rows(rows, (3,), kinds, ps, counts), modes))
+        return _closed_rates(states, measures, kinds, ps, counts, modes)
     if CoefficientMapMode.PAPER in modes:
         raise ValidationError("mode 'paper' is closed-form only; the Kraus route is 'derived'")
+    return _oracle_rates(states, measures, kinds, ps, counts)
+
+
+def _closed_rates(states: np.ndarray, measures, kinds, ps, counts, modes) -> np.ndarray:
+    """Closed-form R_n of the (N, 3) float ``states``, with coerced per-row measures and modes.
+
+    ``closed_measures`` measures them (its first call is the rows'
+    physicality check, its second the evolved rows' only one) and
+    ``_evolve_coefficients`` evolves them.
+    """
+    return _ratio(
+        lambda rows: _by_measure(measures, rows, lambda m, picked: closed_measures(m, *picked.T)),
+        states,
+        lambda rows: _evolve_coefficients(rows, *_checked_rows(rows, (3,), kinds, ps, counts),
+                                          modes),
+    )
+
+
+def _oracle_rates(states: np.ndarray, measures, kinds, ps, counts) -> np.ndarray:
+    """Matrix-oracle R_n of the (N, 3) float ``states``, with coerced per-row measures.
+
+    Their matrices are validated once and measured with the matrix forms.
+    ``_evolve_matrices`` evolves them, holding the per-row Kraus products of
+    one bounded block at a time, and validates each evolved matrix once.
+    """
     return _ratio(
         lambda rho: _by_measure(measures, rho, _matrix_rows),
         validate_density_matrix(to_density_matrix(BellCoefficients(*states.T))),
@@ -117,11 +132,6 @@ def _ratio(measure, rows: np.ndarray, evolve) -> np.ndarray:
         f"initial coherence {row_value(before, row)!r} is at or below {COHERENCE_FLOOR:.1e}"
     ))
     return measure(evolve(rows)) / before
-
-
-def _closed_rows(measure: Measure, coefficients: np.ndarray) -> np.ndarray:
-    """``closed_measures`` of the (N, 3) rows ``coefficients``."""
-    return closed_measures(measure, *coefficients.T)
 
 
 def _by_measure(measures: list[Measure], rows: np.ndarray, evaluate) -> np.ndarray:

@@ -1,6 +1,7 @@
 import json
 import os
 import stat
+import sys
 import warnings
 
 import numpy as np
@@ -139,6 +140,39 @@ def test_internal_numerical_error_exits_two(capsys, monkeypatch):
     )
     assert code == 2 and out == ""
     assert err == "internal error: channel output drifted\n"
+
+
+@pytest.mark.parametrize("target, argv", [
+    ("closed_measure", ("coherence", "0.6,0.1,0.2")),
+    ("closed_measure", ("evolve", "--channel", "bf", "--p", "0.5", "--n", "1",
+                        "--state", "0.6,0.1,0.2")),
+    ("_matrix_rows", ("evolve", "--channel", "bf", "--p", "0.5", "--n", "1",
+                      "--state", "0.6,0.1,0.2", "--method", "kraus")),
+], ids=["coherence", "evolve", "evolve-kraus"])
+def test_a_failing_last_measure_leaves_no_partial_output(capsys, monkeypatch, target, argv):
+    measure_of = getattr(cli, target)
+
+    def broken(measure, *args):
+        if Measure(measure) is Measure.SKEW:
+            raise InternalNumericalError("skew went negative")
+        return measure_of(measure, *args)
+
+    monkeypatch.setattr(cli, target, broken)
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err == "internal error: skew went negative\n"
+
+
+def test_kraus_evolve_survives_the_trace_drift_of_many_steps(capsys):
+    # 2000 gad steps leave the trace ~1.2e-12 off 1, beyond NEGATIVE_CLAMP
+    argv = ("evolve", "--channel", "gad", "--p", "0.5", "--n", "2000", "--state=0.4,-0.3,0.2")
+    code, closed, _ = run(capsys, *argv)
+    code_kraus, kraus, err = run(capsys, *argv, "--method", "kraus")
+    assert code == code_kraus == 0 and err == ""
+    for kraus_line, closed_line in zip(kraus.splitlines()[2:], closed.splitlines()[2:]):
+        name, value = kraus_line.split(" = ")
+        closed_value = float(closed_line.removeprefix(f"{name} = "))
+        assert float(value) == pytest.approx(closed_value, abs=cli.VERIFY_MEASURE_TOL)
 
 
 @pytest.mark.parametrize("out_file", [None, "cloud.csv"])
@@ -648,6 +682,27 @@ def test_verify_json_report(capsys, tmp_path):
     ))
     mapped = coefficient_map(w["channel"], w["p"], w["n"], state)
     assert max(abs(a - b) for a, b in zip(mapped, extracted)) == map_check["worst"]
+
+
+def test_verify_runs_each_engine_body_once_and_builds_no_query(monkeypatch, capsys):
+    # counted through every module binding, and DecayQuery through its __init__
+    names = ("_closed_rates", "_oracle_rates", "decay_rates")
+    calls = dict.fromkeys([*names, "DecayQuery"], 0)
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    for module in [m for key, m in sys.modules.items() if key.startswith("coherence_lab")]:
+        for name in names:
+            if callable(getattr(module, name, None)):
+                monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    monkeypatch.setattr(DecayQuery, "__init__", counted("DecayQuery", DecayQuery.__init__))
+    assert main(["verify", "--seed", "42", "--trials", "1000"]) == 0
+    capsys.readouterr()
+    assert calls == {"_closed_rates": 1, "_oracle_rates": 1, "decay_rates": 0, "DecayQuery": 0}
 
 
 @pytest.mark.parametrize("engine_tol, passed", [(cli.VERIFY_ENGINE_TOL, True), (1e-300, False)],

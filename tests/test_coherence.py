@@ -179,9 +179,24 @@ def test_matrix_forms_have_the_bits_of_the_door_based_formulas(name):
     for a in (stack, stack[0]):
         spectrum = np.sort(np.diagonal(a, axis1=-2, axis2=-1).real, axis=-1)
         rel_ent = _spectral_entropy(spectrum) - von_neumann_entropy(a)
-        skew = 1.0 - np.sum(np.diagonal(psd_sqrt(a), axis1=-2, axis2=-1).real ** 2, axis=-1)
+        trace = np.sum(np.diagonal(a, axis1=-2, axis2=-1).real, axis=-1)
+        skew = trace - np.sum(np.diagonal(psd_sqrt(a), axis1=-2, axis2=-1).real ** 2, axis=-1)
         assert coherence._rel_entropy_matrix(a).tobytes() == np.asarray(rel_ent).tobytes()
         assert coherence._skew_matrix(a).tobytes() == np.asarray(skew).tobytes()
+
+
+def test_skew_matrix_form_reads_the_trace_off_the_matrix():
+    # a validated matrix may miss unit trace by TRACE_TOL, far beyond
+    # NEGATIVE_CLAMP: the form must not read that drift as a coherence
+    value = matrix_measure(Measure.SKEW, np.diag([0.25 + 2e-11, 0.25, 0.25, 0.25]))
+    assert 0.0 <= value <= 1e-15
+    # where the real diagonal sums to exactly 1.0 the form has the bits of 1 - sum
+    for name, stack in MATRIX_FORM_STACKS.items():
+        a = validate_density_matrix(stack)
+        unit = np.sum(np.diagonal(a, axis1=-2, axis2=-1).real, axis=-1) == 1.0
+        root = np.diagonal(psd_sqrt(a[unit]), axis1=-2, axis2=-1).real
+        one_minus = 1.0 - np.sum(root**2, axis=-1)
+        assert coherence._skew_matrix(a[unit]).tobytes() == one_minus.tobytes(), name
 
 
 def _count_checks(monkeypatch):

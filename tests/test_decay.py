@@ -31,6 +31,7 @@ from coherence_lab import (
 )
 from coherence_lab import channels
 from coherence_lab.coherence import closed_measures
+from coherence_lab.sampling import _draw_states
 from coherence_lab.cli import VERIFY_ENGINE_TOL
 from conftest import REFERENCE
 
@@ -428,3 +429,18 @@ def test_skew_freezing_next_to_a_vertex():
     state = BellCoefficients(0.9999999999999999, -0.9999999999999999, 1.0)
     rate = decay_rate(DecayQuery(state, Measure.SKEW, BF, 0.5, 1))
     assert abs(rate - 1.0) <= 1e-9
+
+
+LARGE_N_STATES = [BellCoefficients(*row) for row in _draw_states(Lcg(11), 3, 1e-2, 0)[0].tolist()]
+
+
+def test_engines_agree_at_large_n():
+    # 600 steps drive every coherence towards zero; 2000 gad steps drift the
+    # oracle's trace by ~1e-12, which the skew matrix form must not read as
+    # a negative coherence
+    cells = [(state, measure, kind, p, 600) for state in LARGE_N_STATES for measure in Measure
+             for kind in ChannelKind for p in (0.1, 0.5, 0.9)]
+    cells.append((BellCoefficients(0.4, -0.3, 0.2), Measure.SKEW, ChannelKind("gad"), 0.5, 2000))
+    closed = decay_rates([DecayQuery(*cell) for cell in cells])
+    oracle = decay_rates([DecayQuery(*cell, engine=Engine.MATRIX_ORACLE) for cell in cells])
+    assert np.all(np.abs(closed - oracle) <= VERIFY_ENGINE_TOL), np.max(np.abs(closed - oracle))

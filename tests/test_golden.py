@@ -221,7 +221,7 @@ VERIFY_WORST = {
         'coefficient map vs Kraus route': '0x1.8000000000000p-49',
         'Bell-diagonal extraction residual': '0x1.8000000000000p-50',
         'dep paper-mode gap vs Kraus route': '0x1.50e54748fdeecp-3',
-        'closed-form vs matrix-oracle decay rate': '0x1.037d800000000p-34',
+        'closed-form vs matrix-oracle decay rate': '0x1.1a40800000000p-36',
     },
     7: {
         'closed vs matrix [l1]': '0x0.0p+0',
@@ -230,7 +230,7 @@ VERIFY_WORST = {
         'coefficient map vs Kraus route': '0x1.a000000000000p-50',
         'Bell-diagonal extraction residual': '0x1.7000000000000p-50',
         'dep paper-mode gap vs Kraus route': '0x1.c53dfc0ddeac0p-3',
-        'closed-form vs matrix-oracle decay rate': '0x1.2f211e0000000p-40',
+        'closed-form vs matrix-oracle decay rate': '0x1.7e80000000000p-41',
     },
 }
 
